@@ -7,12 +7,20 @@ leaving that region.  The radius is scanned exhaustively and the smallest
 objective wins, so d* = n recovers the plain union bound and d* = 0 leaves
 only the region-exit mass, which is always below 1.
 
+Cost per channel point: everything that does not depend on the radius (the
+Q values, the per-weight coefficient products and, under the tight
+theta-policy, one quadrature per weight) is computed once; the scan then
+only gathers binomial masses and sums.  Each variant builds only the
+binomial mass it reads: union builds no table, truncated-union and gfbt only
+the length-n+2 region-exit tail, and the refined variants add the 2-D prefix
+table, whose log-binomial coefficients are cached per code length.
+
 Numerical layout notes: per-weight terms are assembled in ascending weight
-order into equally sliced arrays for every variant, binomial prefix masses
-are clamped to <= 1, and each refinement multiplies a baseline term by
-factors <= 1, so the documented dominance chains (word <= truncated union <=
-union, bit <= word) hold exactly in floating point, not just in exact
-arithmetic.
+order into equally sliced arrays for every variant and summed by one
+contiguous np.sum before the tail is added, binomial prefix masses are
+clamped to <= 1, and each refinement multiplies a baseline term by factors
+<= 1, so the documented dominance chains (word <= truncated union <= union,
+bit <= word) hold exactly in floating point, not just in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
 
@@ -78,7 +87,8 @@ class ThetaPolicy(enum.Enum):
     CLOSED_FORM takes theta = pi/2, where the two-half-plane probability is
     exactly 2Q - Q^2.  TIGHT substitutes the angle cap 2*arccos(sqrt(d/n))
     whenever that is below pi/2 (only possible for d > n/2), paying one
-    quadrature per weight for a slightly smaller factor.
+    quadrature per such weight and channel point, shared by every radius of
+    the scan, for a slightly smaller factor.
     """
 
     CLOSED_FORM = "closed-form"
@@ -118,54 +128,81 @@ class BaseBoundProvider(Protocol):
     def __call__(self, sub_spectrum: WeightSpectrum, ch: ChannelPoint) -> float: ...
 
 
-class _BinomialTable:
-    """Binomial(N, p) mass tables for all N in [0, n] at fixed p.
+@lru_cache(maxsize=1)
+def _log_binomial(n: int) -> np.ndarray:
+    """log C(N, m) at [N, m] for N, m in [0, n], -inf where m > N.
 
-    prefix[N, m] = B(p, N, 0, m), suffix[m] = B(p, n, m, n).  Rows are built
-    from log-space pmfs so deep tails keep relative accuracy; prefixes come
-    from forward sums and suffixes from backward sums, never from 1-x
-    subtractions.  Everything is clamped to <= 1 so a product term * mass
-    can never exceed the unrefined term in floating point.
+    Independent of p, so every channel point of a curve shares one copy;
+    only the latest length is kept, since the table grows as n^2.  Read-only
+    because the cache hands the same array to every caller.
+    """
+    upper = np.arange(n + 1, dtype=np.float64)[:, None]  # N
+    m = np.arange(n + 1, dtype=np.float64)[None, :]
+    with np.errstate(invalid="ignore"):
+        coeffs = (
+            special.gammaln(upper + 1.0)
+            - special.gammaln(m + 1.0)
+            - special.gammaln(upper - m + 1.0)
+        )
+    coeffs[np.broadcast_to(m > upper, coeffs.shape)] = -np.inf
+    coeffs.setflags(write=False)
+    return coeffs
+
+
+class _BinomialTable:
+    """Binomial(N, p) masses at fixed p for lengths N in [0, n].
+
+    suffix[m] = B(p, n, m, n) comes from row N = n alone; prefix[N, m] =
+    B(p, N, 0, m) is the full (n+1) x (n+1) table, built on first access.
+    Rows are built from log-space pmfs so deep tails keep relative accuracy;
+    prefixes come from forward sums and suffixes from backward sums, never
+    from 1-x subtractions.  Everything is clamped to <= 1 so a product
+    term * mass can never exceed the unrefined term in floating point.
     """
 
     def __init__(self, p: float, n: int):
         if not 0.0 <= p < 1.0:
             raise ValidationError(f"table needs p in [0, 1), got {p!r}")
+        self.p = p
         self.n = n
+        suffix = np.zeros(n + 2)
         if p == 0.0:
             # deep-SNR degenerate case: zero hard errors almost surely
-            self.prefix = np.ones((n + 1, n + 1))
-            suffix = np.zeros(n + 2)
             suffix[0] = 1.0
-            self.suffix = suffix
-            return
-        upper = np.arange(n + 1, dtype=np.float64)[:, None]  # N
-        m = np.arange(n + 1, dtype=np.float64)[None, :]
-        with np.errstate(invalid="ignore"):
+        else:
+            m = np.arange(n + 1, dtype=np.float64)
             logpmf = (
-                special.gammaln(upper + 1.0)
+                special.gammaln(n + 1.0)
                 - special.gammaln(m + 1.0)
-                - special.gammaln(upper - m + 1.0)
+                - special.gammaln(n - m + 1.0)
                 + m * math.log(p)
-                + (upper - m) * math.log1p(-p)
+                + (n - m) * math.log1p(-p)
             )
-        pmf = np.where(m <= upper, np.exp(logpmf), 0.0)
-        self.prefix = np.minimum(1.0, np.cumsum(pmf, axis=1))
-        suffix = np.zeros(n + 2)
-        suffix[: n + 1] = np.cumsum(pmf[n, ::-1])[::-1]
+            suffix[: n + 1] = np.cumsum(np.exp(logpmf)[::-1])[::-1]
         self.suffix = np.minimum(1.0, suffix)
 
-    def mass_upto(self, n_totals: np.ndarray, m: int) -> np.ndarray:
-        """B(p, N, 0, m) for an array of lengths N, which may be <= 0.
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        n = self.n
+        if self.p == 0.0:
+            return np.ones((n + 1, n + 1))
+        upper = np.arange(n + 1, dtype=np.float64)[:, None]  # N
+        m = np.arange(n + 1, dtype=np.float64)
+        table = _log_binomial(n) + m * math.log(self.p)
+        table += (upper - m) * math.log1p(-self.p)
+        np.exp(table, out=table)  # exactly 0 where m > N
+        np.cumsum(table, axis=1, out=table)
+        return np.minimum(1.0, table, out=table)
 
-        Lengths <= 0 are degenerate at zero successes, which is exactly row
-        N = 0 of the table, so clipping handles them.
+    def mass_upto(self, rows: np.ndarray, m: int) -> np.ndarray:
+        """B(p, N, 0, m) for an array of lengths N >= 0.
+
+        Row N is constant from column N on (its pmf is 0 past N), so
+        m >= N needs no clipping.
         """
         if m < 0:
-            return np.zeros(len(n_totals))
-        rows = np.clip(n_totals, 0, None)
-        cols = np.minimum(m, rows)
-        return self.prefix[rows, cols]
+            return np.zeros(len(rows))
+        return self.prefix[rows, m]
 
     def region_exit(self, d_star: int) -> float:
         """B(p, n, d*+1, n): hard-decision weight leaves the radius-d* ball."""
@@ -196,63 +233,93 @@ def _probe_range(
     return range(0, hi + 1)
 
 
-@dataclass
 class _PointArrays:
-    """Ascending-weight term arrays shared by every variant at one point."""
+    """Radius-independent per-weight arrays at one channel point, in
+    ascending weight order, shared by every variant."""
 
-    n: int
-    ds: np.ndarray  # positive weights with A_d > 0, ascending
-    a: np.ndarray  # multiplicities
-    q: np.ndarray  # Q(sqrt(d)/sigma)
-    table: _BinomialTable
+    def __init__(self, spectrum: WeightSpectrum, ch: ChannelPoint):
+        self.n = spectrum.n
+        self.p_b = ch.p_b
+        self.ds = np.array(spectrum.weights(), dtype=np.int64)  # A_d > 0
+        self.a = np.array([spectrum.counts[int(d)] for d in self.ds], dtype=np.float64)
+        self.q = np.atleast_1d(q_function(np.sqrt(self.ds.astype(np.float64)) / ch.sigma))
+        self.aq = self.a * self.q  # plain union term per weight
+        # prefix-table rows n-d and n-2d; lengths <= 0 are degenerate at zero
+        # successes, which is exactly row 0
+        self.single_rows = np.clip(self.n - self.ds, 0, None)
+        self.paired_rows = np.clip(self.n - 2 * self.ds, 0, None)
 
-    @classmethod
-    def build(cls, spectrum: WeightSpectrum, ch: ChannelPoint) -> "_PointArrays":
-        ds = np.array(spectrum.weights(), dtype=np.int64)
-        a = np.array([spectrum.counts[int(d)] for d in ds], dtype=np.float64)
-        q = q_function(np.sqrt(ds.astype(np.float64)) / ch.sigma)
-        return cls(spectrum.n, ds, a, np.atleast_1d(q), _BinomialTable(ch.p_b, spectrum.n))
+    @cached_property
+    def table(self) -> _BinomialTable:
+        return _BinomialTable(self.p_b, self.n)
 
-    def cut(self, d_max: int) -> int:
-        """Number of leading entries with d <= d_max."""
-        return int(np.searchsorted(self.ds, d_max, side="right"))
+    def single(self, cut: int, radius: int) -> np.ndarray:
+        """B(p_b, n-d, 0, radius-1) for the first cut weights."""
+        return self.table.mass_upto(self.single_rows[:cut], radius - 1)
+
+    def paired(self, cut: int, radius: int) -> np.ndarray:
+        """B(p_b, n-2d, 0, radius-1) for the first cut weights."""
+        return self.table.mass_upto(self.paired_rows[:cut], radius - 1)
 
 
 def _triplet_factors(
-    ds: np.ndarray, n: int, ch: ChannelPoint, q: np.ndarray, theta_policy: ThetaPolicy
+    arrays: _PointArrays, ch: ChannelPoint, theta_policy: ThetaPolicy
 ) -> np.ndarray:
     """Half the two-half-plane probability per weight: Q - Q^2/2 at the
     closed-form angle, or the quadrature value at the capped angle when the
     tight policy actually improves on pi/2."""
+    q = arrays.q
     factors = q - 0.5 * q * q
     if theta_policy is ThetaPolicy.TIGHT:
         # theta == 0 only at d == n where at most one codeword exists and the
         # factor is multiplied by zero anyway; keep the closed form there.
-        for idx, d in enumerate(ds):
-            theta = angle_upper_bound(int(d), int(d), n)
+        for idx, d in enumerate(arrays.ds):
+            theta = angle_upper_bound(int(d), int(d), arrays.n)
             if 0.0 < theta < 0.5 * math.pi:
-                geom = TripletGeometry(int(d), n, theta)
+                geom = TripletGeometry(int(d), arrays.n, theta)
                 factors[idx] = 0.5 * triplet_probability(geom, ch.sigma)
     return factors
 
 
-def _minimize(
-    evaluate: Callable[[int], tuple[float, dict[int, float], float, float]],
-    probe: range,
-    variant: BoundVariant,
-) -> BoundResult:
+def _minimize(objective: Callable[[int], float], probe: range) -> tuple[float, int]:
     """Scan radii and keep the smallest objective, ties to the smallest d*."""
     best: tuple[float, int] | None = None
     for d_star in probe:
-        value = evaluate(d_star)[0]
+        value = objective(d_star)
         if not math.isfinite(value):
             raise ValidationError(f"objective at d_star={d_star} is {value!r}")
         if best is None or value < best[0]:
             best = (value, d_star)
     assert best is not None  # probe ranges are never empty
-    value, d_star = best
-    _, terms, tail, base = evaluate(d_star)
-    return BoundResult(value, d_star, terms, tail, variant, base)
+    return best
+
+
+def _combined_bound(
+    arrays: _PointArrays,
+    probe: range,
+    terms: Callable[[int, int], np.ndarray],
+    variant: BoundVariant,
+) -> BoundResult:
+    """The radius scan shared by every term-wise variant.
+
+    terms(cut, radius) gives the per-weight terms of the first cut weights,
+    the ones with d <= 2*radius.  The objective is their one contiguous
+    np.sum plus the region-exit tail; only the winning radius has its terms
+    turned into per_d_terms.
+    """
+    cuts = np.searchsorted(
+        arrays.ds, 2 * np.arange(probe.start, probe.stop), side="right"
+    ).tolist()
+    table = arrays.table
+
+    def objective(radius: int) -> float:
+        cut = cuts[radius - probe.start]
+        return float(np.sum(terms(cut, radius))) + table.region_exit(radius)
+
+    value, d_star = _minimize(objective, probe)
+    cut = cuts[d_star - probe.start]
+    per_d = dict(zip(arrays.ds[:cut].tolist(), terms(cut, d_star).tolist()))
+    return BoundResult(value, d_star, per_d, table.region_exit(d_star), variant)
 
 
 # --- scalar per-weight terms ----------------------------------------------
@@ -400,32 +467,10 @@ def union_bound(spectrum: WeightSpectrum, ch: ChannelPoint) -> BoundResult:
     """Plain union bound sum_d A_d Q(sqrt(d)/sigma) over the full spectrum."""
     if spectrum.kind is SpectrumKind.TRUNCATED:
         raise ValidationError("union bound needs the full spectrum, not a truncated one")
-    arrays = _PointArrays.build(spectrum, ch)
-    terms = arrays.a * arrays.q
-    value = float(np.sum(terms))
-    per_d = {int(d): float(t) for d, t in zip(arrays.ds, terms)}
+    arrays = _PointArrays(spectrum, ch)
+    value = float(np.sum(arrays.aq))
+    per_d = dict(zip(arrays.ds.tolist(), arrays.aq.tolist()))
     return BoundResult(value, spectrum.n, per_d, 0.0, BoundVariant.UNION)
-
-
-def _combined_bound(
-    spectrum: WeightSpectrum,
-    ch: ChannelPoint,
-    variant: BoundVariant,
-    term_fn: Callable[["_PointArrays", int, int], np.ndarray],
-    d_star: int | None,
-    d_star_max: int | None,
-) -> BoundResult:
-    arrays = _PointArrays.build(spectrum, ch)
-
-    def evaluate(radius: int):
-        cut = arrays.cut(2 * radius)
-        terms = term_fn(arrays, cut, radius)
-        tail = arrays.table.region_exit(radius)
-        value = float(np.sum(terms)) + tail
-        per_d = {int(d): float(t) for d, t in zip(arrays.ds[:cut], terms)}
-        return value, per_d, tail, 0.0
-
-    return _minimize(evaluate, _probe_range(spectrum, d_star, d_star_max), variant)
 
 
 def truncated_union_bound(
@@ -443,13 +488,13 @@ def truncated_union_bound(
     and the d* = 0 objective 1 - (1 - p_b)^n keeps the minimum below 1 even
     where the union bound diverges.
     """
+    probe = _probe_range(spectrum, d_star, d_star_max)
+    arrays = _PointArrays(spectrum, ch)
 
-    def terms(arrays: _PointArrays, cut: int, radius: int) -> np.ndarray:
-        return arrays.a[:cut] * arrays.q[:cut]
+    def terms(cut: int, radius: int) -> np.ndarray:
+        return arrays.aq[:cut]
 
-    return _combined_bound(
-        spectrum, ch, BoundVariant.TRUNCATED_UNION, terms, d_star, d_star_max
-    )
+    return _combined_bound(arrays, probe, terms, BoundVariant.TRUNCATED_UNION)
 
 
 def pairwise_error_bound(
@@ -461,12 +506,13 @@ def pairwise_error_bound(
 ) -> BoundResult:
     """Combined bound with each union term refined by the conditional
     binomial factor B(p_b, n-d, 0, d*-1)."""
+    probe = _probe_range(spectrum, d_star, d_star_max)
+    arrays = _PointArrays(spectrum, ch)
 
-    def terms(arrays: _PointArrays, cut: int, radius: int) -> np.ndarray:
-        mass = arrays.table.mass_upto(arrays.n - arrays.ds[:cut], radius - 1)
-        return arrays.a[:cut] * arrays.q[:cut] * mass
+    def terms(cut: int, radius: int) -> np.ndarray:
+        return arrays.aq[:cut] * arrays.single(cut, radius)
 
-    return _combined_bound(spectrum, ch, BoundVariant.PAIRWISE_IMPROVED, terms, d_star, d_star_max)
+    return _combined_bound(arrays, probe, terms, BoundVariant.PAIRWISE_IMPROVED)
 
 
 def triplet_error_bound(
@@ -484,22 +530,24 @@ def triplet_error_bound(
             raise ValidationError(
                 f"pairing needs integer multiplicities, got A_{d}={spectrum.counts[d]!r}"
             )
+    probe = _probe_range(spectrum, d_star, d_star_max)
+    arrays = _PointArrays(spectrum, ch)
+    counts = np.round(arrays.a)
+    odd = counts % 2 == 1
+    tf = _triplet_factors(arrays, ch, theta_policy)
+    odd_coef = (counts - 1.0) * tf
+    even_coef = counts * tf
 
-    def terms(arrays: _PointArrays, cut: int, radius: int) -> np.ndarray:
-        ds = arrays.ds[:cut]
-        counts = np.round(arrays.a[:cut])
-        q = arrays.q[:cut]
-        tf = _triplet_factors(ds, arrays.n, ch, q, theta_policy)
-        paired = arrays.table.mass_upto(arrays.n - 2 * ds, radius - 1)
-        single = arrays.table.mass_upto(arrays.n - ds, radius - 1)
-        odd = counts % 2 == 1
+    def terms(cut: int, radius: int) -> np.ndarray:
+        paired = arrays.paired(cut, radius)
+        single = arrays.single(cut, radius)
         return np.where(
-            odd,
-            (counts - 1.0) * tf * paired + q * single,
-            counts * tf * paired,
+            odd[:cut],
+            odd_coef[:cut] * paired + arrays.q[:cut] * single,
+            even_coef[:cut] * paired,
         )
 
-    return _combined_bound(spectrum, ch, BoundVariant.TRIPLET_IMPROVED, terms, d_star, d_star_max)
+    return _combined_bound(arrays, probe, terms, BoundVariant.TRIPLET_IMPROVED)
 
 
 def word_error_bound(
@@ -513,17 +561,17 @@ def word_error_bound(
     """Combined word-error bound built from the unified per-weight term
     min{A_d Q B(n-d), (A_d - 1)(Q - Q^2/2) B(n-2d) + Q}; works for any real
     multiplicities, ensemble averages included."""
+    probe = _probe_range(spectrum, d_star, d_star_max)
+    arrays = _PointArrays(spectrum, ch)
+    paired_coef = (arrays.a - 1.0) * _triplet_factors(arrays, ch, theta_policy)
 
-    def terms(arrays: _PointArrays, cut: int, radius: int) -> np.ndarray:
-        ds = arrays.ds[:cut]
-        a = arrays.a[:cut]
-        q = arrays.q[:cut]
-        tf = _triplet_factors(ds, arrays.n, ch, q, theta_policy)
-        single = arrays.table.mass_upto(arrays.n - ds, radius - 1)
-        paired = arrays.table.mass_upto(arrays.n - 2 * ds, radius - 1)
-        return np.minimum(a * q * single, (a - 1.0) * tf * paired + q)
+    def terms(cut: int, radius: int) -> np.ndarray:
+        return np.minimum(
+            arrays.aq[:cut] * arrays.single(cut, radius),
+            paired_coef[:cut] * arrays.paired(cut, radius) + arrays.q[:cut],
+        )
 
-    return _combined_bound(spectrum, ch, BoundVariant.UNIFIED_WORD, terms, d_star, d_star_max)
+    return _combined_bound(arrays, probe, terms, BoundVariant.UNIFIED_WORD)
 
 
 def bit_error_bound(
@@ -546,34 +594,24 @@ def bit_error_bound(
         )
     k = iowe.k
     marginal = iowe.weight_spectrum()
-    arrays = _PointArrays.build(marginal, ch)
+    probe = _probe_range(marginal, d_star, d_star_max)
+    arrays = _PointArrays(marginal, ch)
     a_prime = np.zeros(len(arrays.ds))
     i_hat_frac = np.zeros(len(arrays.ds))
     for idx, d in enumerate(arrays.ds):
         profile = iowe.slice(int(d))
         a_prime[idx] = sum((i / k) * profile[i] for i in sorted(profile))
         i_hat_frac[idx] = max(i for i, c in profile.items() if c > 0.0) / k
+    single_coef = a_prime * arrays.q
+    paired_coef = (arrays.a - 1.0) * _triplet_factors(arrays, ch, theta_policy)
 
-    def evaluate(radius: int):
-        cut = arrays.cut(2 * radius)
-        ds = arrays.ds[:cut]
-        a = arrays.a[:cut]
-        q = arrays.q[:cut]
-        tf = _triplet_factors(ds, arrays.n, ch, q, theta_policy)
-        single = arrays.table.mass_upto(arrays.n - ds, radius - 1)
-        paired = arrays.table.mass_upto(arrays.n - 2 * ds, radius - 1)
-        terms = np.minimum(
-            a_prime[:cut] * q * single,
-            i_hat_frac[:cut] * ((a - 1.0) * tf * paired + q),
+    def terms(cut: int, radius: int) -> np.ndarray:
+        return np.minimum(
+            single_coef[:cut] * arrays.single(cut, radius),
+            i_hat_frac[:cut] * (paired_coef[:cut] * arrays.paired(cut, radius) + arrays.q[:cut]),
         )
-        tail = arrays.table.region_exit(radius)
-        value = float(np.sum(terms)) + tail
-        per_d = {int(d): float(t) for d, t in zip(ds, terms)}
-        return value, per_d, tail, 0.0
 
-    return _minimize(
-        evaluate, _probe_range(marginal, d_star, d_star_max), BoundVariant.UNIFIED_BIT
-    )
+    return _combined_bound(arrays, probe, terms, BoundVariant.UNIFIED_BIT)
 
 
 # --- generic combination with an external base bound ------------------------
@@ -659,25 +697,27 @@ def gfbt_combine(
     empty sub-spectrum short-circuits to base 0 (a subcode with only the
     transmitted word cannot produce an error inside the region).
     """
+    probe = _probe_range(spectrum, d_star, d_star_max)
     table = _BinomialTable(ch.p_b, spectrum.n)
 
-    def evaluate(radius: int):
+    def base(radius: int) -> float:
         sub = spectrum.restrict(2 * radius)
         if not sub.weights():
-            base = 0.0
-        else:
-            try:
-                base = float(provider(sub, ch))
-            except MlboundsError as exc:
-                raise type(exc)(f"base bound failed at d_star={radius}: {exc}") from exc
-            if not (math.isfinite(base) and base >= 0.0):
-                raise ValidationError(
-                    f"provider returned {base!r} at d_star={radius}, need finite >= 0"
-                )
-        tail = table.region_exit(radius)
-        return base + tail, {}, tail, base
+            return 0.0
+        try:
+            value = float(provider(sub, ch))
+        except MlboundsError as exc:
+            raise type(exc)(f"base bound failed at d_star={radius}: {exc}") from exc
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValidationError(
+                f"provider returned {value!r} at d_star={radius}, need finite >= 0"
+            )
+        return value
 
-    return _minimize(evaluate, _probe_range(spectrum, d_star, d_star_max), BoundVariant.GFBT_COMBINED)
+    value, best = _minimize(lambda radius: base(radius) + table.region_exit(radius), probe)
+    return BoundResult(
+        value, best, {}, table.region_exit(best), BoundVariant.GFBT_COMBINED, base(best)
+    )
 
 
 def optimize_dstar(

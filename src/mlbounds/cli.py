@@ -236,7 +236,7 @@ def _open_output(args):
 
 
 def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
+    if args.workers is not None:
         value = args.workers
     else:
         env = os.environ.get(WORKERS_ENV)
@@ -283,12 +283,6 @@ def _add_source_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="key=value defaults file")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=f"worker count (default: ${WORKERS_ENV} or 1)",
-    )
     parser.add_argument("-o", "--output", metavar="FILE", help="output path (default stdout)")
 
 
@@ -585,6 +579,12 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--max-k-for-ml", type=int, default=26)
     mp.add_argument("--work-limit", type=int, default=400_000_000_000)
     mp.add_argument("--format", choices=["json", "text"], default="json")
+    mp.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help=f"worker count (default: ${WORKERS_ENV} or 1)",
+    )
     _add_common_flags(mp)
     mp.set_defaults(func=cmd_simulate)
 

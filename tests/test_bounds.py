@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from mlbounds import bounds
 from mlbounds import (
     BoundVariant,
     ChannelPoint,
@@ -443,6 +444,56 @@ class TestVariantEdges:
         assert triplet_error_bound(
             HAMMING, point, theta_policy=ThetaPolicy.TIGHT, d_star=3
         ).value < triplet_error_bound(HAMMING, point, d_star=3).value
+
+
+class TestRadiusScanWork:
+    """Radius-independent work happens once per channel point, and each
+    variant builds only the binomial mass it reads."""
+
+    ENS = ensemble_average(100, 50)
+    POINT = ChannelPoint.from_snr_db(2.0, rate=0.5)
+
+    def test_tight_quadrature_once_per_weight(self, monkeypatch):
+        calls = []
+        real = bounds.triplet_probability
+
+        def counting(geom, sigma):
+            calls.append(geom.d)
+            return real(geom, sigma)
+
+        monkeypatch.setattr(bounds, "triplet_probability", counting)
+        # only 50 < d < 100 have a capped angle below pi/2
+        heavy = [d for d in self.ENS.weights() if 50 < d < 100]
+        assert len(heavy) == 49
+        integer = WeightSpectrum(
+            100, 50, {d: float(math.ceil(c)) for d, c in self.ENS.counts.items()},
+            SpectrumKind.TRUNCATED, 100,
+        )
+        for fn, spec in ((word_error_bound, self.ENS), (triplet_error_bound, integer)):
+            calls.clear()
+            fn(spec, self.POINT, theta_policy=ThetaPolicy.TIGHT)
+            assert sorted(calls) == heavy
+
+    def test_union_builds_no_table_and_truncated_union_no_prefix(self, monkeypatch):
+        built = []
+        init = bounds._BinomialTable.__init__
+
+        def counting_init(table, p, n):
+            built.append(n)
+            init(table, p, n)
+
+        def refuse(table):
+            raise AssertionError("prefix table built")
+
+        monkeypatch.setattr(bounds._BinomialTable, "__init__", counting_init)
+        monkeypatch.setattr(bounds._BinomialTable, "prefix", property(refuse))
+        union_bound(self.ENS, self.POINT)
+        assert built == []
+        truncated_union_bound(self.ENS, self.POINT)
+        gfbt_combine(UnionBoundProvider(), self.ENS, self.POINT)
+        assert built == [100, 100]
+        with pytest.raises(AssertionError, match="prefix table built"):
+            word_error_bound(self.ENS, self.POINT)
 
 
 class TestBoundResultShape:

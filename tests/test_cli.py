@@ -227,6 +227,18 @@ class TestBoundCommand:
             code, out, err = run(capsys, *argv)
             assert code == EXIT_VALIDATION, argv
 
+    def test_workers_flag_only_on_simulate(self, capsys, tmp_path):
+        curve = tmp_path / "c.csv"
+        assert main(["bound", "--enumerate", HAMMING_GEN, "-o", str(curve)]) == EXIT_OK
+        for argv in (
+            ["bound", "--enumerate", HAMMING_GEN],
+            ["spectrum", "--enumerate", HAMMING_GEN],
+            ["compare", "--curve", str(curve)],
+        ):
+            code, out, err = run(capsys, *argv, "--workers", "2")
+            assert code == EXIT_VALIDATION, argv
+            assert "--workers" in err
+
     def test_version_flag(self, capsys):
         code, out, err = run(capsys, "--version")
         assert code == EXIT_OK

@@ -1,0 +1,126 @@
+"""Byte identity of bound curves against recorded digests.
+
+Each golden is the sha256 of the CSV that ``mlbounds bound`` writes for one
+source x variant x theta-policy on the default grid (Eb/N0 0-10 dB, step
+0.25).  Every source runs every variant it supports; the variants that read
+the theta-policy (triplet, word, bit) run under both policies.  gfbt replays
+a base-bound table this module writes itself, so its digest depends on
+nothing outside the repository.
+
+A change that moves a digest changes an output byte.  Re-record only for a
+deliberate output change, and say why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import io
+import sys
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from mlbounds.bounds import BoundVariant, FileBoundProvider, ThetaPolicy
+from mlbounds.cli import CurveRequest, _snr_grid, _write_curve, compute_curve
+from mlbounds.spectrum import ensemble_average, enumerate_spectrum, load_generator
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "bound_curves.sha256"
+GRID = (0.0, 10.0, 0.25)
+
+_IOWE_VARIANTS = tuple(BoundVariant)
+_ENSEMBLE_VARIANTS = (
+    BoundVariant.UNION,
+    BoundVariant.TRUNCATED_UNION,
+    BoundVariant.PAIRWISE_IMPROVED,
+    BoundVariant.UNIFIED_WORD,
+    BoundVariant.GFBT_COMBINED,
+)
+_THETA_VARIANTS = {
+    BoundVariant.TRIPLET_IMPROVED,
+    BoundVariant.UNIFIED_WORD,
+    BoundVariant.UNIFIED_BIT,
+}
+SOURCES = {
+    "hamming_7_4": _IOWE_VARIANTS,
+    "bch_15_7": _IOWE_VARIANTS,
+    "bch_31_21": _IOWE_VARIANTS,
+    "ensemble_100_50": _ENSEMBLE_VARIANTS,
+}
+
+
+@lru_cache(maxsize=None)
+def _source(name):
+    if name == "ensemble_100_50":
+        return ensemble_average(100, 50)
+    return enumerate_spectrum(load_generator(ROOT / "data" / "codes" / f"{name}.gen"))
+
+
+def _cases():
+    for source, variants in SOURCES.items():
+        for variant in variants:
+            policies = ThetaPolicy if variant in _THETA_VARIANTS else [ThetaPolicy.CLOSED_FORM]
+            for policy in policies:
+                yield f"{source}.{variant.value}.{policy.value}", source, variant, policy
+
+
+def _write_base_table(path, n):
+    """A synthetic base bound for every grid point and radius: increasing in
+    d* and falling with SNR, so the region tail and the base trade off."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("# snr_db d_star value\n")
+        for snr in _snr_grid(*GRID):
+            for d_star in range(n + 1):
+                handle.write(f"{snr!r} {d_star} {d_star * 10.0 ** (-snr / 5.0)!r}\n")
+
+
+def curve_digest(source, variant, policy, table_dir) -> str:
+    spectrum = _source(source)
+    provider = None
+    if variant is BoundVariant.GFBT_COMBINED:
+        table = Path(table_dir) / f"{source}.base"
+        if not table.exists():
+            _write_base_table(table, spectrum.n)
+        provider = FileBoundProvider(table)
+    curve = compute_curve(
+        CurveRequest(variant, spectrum, *GRID, theta_policy=policy, base_provider=provider)
+    )
+    buffer = io.StringIO()
+    _write_curve(curve, buffer)
+    return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+
+
+def _load_goldens() -> dict[str, str]:
+    goldens = {}
+    for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+        digest, name = line.split()
+        goldens[name] = digest
+    return goldens
+
+
+CASES = list(_cases())
+
+
+def test_goldens_cover_every_case():
+    assert sorted(_load_goldens()) == sorted(name for name, *_ in CASES)
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("base_tables")
+
+
+@pytest.mark.parametrize("name,source,variant,policy", CASES, ids=[c[0] for c in CASES])
+def test_curve_bytes_match_golden(name, source, variant, policy, table_dir):
+    assert curve_digest(source, variant, policy, table_dir) == _load_goldens()[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as scratch:
+        lines = [f"{curve_digest(s, v, p, scratch)}  {name}" for name, s, v, p in CASES]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"wrote {len(lines)} digests to {GOLDEN}", file=sys.stderr)

@@ -1,0 +1,95 @@
+"""Property tests: the exact floating-point dominance chains over random
+spectra and channel points.
+
+Every comparison is a plain float comparison with no tolerance.  The chains
+hold by construction: every variant sums equally sliced term arrays in the
+same order, and each refinement multiplies a term by factors <= 1.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlbounds import (
+    ChannelPoint,
+    InputOutputSpectrum,
+    SpectrumKind,
+    WeightSpectrum,
+    bit_error_bound,
+    pairwise_error_bound,
+    truncated_union_bound,
+    union_bound,
+    word_error_bound,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+sigmas = st.floats(min_value=0.15, max_value=3.0)
+integer_counts = st.integers(min_value=0, max_value=10**6).map(float)
+real_counts = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-30, max_value=1.0),
+    st.floats(min_value=1.0, max_value=1e28),
+)
+
+
+@st.composite
+def spectra(draw, counts, truncated=False):
+    n = draw(st.integers(min_value=1, max_value=40))
+    k = draw(st.integers(min_value=1, max_value=n))
+    values = draw(st.lists(counts, min_size=n, max_size=n))
+    if truncated:
+        cut = draw(st.integers(min_value=0, max_value=n))
+        table = {d: c for d, c in zip(range(1, cut + 1), values)}
+        return WeightSpectrum(n, k, table, SpectrumKind.TRUNCATED, cut)
+    table = {0: 1.0, **dict(zip(range(1, n + 1), values))}
+    # the ensemble kind accepts any finite multiplicities with A_0 = 1
+    return WeightSpectrum(n, k, table, SpectrumKind.ENSEMBLE_AVERAGE)
+
+
+@st.composite
+def iowes(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    k = draw(st.integers(min_value=1, max_value=min(n, 12)))
+    entries = draw(
+        st.dictionaries(
+            st.tuples(st.integers(1, k), st.integers(1, n)), real_counts, max_size=60
+        )
+    )
+    return InputOutputSpectrum(n, k, entries, SpectrumKind.TRUNCATED, n)
+
+
+def _chain(spectrum, sigma):
+    point = ChannelPoint.from_sigma(sigma)
+    word = word_error_bound(spectrum, point).value
+    truncated = truncated_union_bound(spectrum, point).value
+    assert word <= truncated
+    assert pairwise_error_bound(spectrum, point).value <= truncated
+    return point, truncated
+
+
+@PROPERTY
+@given(spectra(integer_counts), sigmas)
+def test_chain_on_integer_spectra(spectrum, sigma):
+    point, truncated = _chain(spectrum, sigma)
+    assert truncated <= union_bound(spectrum, point).value
+
+
+@PROPERTY
+@given(spectra(real_counts), sigmas)
+def test_chain_on_real_spectra(spectrum, sigma):
+    point, truncated = _chain(spectrum, sigma)
+    assert truncated <= union_bound(spectrum, point).value
+
+
+@PROPERTY
+@given(st.one_of(spectra(integer_counts, True), spectra(real_counts, True)), sigmas)
+def test_chain_on_truncated_spectra(spectrum, sigma):
+    _chain(spectrum, sigma)
+
+
+@PROPERTY
+@given(iowes(), sigmas)
+def test_bit_below_word_on_iowes(iowe, sigma):
+    point = ChannelPoint.from_sigma(sigma)
+    bit = bit_error_bound(iowe, point).value
+    assert bit <= word_error_bound(iowe.weight_spectrum(), point).value
