@@ -53,13 +53,8 @@ from .bounds import (
     UnionBoundProvider,
     bit_error_bound,
     gfbt_combine,
-    h_prime_term,
-    h_term,
-    optimize_dstar,
     pairwise_error_bound,
-    pairwise_term,
     triplet_error_bound,
-    triplet_term,
     truncated_union_bound,
     union_bound,
     word_error_bound,

@@ -31,7 +31,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 from scipy import special
@@ -41,7 +41,6 @@ from .numerics import (
     ChannelPoint,
     TripletGeometry,
     angle_upper_bound,
-    binomial_tail,
     q_function,
     triplet_probability,
 )
@@ -57,15 +56,10 @@ __all__ = [
     "union_bound",
     "truncated_union_bound",
     "gfbt_combine",
-    "pairwise_term",
-    "triplet_term",
-    "h_term",
-    "h_prime_term",
     "pairwise_error_bound",
     "triplet_error_bound",
     "word_error_bound",
     "bit_error_bound",
-    "optimize_dstar",
 ]
 
 
@@ -322,144 +316,6 @@ def _combined_bound(
     return BoundResult(value, d_star, per_d, table.region_exit(d_star), variant)
 
 
-# --- scalar per-weight terms ----------------------------------------------
-
-
-def _check_term_args(a_d: float, d: int, d_star: int, n: int) -> tuple[int, int, int]:
-    d = operator.index(d)
-    d_star = operator.index(d_star)
-    n = operator.index(n)
-    if not 1 <= d <= n:
-        raise ValidationError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if not 0 <= d_star <= n:
-        raise ValidationError(f"need 0 <= d_star <= n, got {d_star}")
-    if not (math.isfinite(a_d) and a_d >= 0.0):
-        raise ValidationError(f"multiplicity must be finite and >= 0, got {a_d!r}")
-    return d, d_star, n
-
-
-def pairwise_term(a_d: float, d: int, d_star: int, n: int, ch: ChannelPoint) -> float:
-    """A_d Q(sqrt(d)/sigma) B(p_b, n-d, 0, d*-1).
-
-    The binomial factor is the probability that the n-d positions agreeing
-    with the transmitted word carry few enough hard errors to keep the
-    received hard word within radius d* given a weight-d overtake, which is
-    what sharpens the plain union term A_d Q.
-    """
-    d, d_star, n = _check_term_args(a_d, d, d_star, n)
-    q = float(q_function(math.sqrt(d) / ch.sigma))
-    return a_d * q * binomial_tail(ch.p_b, n - d, 0, d_star - 1)
-
-
-def _triplet_factor_scalar(d: int, n: int, ch: ChannelPoint, theta_policy: ThetaPolicy) -> float:
-    q = float(q_function(math.sqrt(d) / ch.sigma))
-    if theta_policy is ThetaPolicy.TIGHT:
-        theta = angle_upper_bound(d, d, n)
-        if 0.0 < theta < 0.5 * math.pi:
-            return 0.5 * triplet_probability(TripletGeometry(d, n, theta), ch.sigma)
-    return q - 0.5 * q * q
-
-
-def triplet_term(
-    a_d: int,
-    d: int,
-    d_star: int,
-    n: int,
-    ch: ChannelPoint,
-    theta_policy: ThetaPolicy = ThetaPolicy.CLOSED_FORM,
-) -> float:
-    """Joint bound on {some weight-d codeword wins, hard word in the region}
-    with weight-d competitors paired off two at a time.
-
-    Even A_d: A_d (Q - Q^2/2) B(p_b, n-2d, 0, d*-1).  Odd A_d pairs off all
-    but one and keeps a pairwise term for the leftover:
-    (A_d - 1)(Q - Q^2/2) B(p_b, n-2d, 0, d*-1) + Q B(p_b, n-d, 0, d*-1).
-    Needs an integer multiplicity; parity decides the split.
-    """
-    d, d_star, n = _check_term_args(a_d, d, d_star, n)
-    if abs(a_d - round(a_d)) > 1e-6:
-        raise ValidationError(f"pairing needs an integer multiplicity, got {a_d!r}")
-    count = round(a_d)
-    tf = _triplet_factor_scalar(d, n, ch, theta_policy)
-    paired = binomial_tail(ch.p_b, n - 2 * d, 0, d_star - 1)
-    if count % 2 == 0:
-        return count * tf * paired
-    q = float(q_function(math.sqrt(d) / ch.sigma))
-    single = binomial_tail(ch.p_b, n - d, 0, d_star - 1)
-    return (count - 1) * tf * paired + q * single
-
-
-def h_term(
-    a_d: float,
-    d: int,
-    d_star: int,
-    n: int,
-    ch: ChannelPoint,
-    theta_policy: ThetaPolicy = ThetaPolicy.CLOSED_FORM,
-) -> float:
-    """Unified per-weight term, valid for any real multiplicity A_d >= 0:
-
-        min{ A_d Q B(p_b, n-d, 0, d*-1),
-             (A_d - 1)(Q - Q^2/2) B(p_b, n-2d, 0, d*-1) + Q }.
-
-    The second branch deliberately leaves the trailing Q without a binomial
-    factor: that keeps it a valid bound for every real A_d (in particular
-    ensemble averages below 1, where A_d - 1 goes negative), at the price of
-    being slightly looser than the integer-parity split.
-    """
-    d, d_star, n = _check_term_args(a_d, d, d_star, n)
-    q = float(q_function(math.sqrt(d) / ch.sigma))
-    tf = _triplet_factor_scalar(d, n, ch, theta_policy)
-    branch1 = a_d * q * binomial_tail(ch.p_b, n - d, 0, d_star - 1)
-    branch2 = (a_d - 1.0) * tf * binomial_tail(ch.p_b, n - 2 * d, 0, d_star - 1) + q
-    return min(branch1, branch2)
-
-
-def h_prime_term(
-    iowe_slice: Mapping[int, float],
-    d: int,
-    d_star: int,
-    n: int,
-    k: int,
-    ch: ChannelPoint,
-    theta_policy: ThetaPolicy = ThetaPolicy.CLOSED_FORM,
-) -> float:
-    """Bit-error counterpart of the unified term for one codeword weight.
-
-    With A_d = sum_i A_{i,d}, A'_d = sum_i (i/k) A_{i,d} and
-    i^ = max{i : A_{i,d} > 0}:
-
-        min{ A'_d Q B(p_b, n-d, 0, d*-1),
-             (i^/k) [ (A_d - 1)(Q - Q^2/2) B(p_b, n-2d, 0, d*-1) + Q ] }.
-
-    An all-zero slice contributes 0.
-    """
-    d, d_star, n = _check_term_args(0.0, d, d_star, n)
-    k = operator.index(k)
-    if not 1 <= k <= n:
-        raise ValidationError(f"need 1 <= k <= n, got k={k}, n={n}")
-    a_d = 0.0
-    a_prime = 0.0
-    i_hat = 0
-    for i in sorted(iowe_slice):
-        count = iowe_slice[i]
-        if not (math.isfinite(count) and count >= 0.0):
-            raise ValidationError(f"slice count A_({i},{d})={count!r} must be >= 0")
-        a_d += count
-        a_prime += (i / k) * count
-        if count > 0.0:
-            i_hat = max(i_hat, operator.index(i))
-    if a_d == 0.0:
-        return 0.0
-    q = float(q_function(math.sqrt(d) / ch.sigma))
-    tf = _triplet_factor_scalar(d, n, ch, theta_policy)
-    branch1 = a_prime * q * binomial_tail(ch.p_b, n - d, 0, d_star - 1)
-    branch2 = (i_hat / k) * (
-        (a_d - 1.0) * tf * binomial_tail(ch.p_b, n - 2 * d, 0, d_star - 1) + q
-    )
-    return min(branch1, branch2)
-
-
 # --- whole-curve bounds ----------------------------------------------------
 
 
@@ -714,28 +570,13 @@ def gfbt_combine(
             )
         return value
 
-    value, best = _minimize(lambda radius: base(radius) + table.region_exit(radius), probe)
+    bases: dict[int, float] = {}
+
+    def objective(radius: int) -> float:
+        bases[radius] = base(radius)
+        return bases[radius] + table.region_exit(radius)
+
+    value, best = _minimize(objective, probe)
     return BoundResult(
-        value, best, {}, table.region_exit(best), BoundVariant.GFBT_COMBINED, base(best)
+        value, best, {}, table.region_exit(best), BoundVariant.GFBT_COMBINED, bases[best]
     )
-
-
-def optimize_dstar(
-    term_evaluator: Callable[[WeightSpectrum, ChannelPoint, int], float],
-    spectrum: WeightSpectrum,
-    ch: ChannelPoint,
-    probe_range,
-) -> tuple[float, int]:
-    """Exhaustive scan of term_evaluator(spectrum, ch, d_star) over
-    probe_range; returns (best value, smallest optimal d_star)."""
-    best: tuple[float, int] | None = None
-    for d_star in probe_range:
-        d_star = operator.index(d_star)
-        if not 0 <= d_star <= spectrum.n:
-            raise ValidationError(f"d_star={d_star} outside [0, {spectrum.n}]")
-        value = float(term_evaluator(spectrum, ch, d_star))
-        if best is None or value < best[0]:
-            best = (value, d_star)
-    if best is None:
-        raise ValidationError("empty probe range")
-    return best

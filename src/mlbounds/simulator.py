@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .spectrum import LinearCode
+from .spectrum import _CHUNK_BITS, LinearCode, _as_words, _codewords, _weights
 
 __all__ = [
     "BLOCK",
@@ -203,50 +203,52 @@ class SimReport:
         return "\n".join(lines)
 
 
-# --- codebook construction ---------------------------------------------------
-
-
-@lru_cache(maxsize=4)
-def _codebook(code: LinearCode) -> np.ndarray:
-    """All 2^k codeword bitmasks in message order (message = array index)."""
-    cw = np.zeros(1 << code.k, dtype=np.uint64)
-    for j, row in enumerate(code.rows):
-        half = 1 << j
-        cw[half : 2 * half] = cw[:half] ^ np.uint64(row)
-    return cw
+# --- weight-sorted codebook layout -------------------------------------------
 
 
 class _ClassLayout:
     """Codebook sorted by Hamming weight with a float 0/1 bit matrix.
 
-    bits rows follow the weight-sorted order; within a class the message
-    indices stay ascending (stable sort), so a first-occurrence argmin is
-    also the smallest-message tie-break within that class.
+    cw holds the codewords in message order as ceil(n/64) uint64 words for
+    the reference decoders.  bits rows follow the weight-sorted order; within
+    a class the message indices stay ascending (stable sort), so a
+    first-occurrence argmin is also the smallest-message tie-break within
+    that class.  Both are filled chunk by chunk; the only whole-codebook
+    transients are the weights and the sort indices, freed before bits is
+    filled (_layout_bytes counts the peak).
     """
 
     def __init__(self, code: LinearCode):
-        cw = _codebook(code)
-        weights = np.bitwise_count(cw).astype(np.int16)
-        order = np.argsort(weights, kind="stable")
-        self.msgs = order.astype(np.uint32)
-        sorted_w = weights[order]
-        self.class_weights = [int(d) for d in np.unique(sorted_w) if d >= 1]
-        self.bounds = {
-            int(d): (
-                int(np.searchsorted(sorted_w, d, side="left")),
-                int(np.searchsorted(sorted_w, d, side="right")),
+        size, n, step = 1 << code.k, code.n, 1 << _CHUNK_BITS
+        self.cw = np.empty((size, (n + 63) // 64), dtype=np.uint64)
+        weights = np.empty(size, dtype=np.uint16)
+        for lo, chunk in zip(range(0, size, step), _codewords(code)):
+            self.cw[lo : lo + step] = chunk
+            weights[lo : lo + step] = _weights(chunk)
+        self.msgs = np.argsort(weights, kind="stable").astype(np.uint32)
+        ends = np.cumsum(np.bincount(weights, minlength=n + 1)).tolist()
+        del weights
+        self.class_weights = [d for d in range(1, n + 1) if ends[d] > ends[d - 1]]
+        self.bounds = {d: (ends[d - 1], ends[d]) for d in self.class_weights}
+        self.bits = np.empty((size, n))
+        for lo in range(0, size, step):
+            rows = self.cw[self.msgs[lo : lo + step]].astype("<u8", copy=False)
+            self.bits[lo : lo + step] = np.unpackbits(
+                rows.view(np.uint8), axis=1, count=n, bitorder="little"
             )
-            for d in self.class_weights
-        }
-        shifts = np.arange(code.n, dtype=np.uint64)
-        self.bits = (
-            ((cw[order][:, None] >> shifts) & np.uint64(1)).astype(np.float64)
-        )
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _layout(code: LinearCode) -> _ClassLayout:
     return _ClassLayout(code)
+
+
+def _layout_bytes(code: LinearCode) -> int:
+    """Peak bytes of building _layout(code): per codeword, the kept bits
+    (8n), cw (8 per word) and msgs (4).  The uint16 weights and int64
+    argsort indices are freed before bits is filled, and together they are
+    smaller than bits for every n >= 2."""
+    return (1 << code.k) * (8 * code.n + 8 * ((code.n + 63) // 64) + 4)
 
 
 def _guard(code: LinearCode, trials: int, max_k: int, work_limit: int) -> None:
@@ -260,7 +262,7 @@ def _guard(code: LinearCode, trials: int, max_k: int, work_limit: int) -> None:
             f"2^k * trials = {work:.3e} exceeds the work limit {work_limit:.3e}; "
             "raise work_limit only for deliberate long runs"
         )
-    footprint = (1 << code.k) * (8 * code.n + 24)
+    footprint = _layout_bytes(code)
     if footprint > 3_500_000_000:
         raise ResourceLimitError(
             f"codebook tables would need ~{footprint / 1e9:.1f} GB"
@@ -311,6 +313,11 @@ def _hard_mask(y: np.ndarray) -> int:
     return mask
 
 
+def _distances(cw: np.ndarray, mask: int) -> np.ndarray:
+    """Hamming distance from each codeword of cw to a bitmask."""
+    return _weights(cw ^ _as_words(mask, cw.shape[1]))
+
+
 def list_decode(code: LinearCode, y, d_star: int, *, max_k: int = 26) -> int | None:
     """Hard-decision list decoding: collect codewords within Hamming
     distance d_star of the hard-decision word, return the Euclidean-nearest
@@ -321,8 +328,7 @@ def list_decode(code: LinearCode, y, d_star: int, *, max_k: int = 26) -> int | N
     d_star = operator.index(d_star)
     if not 0 <= d_star <= code.n:
         raise ValidationError(f"need 0 <= d_star <= n, got {d_star}")
-    cw = _codebook(code)
-    dist = np.bitwise_count(cw ^ np.uint64(_hard_mask(y)))
+    dist = _distances(_layout(code).cw, _hard_mask(y))
     members = np.nonzero(dist <= d_star)[0]
     if members.size == 0:
         return None
@@ -338,21 +344,21 @@ def decode_trial(code: LinearCode, y, d_star: int, *, max_k: int = 26) -> TrialO
     d_star = operator.index(d_star)
     if not 0 <= d_star <= code.n:
         raise ValidationError(f"need 0 <= d_star <= n, got {d_star}")
-    cw = _codebook(code)
+    cw = _layout(code).cw
     scores = _scores(code, y)
     winner = int(np.argmin(scores))
     best = scores[winner]
     ml_tie = int(np.count_nonzero(scores == best)) >= 2
     word_error = winner != 0
-    bit_errors = int(np.bitwise_count(np.uint64(winner))) if word_error else 0
-    competitor_weight = int(np.bitwise_count(cw[winner])) if word_error else None
+    bit_errors = winner.bit_count()
+    competitor_weight = int(np.bitwise_count(cw[winner]).sum()) if word_error else None
 
     hard = _hard_mask(y)
-    hard_weight = int(np.bitwise_count(np.uint64(hard)))
+    hard_weight = hard.bit_count()
     if hard_weight > d_star:
         outcome = ListOutcome.NOT_IN_LIST
     else:
-        dist = np.bitwise_count(cw ^ np.uint64(hard))
+        dist = _distances(cw, hard)
         members = np.nonzero(dist <= d_star)[0]
         list_winner = int(members[np.argmin(scores[members])])
         outcome = (

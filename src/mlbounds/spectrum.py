@@ -13,7 +13,6 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -265,46 +264,73 @@ class InputOutputSpectrum:
         return {i: c for (i, dd), c in self.counts.items() if dd == d}
 
 
-def enumerate_spectrum(code: LinearCode, *, max_k: int = 28) -> InputOutputSpectrum:
-    """Exact IOWE by exhaustive message sweep in Gray-code order.
+# log2 of the messages per codebook chunk: big enough to amortize the
+# per-chunk numpy calls, small enough that a chunk's transients stay under a
+# megabyte for n <= 64
+_CHUNK_BITS = 14
 
-    Consecutive Gray codes differ in one bit, so each step XORs a single
-    generator row into the running codeword; 2^k steps total, guarded by
-    max_k.
+
+def _as_words(mask: int, words: int) -> np.ndarray:
+    """A bitmask as `words` little-endian uint64 words (bit t in word t // 64)."""
+    return np.frombuffer(mask.to_bytes(8 * words, "little"), dtype="<u8")
+
+
+def _codewords(code: LinearCode):
+    """Every codeword in message order, in chunks of 2^min(k, 14) rows of
+    ceil(n/64) uint64 words.  All chunks share one buffer, so a caller
+    copies what it keeps before taking the next.
+
+    Chunk t covers messages t * 2^14 onwards: the XOR table of the low rows
+    XORed with the combination of high rows selected by t.  Stepping t to
+    t+1 flips its trailing ones and the bit above them, so the buffer
+    advances by one XOR with a prefix of the high rows.
+    """
+    words = (code.n + 63) // 64
+    rows = np.array([_as_words(row, words) for row in code.rows])
+    low = min(code.k, _CHUNK_BITS)
+    chunk = np.zeros((1 << low, words), dtype=np.uint64)
+    for j in range(low):
+        half = 1 << j
+        np.bitwise_xor(chunk[:half], rows[j], out=chunk[half : 2 * half])
+    flips = np.bitwise_xor.accumulate(rows[low:], axis=0)
+    for t in range(1 << (code.k - low)):
+        if t:
+            chunk ^= flips[(t & -t).bit_length() - 1]
+        yield chunk
+
+
+def _weights(chunk: np.ndarray) -> np.ndarray:
+    """Hamming weight of each codeword row of a chunk."""
+    return np.bitwise_count(chunk).sum(axis=1, dtype=np.int64)
+
+
+def enumerate_spectrum(code: LinearCode, *, max_k: int = 28) -> InputOutputSpectrum:
+    """Exact IOWE by exhaustive message sweep, guarded by max_k.
+
+    Each codebook chunk adds its (message weight, codeword weight) pairs to
+    a (k+1) x (n+1) table with one bincount.
     """
     if code.k > max_k:
         raise ResourceLimitError(
             f"enumeration over 2^{code.k} messages exceeds the k <= {max_k} guard"
         )
-    table = [[0] * (code.n + 1) for _ in range(code.k + 1)]
-    table[0][0] = 1
-    rows = code.rows
-    msg = 0
-    cw = 0
-    for t in range(1, 1 << code.k):
-        j = (t & -t).bit_length() - 1
-        msg ^= 1 << j
-        cw ^= rows[j]
-        table[msg.bit_count()][cw.bit_count()] += 1
-    counts = {
-        (i, d): float(table[i][d])
-        for i in range(code.k + 1)
-        for d in range(code.n + 1)
-        if table[i][d]
-    }
-    return InputOutputSpectrum(code.n, code.k, counts, SpectrumKind.EXACT)
-
-
-@lru_cache(maxsize=None)
-def _krawtchouk_row(n: int, j: int) -> tuple[int, ...]:
-    """K_j(i) for i = 0..n: K_j(i) = sum_s (-1)^s C(i, s) C(n-i, j-s)."""
-    row = []
-    for i in range(n + 1):
-        acc = 0
-        for s in range(0, j + 1):
-            acc += (-1) ** s * math.comb(i, s) * math.comb(n - i, j - s)
-        row.append(acc)
-    return tuple(row)
+    n, k = code.n, code.k
+    low = min(k, _CHUNK_BITS)
+    # (n+1) times the message weight within a chunk, by the same doubling
+    low_cells = np.zeros(1 << low, dtype=np.int64)
+    for j in range(low):
+        half = 1 << j
+        np.add(low_cells[:half], n + 1, out=low_cells[half : 2 * half])
+    table = np.zeros((k + 1) * (n + 1), dtype=np.int64)
+    for t, chunk in enumerate(_codewords(code)):
+        # cell (message weight, codeword weight) of every message in the chunk
+        cells = _weights(chunk)
+        cells += low_cells
+        cells += t.bit_count() * (n + 1)
+        table += np.bincount(cells, minlength=table.size)
+    table = table.reshape(k + 1, n + 1)
+    counts = {(int(i), int(d)): float(table[i, d]) for i, d in zip(*np.nonzero(table))}
+    return InputOutputSpectrum(n, k, counts, SpectrumKind.EXACT)
 
 
 def macwilliams_transform(dual_spectrum: WeightSpectrum) -> WeightSpectrum:
@@ -316,6 +342,10 @@ def macwilliams_transform(dual_spectrum: WeightSpectrum) -> WeightSpectrum:
     the integer sums are exactly divisible by 2^{n-k} for any dual spectrum
     that actually belongs to a code.  Inconsistent input (a negative or
     non-divisible transformed count) is rejected.
+
+    K_j(i) is needed only where A'_i > 0, and the three-term recurrence
+    (j+1) K_{j+1}(i) = (n-2i) K_j(i) - (n-j+1) K_{j-1}(i), from K_0 = 1 and
+    K_1 = n-2i, walks j in O(n) exact integer steps per such i.
     """
     spec = dual_spectrum
     if spec.kind is not SpectrumKind.EXACT:
@@ -324,21 +354,24 @@ def macwilliams_transform(dual_spectrum: WeightSpectrum) -> WeightSpectrum:
     k_dual = spec.k
     if k_dual == n:
         raise ValidationError("dual spectrum with k = n leaves no primal dimensions")
-    dual_counts = [0] * (n + 1)
-    for d, c in spec.counts.items():
-        dual_counts[d] = round(c)
+    sums = [0] * (n + 1)
+    for i, c in spec.counts.items():
+        a_i = round(c)
+        if not a_i:
+            continue
+        prev, cur = 0, 1  # K_{-1}, K_0
+        for j in range(n + 1):
+            sums[j] += a_i * cur
+            prev, cur = cur, ((n - 2 * i) * cur - (n - j + 1) * prev) // (j + 1)
     order = 1 << k_dual
     counts: dict[int, float] = {}
-    for j in range(n + 1):
-        row = _krawtchouk_row(n, j)
-        s = sum(dual_counts[i] * row[i] for i in range(n + 1) if dual_counts[i])
+    for j, s in enumerate(sums):
         if s < 0 or s % order:
             raise ValidationError(
                 f"transformed count for weight {j} is {s}/{order}: dual spectrum inconsistent"
             )
-        a_j = s // order
-        if a_j:
-            counts[j] = float(a_j)
+        if s:
+            counts[j] = float(s // order)
     return WeightSpectrum(n, n - k_dual, counts, SpectrumKind.EXACT)
 
 

@@ -27,8 +27,6 @@ from scipy import integrate
 
 from mlbounds.bounds import (
     bit_error_bound,
-    pairwise_term,
-    triplet_term,
     truncated_union_bound,
     union_bound,
     word_error_bound,
@@ -52,6 +50,7 @@ from mlbounds.spectrum import (
     macwilliams_transform,
     store_spectrum,
 )
+from oracles import pairwise_term, triplet_term
 
 GRID_0_10 = [0.25 * i for i in range(41)]
 GRID_0_8 = [0.25 * i for i in range(33)]

@@ -19,6 +19,7 @@ from mlbounds import (
     FileBoundProvider,
     InputOutputSpectrum,
     ProviderLookupError,
+    SnrConvention,
     SpectrumKind,
     ThetaPolicy,
     UnionBoundProvider,
@@ -29,19 +30,15 @@ from mlbounds import (
     ensemble_average,
     enumerate_spectrum,
     gfbt_combine,
-    h_prime_term,
-    h_term,
-    optimize_dstar,
     pairwise_error_bound,
-    pairwise_term,
     q_function,
     triplet_error_bound,
-    triplet_term,
     truncated_union_bound,
     union_bound,
     word_error_bound,
 )
 from mlbounds.codes import bch_15_7, hamming_7_4, repetition_code
+from oracles import h_prime_term, h_term, optimize_dstar, pairwise_term, triplet_term
 
 
 def ch(sigma):
@@ -579,6 +576,20 @@ class TestGfbtCombine:
             gfbt_combine(lambda sub, point: -0.5, HAMMING, ch(1.0), d_star=3)
         with pytest.raises(ValidationError, match="finite"):
             gfbt_combine(lambda sub, point: float("nan"), HAMMING, ch(1.0), d_star=3)
+
+    def test_provider_called_once_per_nonempty_radius(self):
+        calls = []
+
+        def counting(sub, point):
+            calls.append(sub.truncation)
+            return UnionBoundProvider()(sub, point)
+
+        spec = ensemble_average(100, 50)
+        point = ChannelPoint.from_snr_db(2.0, SnrConvention.EBN0_DB, rate=0.5)
+        res = gfbt_combine(counting, spec, point)
+        # radius 0 leaves an empty sub-spectrum; radii 1..100 each call once
+        assert sorted(calls) == [2 * r for r in range(1, 101)]
+        assert res.base_term == UnionBoundProvider()(spec.restrict(2 * res.d_star_opt), point)
 
     def test_base_term_recorded(self):
         point = ch(1.0)

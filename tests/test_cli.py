@@ -9,12 +9,14 @@ import pytest
 
 from mlbounds.bounds import FileBoundProvider, UnionBoundProvider, truncated_union_bound
 from mlbounds.cli import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, main
+from mlbounds.codes import repetition_code
 from mlbounds.numerics import ChannelPoint
 from mlbounds.spectrum import (
     InputOutputSpectrum,
     SpectrumKind,
     WeightSpectrum,
     load_spectrum,
+    store_generator,
     store_spectrum,
 )
 
@@ -336,6 +338,20 @@ class TestSimulateCommand:
         flagged = tmp_path / "flag.json"
         assert main(argv + ["--workers", "2", "-o", str(flagged)]) == EXIT_OK
         assert base.read_bytes() == flagged.read_bytes()
+
+    def test_code_longer_than_64_simulates(self, capsys, tmp_path):
+        gen = tmp_path / "rep70.gen"
+        store_generator(repetition_code(70), gen)
+        code, out, err = run(
+            capsys, "simulate", "--code", str(gen), "--snr", "-3", "--trials", "2000",
+            "--seed", "1", "--dstar", "30",
+        )
+        assert code == EXIT_OK and err == ""
+        (report,) = json.loads(out)
+        assert report["n"] == 70 and report["k"] == 1
+        assert 0 < report["word_errors"] < report["trials"]
+        # the all-ones word is the only competitor
+        assert list(report["joint_errors_by_weight"]) == ["70"]
 
     def test_resource_guards_exit_three(self, capsys):
         code, out, err = run(

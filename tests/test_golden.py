@@ -1,11 +1,16 @@
-"""Byte identity of bound curves against recorded digests.
+"""Byte identity of bound curves and simulation reports against recorded
+digests.
 
-Each golden is the sha256 of the CSV that ``mlbounds bound`` writes for one
-source x variant x theta-policy on the default grid (Eb/N0 0-10 dB, step
+Each bound golden is the sha256 of the CSV that ``mlbounds bound`` writes for
+one source x variant x theta-policy on the default grid (Eb/N0 0-10 dB, step
 0.25).  Every source runs every variant it supports; the variants that read
 the theta-policy (triplet, word, bit) run under both policies.  gfbt replays
 a base-bound table this module writes itself, so its digest depends on
 nothing outside the repository.
+
+Each simulate golden is the sha256 of the JSON that ``mlbounds simulate``
+writes for one code at a fixed seed, list radius and SNR pair, run with 1 and
+with 3 workers; both worker counts share one digest.
 
 A change that moves a digest changes an output byte.  Re-record only for a
 deliberate output change, and say why in CHANGES.md:
@@ -22,11 +27,12 @@ from pathlib import Path
 import pytest
 
 from mlbounds.bounds import BoundVariant, FileBoundProvider, ThetaPolicy
-from mlbounds.cli import CurveRequest, _snr_grid, _write_curve, compute_curve
+from mlbounds.cli import CurveRequest, _snr_grid, _write_curve, compute_curve, main
 from mlbounds.spectrum import ensemble_average, enumerate_spectrum, load_generator
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "bound_curves.sha256"
+SIM_GOLDEN = ROOT / "tests" / "golden" / "simulate.sha256"
 GRID = (0.0, 10.0, 0.25)
 
 _IOWE_VARIANTS = tuple(BoundVariant)
@@ -91,9 +97,9 @@ def curve_digest(source, variant, policy, table_dir) -> str:
     return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
 
 
-def _load_goldens() -> dict[str, str]:
+def _load_goldens(path=GOLDEN) -> dict[str, str]:
     goldens = {}
-    for line in GOLDEN.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         digest, name = line.split()
         goldens[name] = digest
     return goldens
@@ -101,9 +107,26 @@ def _load_goldens() -> dict[str, str]:
 
 CASES = list(_cases())
 
+# code -> (seed, list radius d*); 2500 trials end in a partial noise block
+SIM_CASES = {"hamming_7_4": (11, 2), "toy_10_5": (12, 3), "bch_15_7": (13, 4)}
+SIM_WORKERS = (1, 3)
+
+
+def simulate_digest(code, workers, out_dir) -> str:
+    seed, d_star = SIM_CASES[code]
+    out = Path(out_dir) / f"{code}.{workers}.json"
+    rc = main([
+        "simulate", "--code", str(ROOT / "data" / "codes" / f"{code}.gen"),
+        "--snr", "1", "3", "--trials", "2500", "--seed", str(seed),
+        "--dstar", str(d_star), "--workers", str(workers), "-o", str(out),
+    ])
+    assert rc == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
 
 def test_goldens_cover_every_case():
     assert sorted(_load_goldens()) == sorted(name for name, *_ in CASES)
+    assert sorted(_load_goldens(SIM_GOLDEN)) == sorted(SIM_CASES)
 
 
 @pytest.fixture(scope="module")
@@ -116,11 +139,24 @@ def test_curve_bytes_match_golden(name, source, variant, policy, table_dir):
     assert curve_digest(source, variant, policy, table_dir) == _load_goldens()[name]
 
 
+@pytest.mark.parametrize("workers", SIM_WORKERS)
+@pytest.mark.parametrize("code", sorted(SIM_CASES))
+def test_simulate_bytes_match_golden(code, workers, tmp_path):
+    assert simulate_digest(code, workers, tmp_path) == _load_goldens(SIM_GOLDEN)[code]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
         lines = [f"{curve_digest(s, v, p, scratch)}  {name}" for name, s, v, p in CASES]
+        sim_lines = []
+        for code in SIM_CASES:
+            digests = {simulate_digest(code, w, scratch) for w in SIM_WORKERS}
+            if len(digests) != 1:
+                sys.exit(f"{code}: worker counts disagree, nothing written")
+            sim_lines.append(f"{digests.pop()}  {code}")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(lines)} digests to {GOLDEN}", file=sys.stderr)
+    for path, rows in ((GOLDEN, lines), (SIM_GOLDEN, sim_lines)):
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        print(f"wrote {len(rows)} digests to {path}", file=sys.stderr)

@@ -1,20 +1,25 @@
 """Property tests: the exact floating-point dominance chains over random
-spectra and channel points.
+spectra and channel points, and the codebook engine over random codes.
 
 Every comparison is a plain float comparison with no tolerance.  The chains
 hold by construction: every variant sums equally sliced term arrays in the
 same order, and each refinement multiplies a term by factors <= 1.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import gray_iowe
 
 from mlbounds import (
     ChannelPoint,
     InputOutputSpectrum,
     SpectrumKind,
     WeightSpectrum,
+    LinearCode,
+    ValidationError,
     bit_error_bound,
+    enumerate_spectrum,
+    macwilliams_transform,
     pairwise_error_bound,
     truncated_union_bound,
     union_bound,
@@ -93,3 +98,30 @@ def test_bit_below_word_on_iowes(iowe, sigma):
     point = ChannelPoint.from_sigma(sigma)
     bit = bit_error_bound(iowe, point).value
     assert bit <= word_error_bound(iowe.weight_spectrum(), point).value
+
+
+@st.composite
+def codes(draw, ks, ns):
+    """A random full-rank [n, k] generator."""
+    k = draw(ks)
+    n = draw(ns.filter(lambda n: n >= k))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k))
+    try:
+        return LinearCode(n, k, tuple(rows))
+    except ValidationError:
+        assume(False)
+
+
+@PROPERTY
+@given(codes(st.integers(1, 17), st.one_of(st.integers(1, 40), st.integers(60, 140))))
+def test_engine_matches_gray_oracle(code):
+    # k spans the 2^14 chunk width; n spans one to three 64-bit words
+    assert enumerate_spectrum(code) == gray_iowe(code)
+
+
+@PROPERTY
+@given(codes(st.integers(1, 16), st.integers(2, 26)))
+def test_enumeration_matches_macwilliams_of_dual(code):
+    assume(code.k < code.n and code.n - code.k <= 16)
+    dual = enumerate_spectrum(code.dual()).weight_spectrum()
+    assert enumerate_spectrum(code).weight_spectrum() == macwilliams_transform(dual)

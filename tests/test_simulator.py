@@ -7,11 +7,15 @@ the two must agree trial by trial on the same noise.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from mlbounds import (
+    LinearCode,
     ListOutcome,
     ResourceLimitError,
     SimConfig,
@@ -26,6 +30,11 @@ from mlbounds import (
 )
 from mlbounds.codes import hamming_7_4, repetition_code, toy_code_10_5
 from mlbounds.simulator import BLOCK, _noise_block
+
+# a [72, 5] code whose nonzero codewords all have bits in both 64-bit words
+CODE_72_5 = LinearCode(
+    72, 5, tuple((1 << j) | (0b1011 << (62 + j)) | (0xF0F0F << (20 + 3 * j)) for j in range(5))
+)
 
 
 def naive_scores(code, y):
@@ -294,6 +303,62 @@ class TestSimulateEngine:
             SimConfig(code=code, sigma=1.0, d_star=2, trials=10, seed=2**64)
         with pytest.raises(ValidationError):
             simulate(SimConfig(code=code, sigma=1.0, d_star=2, trials=10, seed=1), workers=0)
+
+    def test_long_code_matches_naive_oracle(self):
+        code = CODE_72_5
+        cfg = SimConfig(code=code, sigma=2.6, d_star=28, trials=300, seed=99)
+        report = simulate(cfg)
+        weights = [bin(code.encode(msg)).count("1") for msg in range(1 << code.k)]
+        word = bits = exits = ties = 0
+        joint: dict[int, int] = {}
+        y_block = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
+        for y in y_block:
+            winner, best, count = naive_ml(code, y)
+            out = decode_trial(code, y, cfg.d_star)
+            assert out.ml_word_error == (winner != 0)
+            assert out.nearest_competitor_weight == (weights[winner] if winner else None)
+            assert out.hard_decision_weight == naive_hard_weight(y)
+            word += winner != 0
+            bits += bin(winner).count("1")
+            ties += count >= 2
+            if naive_hard_weight(y) > cfg.d_star:
+                exits += 1
+                continue
+            scores = naive_scores(code, y)
+            for d in {weights[msg] for msg in range(1, 1 << code.k) if scores[msg] < 0.0}:
+                joint[d] = joint.get(d, 0) + 1
+        assert word > 0 and exits > 0 and joint
+        assert report.word_errors == word
+        assert report.bit_errors == bits
+        assert report.region_exits == exits
+        assert report.ties == ties
+        assert report.joint_errors_by_weight == joint
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_layout_rss_matches_guard_estimate(self):
+        # a fresh interpreter builds the [31, 18] layout (65 MiB by the
+        # guard's count) and reports its peak RSS rise; VmHWM, unlike
+        # ru_maxrss, does not inherit the parent's peak across fork and exec
+        script = """
+from mlbounds.codes import bch_31_21
+from mlbounds.simulator import _layout, _layout_bytes
+from mlbounds.spectrum import LinearCode
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+code = LinearCode(31, 18, bch_31_21().rows[:18])
+before = peak_kib()
+_layout(code)
+print((peak_kib() - before) * 1024 / _layout_bytes(code))
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(simulate.__code__.co_filename)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert 0.9 <= float(out.stdout) <= 1.15
 
     def test_seed_changes_counters(self):
         base = dict(code=hamming_7_4(), sigma=1.0, d_star=2, trials=3000)

@@ -1,7 +1,7 @@
 """Spectrum construction, transforms, and the text file formats.
 
 The enumeration oracle multiplies every message by the generator matrix mod
-2 with numpy, sharing nothing with the Gray-code sweep under test.
+2 with numpy, sharing nothing with the chunked codebook engine under test.
 """
 
 import math
@@ -158,6 +158,27 @@ class TestMacwilliams:
         spec = enumerate_spectrum(bch_15_7()).weight_spectrum()
         dual_spec = macwilliams_transform(spec)  # spectrum of the dual code
         assert macwilliams_transform(dual_spec) == spec
+
+    @pytest.mark.parametrize("m", range(3, 10))
+    def test_simplex_to_hamming_closed_form(self, m):
+        # the [n, m] simplex code has A_{2^(m-1)} = n; its dual, the [n, n-m]
+        # Hamming code, has the weight enumerator
+        # ((1+x)^n + n (1+x)^((n-1)/2) (1-x)^((n+1)/2)) / (n+1)
+        n = (1 << m) - 1
+        simplex = WeightSpectrum(n, m, {0: 1.0, 1 << (m - 1): float(n)}, SpectrumKind.EXACT)
+        half = (n - 1) // 2
+        want = []
+        for j in range(n + 1):
+            cross = sum(
+                math.comb(half, s) * math.comb(half + 1, j - s) * (-1) ** (j - s)
+                for s in range(max(0, j - half - 1), min(half, j) + 1)
+            )
+            total = math.comb(n, j) + n * cross
+            assert total % (n + 1) == 0
+            want.append(total // (n + 1))
+        hamming = macwilliams_transform(simplex)
+        assert (hamming.n, hamming.k) == (n, n - m)
+        assert hamming.counts == {j: float(a) for j, a in enumerate(want) if a}
 
     def test_rejects_inconsistent_dual(self):
         bad = WeightSpectrum(5, 2, {0: 1.0, 1: 3.0}, SpectrumKind.EXACT)
