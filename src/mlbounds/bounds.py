@@ -25,6 +25,7 @@ bit <= word) hold exactly in floating point, not just in exact arithmetic.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 import operator
@@ -555,11 +556,19 @@ def gfbt_combine(
     """
     probe = _probe_range(spectrum, d_star, d_star_max)
     table = _BinomialTable(ch.p_b, spectrum.n)
+    # each radius keeps a prefix of the weight-sorted entries; the subcode is
+    # empty while that prefix holds no weight d >= 1 with A_d > 0
+    entries = sorted(spectrum.counts.items())
+    weights = [d for d, _ in entries]
+    first = next((i for i, (d, c) in enumerate(entries) if d >= 1 and c > 0.0), len(entries))
 
     def base(radius: int) -> float:
-        sub = spectrum.restrict(2 * radius)
-        if not sub.weights():
+        cut = bisect.bisect_right(weights, 2 * radius)
+        if cut <= first:
             return 0.0
+        sub = WeightSpectrum(
+            spectrum.n, spectrum.k, dict(entries[:cut]), SpectrumKind.TRUNCATED, 2 * radius
+        )
         try:
             value = float(provider(sub, ch))
         except MlboundsError as exc:

@@ -12,7 +12,8 @@ ascending gives prefix sums LB(d) = sum of the d smallest samples, a lower
 bound on every weight-d score, so only weight classes with LB(d) <= 0 can
 contain a winner and only those are scanned (vectorized over the trials
 that need them).  The pruning is exact: skipped classes provably have all
-scores positive.
+scores positive.  A scan expands the packed codebook into 0/1 floats one
+small tile at a time, so no score matrix of the whole codebook exists.
 """
 
 from __future__ import annotations
@@ -207,15 +208,13 @@ class SimReport:
 
 
 class _ClassLayout:
-    """Codebook sorted by Hamming weight with a float 0/1 bit matrix.
+    """Packed codebook with its weight-sorted order.
 
-    cw holds the codewords in message order as ceil(n/64) uint64 words for
-    the reference decoders.  bits rows follow the weight-sorted order; within
-    a class the message indices stay ascending (stable sort), so a
-    first-occurrence argmin is also the smallest-message tie-break within
-    that class.  Both are filled chunk by chunk; the only whole-codebook
-    transients are the weights and the sort indices, freed before bits is
-    filled (_layout_bytes counts the peak).
+    cw holds the codewords in message order as ceil(n/64) uint64 words.
+    msgs lists the message indices sorted by Hamming weight; within a class
+    they stay ascending (stable sort), so a first-occurrence argmin over any
+    slice of a class is also the smallest-message tie-break within it.  The
+    scans expand cw rows into 0/1 floats one tile at a time (_tile_bits).
     """
 
     def __init__(self, code: LinearCode):
@@ -227,15 +226,8 @@ class _ClassLayout:
             weights[lo : lo + step] = _weights(chunk)
         self.msgs = np.argsort(weights, kind="stable").astype(np.uint32)
         ends = np.cumsum(np.bincount(weights, minlength=n + 1)).tolist()
-        del weights
         self.class_weights = [d for d in range(1, n + 1) if ends[d] > ends[d - 1]]
         self.bounds = {d: (ends[d - 1], ends[d]) for d in self.class_weights}
-        self.bits = np.empty((size, n))
-        for lo in range(0, size, step):
-            rows = self.cw[self.msgs[lo : lo + step]].astype("<u8", copy=False)
-            self.bits[lo : lo + step] = np.unpackbits(
-                rows.view(np.uint8), axis=1, count=n, bitorder="little"
-            )
 
 
 @lru_cache(maxsize=1)
@@ -243,15 +235,45 @@ def _layout(code: LinearCode) -> _ClassLayout:
     return _ClassLayout(code)
 
 
+def _tile_bits(rows: np.ndarray, n: int) -> np.ndarray:
+    """0/1 float64 matrix of codeword rows given as uint64 words."""
+    packed = rows.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(np.float64)
+
+
+# codewords per expanded tile, noise blocks per superblock (the scan expands
+# each tile once per superblock) and the cap on the trials x codewords score
+# cells of one matmul; small tiles and score blocks stay in cache
+_TILE = 1 << 11
+_SUPERBLOCK = 16
+_SCAN_CELLS = 1 << 18
+
+
 def _layout_bytes(code: LinearCode) -> int:
-    """Peak bytes of building _layout(code): per codeword, the kept bits
-    (8n), cw (8 per word) and msgs (4).  The uint16 weights and int64
-    argsort indices are freed before bits is filled, and together they are
-    smaller than bits for every n >= 2."""
-    return (1 << code.k) * (8 * code.n + 8 * ((code.n + 63) // 64) + 4)
+    """Peak bytes of building _layout(code), per codeword: cw (8 per word),
+    the uint16 weights, and the stable argsort's int64 indices with its
+    equal-size scratch buffer; msgs (4) is made after that buffer is freed."""
+    return (1 << code.k) * (8 * ((code.n + 63) // 64) + 18)
 
 
-def _guard(code: LinearCode, trials: int, max_k: int, work_limit: int) -> None:
+def _scan_bytes(code: LinearCode, trials: int) -> int:
+    """Peak bytes of one superblock scan: the noise with its hard-decision
+    mask and prefix sums (17 per sample), one tile as gathered words,
+    unpacked bytes and floats, and one score block with the copy and mask
+    of its tie rows (17 per cell).  glibc's malloc may keep up to twice the
+    largest freed block mapped, the noise or a score block: 16 more each."""
+    n, words = code.n, (code.n + 63) // 64
+    samples = min(trials, _SUPERBLOCK * BLOCK) * n
+    return 33 * samples + _TILE * (8 * words + 9 * n) + 33 * _SCAN_CELLS
+
+
+def _reference_bytes(code: LinearCode) -> int:
+    """Peak bytes of a reference decode beyond the layout: every codeword's
+    float64 score and tie flag, one tile's bytes and floats and its distances."""
+    return (9 << code.k) + _TILE * (9 * code.n + 9 * ((code.n + 63) // 64) + 32)
+
+
+def _guard(code: LinearCode, trials: int, max_k: int, work_limit: int, extra_bytes: int) -> None:
     if code.k > max_k:
         raise ResourceLimitError(
             f"ML decoding over 2^{code.k} codewords exceeds the k <= {max_k} guard"
@@ -262,7 +284,8 @@ def _guard(code: LinearCode, trials: int, max_k: int, work_limit: int) -> None:
             f"2^k * trials = {work:.3e} exceeds the work limit {work_limit:.3e}; "
             "raise work_limit only for deliberate long runs"
         )
-    footprint = _layout_bytes(code)
+    # malloc may keep the build's freed transients mapped, so the peaks add
+    footprint = _layout_bytes(code) + extra_bytes
     if footprint > 3_500_000_000:
         raise ResourceLimitError(
             f"codebook tables would need ~{footprint / 1e9:.1f} GB"
@@ -271,36 +294,42 @@ def _guard(code: LinearCode, trials: int, max_k: int, work_limit: int) -> None:
 
 def _noise_block(seed: int, block_index: int, m: int, n: int, sigma: float) -> np.ndarray:
     key = np.array([seed, block_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return 1.0 + sigma * gen.standard_normal((m, n))
+    y = np.random.Generator(np.random.Philox(key=key)).standard_normal((m, n))
+    y *= sigma
+    y += 1.0  # in place, rounding exactly like 1.0 + sigma * z
+    return y
 
 
 # --- single-trial reference decoders ----------------------------------------
 
 
 def _scores(code: LinearCode, y: np.ndarray) -> np.ndarray:
-    layout = _layout(code)
-    raw = layout.bits @ np.asarray(y, dtype=np.float64)
-    # undo the weight sort so scores[i] belongs to message i
-    out = np.empty_like(raw)
-    out[layout.msgs] = raw
+    """Support score of every codeword, in message order."""
+    cw, y = _layout(code).cw, np.asarray(y, dtype=np.float64)
+    out = np.empty(len(cw))
+    for lo in range(0, len(cw), _TILE):
+        out[lo : lo + _TILE] = _tile_bits(cw[lo : lo + _TILE], code.n) @ y
     return out
 
 
-def _check_received(code: LinearCode, y) -> np.ndarray:
+def _check_received(code: LinearCode, y, d_star: int, max_k: int) -> tuple[np.ndarray, int]:
+    """Guard a reference decode, then check its received vector and radius."""
+    _guard(code, 1, max_k, 1 << 62, _reference_bytes(code))
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (code.n,):
         raise ValidationError(f"received vector must have shape ({code.n},), got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValidationError("received vector must be finite")
-    return y
+    d_star = operator.index(d_star)
+    if not 0 <= d_star <= code.n:
+        raise ValidationError(f"need 0 <= d_star <= n, got {d_star}")
+    return y, d_star
 
 
 def ml_decode(code: LinearCode, y, *, max_k: int = 26) -> int:
     """Brute-force ML decoding: smallest message index among the
     Euclidean-nearest codewords (argmin of the support score)."""
-    _guard(code, 1, max_k, 1 << 62)
-    y = _check_received(code, y)
+    y, _ = _check_received(code, y, 0, max_k)
     return int(np.argmin(_scores(code, y)))
 
 
@@ -313,9 +342,17 @@ def _hard_mask(y: np.ndarray) -> int:
     return mask
 
 
-def _distances(cw: np.ndarray, mask: int) -> np.ndarray:
-    """Hamming distance from each codeword of cw to a bitmask."""
-    return _weights(cw ^ _as_words(mask, cw.shape[1]))
+def _list_winner(cw: np.ndarray, scores: np.ndarray, hard: int, d_star: int) -> int | None:
+    """Lowest-score codeword within Hamming distance d_star of the hard
+    decision, smallest message on ties; None when the list is empty."""
+    winner, mask = None, _as_words(hard, cw.shape[1])
+    for lo in range(0, len(cw), _TILE):
+        members = lo + np.flatnonzero(_weights(cw[lo : lo + _TILE] ^ mask) <= d_star)
+        if members.size:
+            best = int(members[np.argmin(scores[members])])
+            if winner is None or scores[best] < scores[winner]:
+                winner = best
+    return winner
 
 
 def list_decode(code: LinearCode, y, d_star: int, *, max_k: int = 26) -> int | None:
@@ -323,27 +360,14 @@ def list_decode(code: LinearCode, y, d_star: int, *, max_k: int = 26) -> int | N
     distance d_star of the hard-decision word, return the Euclidean-nearest
     list member (smallest message index on ties), or None when the list is
     empty (declared decoding failure)."""
-    _guard(code, 1, max_k, 1 << 62)
-    y = _check_received(code, y)
-    d_star = operator.index(d_star)
-    if not 0 <= d_star <= code.n:
-        raise ValidationError(f"need 0 <= d_star <= n, got {d_star}")
-    dist = _distances(_layout(code).cw, _hard_mask(y))
-    members = np.nonzero(dist <= d_star)[0]
-    if members.size == 0:
-        return None
-    scores = _scores(code, y)[members]
-    return int(members[np.argmin(scores)])
+    y, d_star = _check_received(code, y, d_star, max_k)
+    return _list_winner(_layout(code).cw, _scores(code, y), _hard_mask(y), d_star)
 
 
 def decode_trial(code: LinearCode, y, d_star: int, *, max_k: int = 26) -> TrialOutcome:
     """Full per-trial record for the all-zero transmission (reference path;
     the batch engine in simulate() reproduces these outcomes with pruning)."""
-    _guard(code, 1, max_k, 1 << 62)
-    y = _check_received(code, y)
-    d_star = operator.index(d_star)
-    if not 0 <= d_star <= code.n:
-        raise ValidationError(f"need 0 <= d_star <= n, got {d_star}")
+    y, d_star = _check_received(code, y, d_star, max_k)
     cw = _layout(code).cw
     scores = _scores(code, y)
     winner = int(np.argmin(scores))
@@ -358,9 +382,7 @@ def decode_trial(code: LinearCode, y, d_star: int, *, max_k: int = 26) -> TrialO
     if hard_weight > d_star:
         outcome = ListOutcome.NOT_IN_LIST
     else:
-        dist = _distances(cw, hard)
-        members = np.nonzero(dist <= d_star)[0]
-        list_winner = int(members[np.argmin(scores[members])])
+        list_winner = _list_winner(cw, scores, hard, d_star)
         outcome = (
             ListOutcome.CORRECT_IN_LIST_WON
             if list_winner == 0
@@ -396,52 +418,54 @@ class _Counters:
             self.joint[d] = self.joint.get(d, 0) + c
 
 
-# cap on the trials x class-size score matrix materialized per matmul
-_SCAN_CELL_BUDGET = 32_000_000
-
-
-def _run_block(layout: _ClassLayout, cfg: SimConfig, block_index: int, m: int) -> _Counters:
+def _run_superblock(
+    layout: _ClassLayout, cfg: SimConfig, blocks: list[tuple[int, int]]
+) -> _Counters:
     n = cfg.code.n
-    y = _noise_block(cfg.seed, block_index, m, n, cfg.sigma)
+    y = np.concatenate([_noise_block(cfg.seed, b, size, n, cfg.sigma) for b, size in blocks])
+    m = len(y)
     counters = _Counters()
 
-    hard_w = np.count_nonzero(y <= 0.0, axis=1)
-    in_region = hard_w <= cfg.d_star
+    in_region = np.count_nonzero(y <= 0.0, axis=1) <= cfg.d_star
     counters.region_exits = int(m - np.count_nonzero(in_region))
 
     # LB[:, d] = sum of the d smallest samples: lower bound on every
     # weight-d support score, exact pruning criterion
-    lb = np.cumsum(np.sort(y, axis=1), axis=1)
+    lb = np.sort(y, axis=1)
+    np.cumsum(lb, axis=1, out=lb)
 
     best = np.zeros(m)
     mult = np.ones(m, dtype=np.int64)  # transmitted word scores exactly 0
     best_msg = np.zeros(m, dtype=np.uint32)
 
+    # the minimum, its multiplicity and its smallest message merge the same
+    # way in any order, so each tile of a class merges straight into them
     for d in layout.class_weights:
         cand = np.nonzero(lb[:, d - 1] <= 0.0)[0]
         if cand.size == 0:
             continue
         start, stop = layout.bounds[d]
-        bits_t = layout.bits[start:stop].T
-        class_msgs = layout.msgs[start:stop]
-        chunk = max(1, _SCAN_CELL_BUDGET // (stop - start))
-        errors_in_region = 0
-        for lo in range(0, cand.size, chunk):
-            rows = cand[lo : lo + chunk]
-            scores = y[rows] @ bits_t
-            cmin = scores.min(axis=1)
-            ccnt = np.count_nonzero(scores == cmin[:, None], axis=1)
-            cmsg = class_msgs[np.argmin(scores, axis=1)]
-            errors_in_region += int(np.count_nonzero((cmin < 0.0) & in_region[rows]))
-            upd = cmin < best[rows]
-            eq = cmin == best[rows]
-            idx = rows[upd]
-            best[idx] = cmin[upd]
-            mult[idx] = ccnt[upd]
-            best_msg[idx] = cmsg[upd]
-            idx_eq = rows[eq]
-            mult[idx_eq] += ccnt[eq]
-            best_msg[idx_eq] = np.minimum(best_msg[idx_eq], cmsg[eq])
+        negative = np.zeros(cand.size, dtype=bool)
+        for lo in range(start, stop, _TILE):
+            tile_msgs = layout.msgs[lo : min(lo + _TILE, stop)]
+            bits_t = _tile_bits(layout.cw[tile_msgs], n).T
+            step = max(1, _SCAN_CELLS // tile_msgs.size)
+            for r in range(0, cand.size, step):
+                rows = cand[r : r + step]
+                scores = y[rows] @ bits_t
+                col = np.argmin(scores, axis=1)
+                tmin = scores[np.arange(rows.size), col]
+                negative[r : r + step] |= tmin < 0.0
+                sel = np.nonzero(tmin <= best[rows])[0]
+                if sel.size == 0:
+                    continue
+                idx, tmin, msg = rows[sel], tmin[sel], tile_msgs[col[sel]]
+                count = np.count_nonzero(scores[sel] == tmin[:, None], axis=1)
+                same = tmin == best[idx]
+                mult[idx] = np.where(same, mult[idx] + count, count)
+                best_msg[idx] = np.where(same, np.minimum(best_msg[idx], msg), msg)
+                best[idx] = tmin
+        errors_in_region = int(np.count_nonzero(negative & in_region[cand]))
         if errors_in_region:
             counters.joint[d] = errors_in_region
 
@@ -456,30 +480,25 @@ def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
     """Run cfg.trials all-zero transmissions and aggregate exact counters.
 
     Noise for trial t comes from the Philox stream keyed (seed, t // BLOCK),
-    so results are bit-identical for any worker count and for any partition
-    of the trial range into blocks.
+    so a trial's noise does not depend on the worker or trial count.  Workers
+    split fixed superblocks of 16 blocks, so their count changes no matmul; a
+    shorter final superblock changes matmul shapes, so equal counters across
+    trial counts assume the BLAS rounds a score cell alike for every shape.
     """
-    _guard(cfg.code, cfg.trials, cfg.max_k_for_ml, cfg.work_limit)
     workers = operator.index(workers)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
+    scan_bytes = workers * _scan_bytes(cfg.code, cfg.trials)
+    _guard(cfg.code, cfg.trials, cfg.max_k_for_ml, cfg.work_limit, scan_bytes)
     layout = _layout(cfg.code)
 
-    blocks = [
-        (b, min(BLOCK, cfg.trials - b * BLOCK))
-        for b in range((cfg.trials + BLOCK - 1) // BLOCK)
-    ]
+    starts = range(0, cfg.trials, BLOCK)
+    blocks = [(lo // BLOCK, min(BLOCK, cfg.trials - lo)) for lo in starts]
+    superblocks = [blocks[lo : lo + _SUPERBLOCK] for lo in range(0, len(blocks), _SUPERBLOCK)]
     total = _Counters()
-    if workers == 1:
-        for block_index, m in blocks:
-            total.merge(_run_block(layout, cfg, block_index, m))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                lambda bm: _run_block(layout, cfg, bm[0], bm[1]), blocks
-            )
-            for counters in results:
-                total.merge(counters)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for counters in pool.map(lambda sb: _run_superblock(layout, cfg, sb), superblocks):
+            total.merge(counters)
 
     rate = cfg.code.k / cfg.code.n
     snr_db = -10.0 * math.log10(2.0 * rate * cfg.sigma * cfg.sigma)

@@ -1,5 +1,5 @@
 """Independent oracles for tests: scalar per-weight bound terms, the radius
-scan over them, and the Gray-code codebook sweep.
+scan over them, the Gray-code codebook sweep and full-codebook ML counters.
 
 The library evaluates every bound as one vectorized radius scan and walks
 the codebook in numpy chunks.  These are the plain scalar forms of the same
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import operator
 from typing import Callable, Mapping
+
+import numpy as np
 
 from mlbounds.bounds import ThetaPolicy
 from mlbounds.errors import ValidationError
@@ -207,3 +209,28 @@ def gray_iowe(code: LinearCode) -> InputOutputSpectrum:
         if table[i][d]
     }
     return InputOutputSpectrum(code.n, code.k, counts, SpectrumKind.EXACT)
+
+
+def ml_counters(code: LinearCode, y: np.ndarray, d_star: int) -> dict:
+    """simulate() counters for the received rows y, by scoring every codeword
+    of the public encoder against every row: no weight classes, pruning or
+    tiles.  The winner is the smallest message among the minimal scores."""
+    size = (code.n + 7) // 8
+    packed = b"".join(code.encode(msg).to_bytes(size, "little") for msg in range(1 << code.k))
+    rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, size)
+    bits = np.unpackbits(rows, axis=1, count=code.n, bitorder="little").astype(np.float64)
+    weights = bits.sum(axis=1).astype(int)
+    out = {"word_errors": 0, "bit_errors": 0, "region_exits": 0, "ties": 0, "joint": {}}
+    for lo in range(0, len(y), 16):
+        for row, scores in zip(y[lo : lo + 16], y[lo : lo + 16] @ bits.T):
+            winners = np.flatnonzero(scores == scores.min())
+            out["ties"] += winners.size >= 2
+            if scores[winners[0]] < 0.0:
+                out["word_errors"] += 1
+                out["bit_errors"] += int(winners[0]).bit_count()
+            if np.count_nonzero(row <= 0.0) > d_star:
+                out["region_exits"] += 1
+                continue
+            for d in np.unique(weights[scores < 0.0]).tolist():
+                out["joint"][d] = out["joint"].get(d, 0) + 1
+    return out

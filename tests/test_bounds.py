@@ -591,6 +591,25 @@ class TestGfbtCombine:
         assert sorted(calls) == [2 * r for r in range(1, 101)]
         assert res.base_term == UnionBoundProvider()(spec.restrict(2 * res.d_star_opt), point)
 
+    def test_provider_sees_restricted_spectra(self):
+        # every radius hands the provider exactly spectrum.restrict(2d*), and
+        # skips it exactly when that sub-spectrum has no positive weight
+        zeros = WeightSpectrum(
+            12, 4, {0: 1.0, 2: 0.0, 5: 3.0, 3: 0.0, 9: 12.0}, SpectrumKind.TRUNCATED, 10
+        )
+        ensemble = ensemble_average(40, 20)
+        for spec in (HAMMING, zeros, ensemble, ensemble.restrict(15)):
+            seen = {}
+
+            def recording(sub, point):
+                seen[sub.truncation // 2] = sub
+                return UnionBoundProvider()(sub, point)
+
+            gfbt_combine(recording, spec, ch(1.0))
+            for radius in bounds._probe_range(spec, None, None):
+                want = spec.restrict(2 * radius)
+                assert seen.get(radius) == (want if want.weights() else None)
+
     def test_base_term_recorded(self):
         point = ch(1.0)
         res = gfbt_combine(UnionBoundProvider(), HAMMING, point, d_star=3)

@@ -13,6 +13,7 @@ from mlbounds.codes import repetition_code
 from mlbounds.numerics import ChannelPoint
 from mlbounds.spectrum import (
     InputOutputSpectrum,
+    LinearCode,
     SpectrumKind,
     WeightSpectrum,
     load_spectrum,
@@ -23,7 +24,6 @@ from mlbounds.spectrum import (
 DATA = Path(__file__).resolve().parent.parent / "data" / "codes"
 HAMMING_GEN = str(DATA / "hamming_7_4.gen")
 TOY_GEN = str(DATA / "toy_10_5.gen")
-BCH_31_26_GEN = str(DATA / "bch_31_26.gen")
 
 
 def run(capsys, *argv):
@@ -353,9 +353,12 @@ class TestSimulateCommand:
         # the all-ones word is the only competitor
         assert list(report["joint_errors_by_weight"]) == ["70"]
 
-    def test_resource_guards_exit_three(self, capsys):
+    def test_resource_guards_exit_three(self, capsys, tmp_path):
+        # a [320, 26] codebook needs 2^26 * 58 bytes, over the 3.5 GB limit
+        gen = tmp_path / "long.gen"
+        store_generator(LinearCode(320, 26, tuple(1 << j for j in range(26))), gen)
         code, out, err = run(
-            capsys, "simulate", "--code", BCH_31_26_GEN, "--sigma", "0.8",
+            capsys, "simulate", "--code", str(gen), "--sigma", "0.8",
             "--trials", "100", "--seed", "0",
         )
         assert code == EXIT_RESOURCE

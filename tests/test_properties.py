@@ -1,5 +1,6 @@
 """Property tests: the exact floating-point dominance chains over random
-spectra and channel points, and the codebook engine over random codes.
+spectra and channel points, the codebook engine over random codes, and the
+simulator's independence of its worker count.
 
 Every comparison is a plain float comparison with no tolerance.  The chains
 hold by construction: every variant sums equally sliced term arrays in the
@@ -16,11 +17,13 @@ from mlbounds import (
     SpectrumKind,
     WeightSpectrum,
     LinearCode,
+    SimConfig,
     ValidationError,
     bit_error_bound,
     enumerate_spectrum,
     macwilliams_transform,
     pairwise_error_bound,
+    simulate,
     truncated_union_bound,
     union_bound,
     word_error_bound,
@@ -125,3 +128,21 @@ def test_enumeration_matches_macwilliams_of_dual(code):
     assume(code.k < code.n and code.n - code.k <= 16)
     dual = enumerate_spectrum(code.dual()).weight_spectrum()
     assert enumerate_spectrum(code).weight_spectrum() == macwilliams_transform(dual)
+
+
+@settings(PROPERTY, max_examples=25)
+@given(
+    codes(st.integers(1, 6), st.integers(1, 20)),
+    st.floats(min_value=0.3, max_value=2.0),
+    st.integers(1, 40 * 1024),
+    st.integers(0, 2**64 - 1),
+    st.data(),
+)
+def test_simulation_does_not_depend_on_workers(code, sigma, trials, seed, data):
+    # up to 40 noise blocks: 1, 2 and 3 workers cut them into different
+    # superblocks, one worker into full 16-block ones plus a remainder
+    d_star = data.draw(st.integers(0, code.n))
+    cfg = SimConfig(code=code, sigma=sigma, d_star=d_star, trials=trials, seed=seed)
+    report = simulate(cfg).to_json()
+    assert simulate(cfg, workers=2).to_json() == report
+    assert simulate(cfg, workers=3).to_json() == report

@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import ml_counters
 
 from mlbounds import (
     LinearCode,
@@ -28,8 +29,9 @@ from mlbounds import (
     simulate,
     wilson_interval,
 )
-from mlbounds.codes import hamming_7_4, repetition_code, toy_code_10_5
-from mlbounds.simulator import BLOCK, _noise_block
+from mlbounds import simulator
+from mlbounds.codes import bch_15_7, bch_31_21, hamming_7_4, repetition_code, toy_code_10_5
+from mlbounds.simulator import BLOCK, _layout, _noise_block
 
 # a [72, 5] code whose nonzero codewords all have bits in both 64-bit words
 CODE_72_5 = LinearCode(
@@ -54,6 +56,42 @@ def naive_ml(code, y):
 
 def naive_hard_weight(y):
     return sum(1 for v in y if v <= 0.0)
+
+
+def assert_counters(report, want):
+    assert report.word_errors == want["word_errors"]
+    assert report.bit_errors == want["bit_errors"]
+    assert report.region_exits == want["region_exits"]
+    assert report.ties == want["ties"]
+    assert report.joint_errors_by_weight == want["joint"]
+
+
+def fresh_peak_ratio(action: str, count: str, imports: str) -> float:
+    """Peak RSS rise of `action` on the [31, 18] subcode of bch_31_21 in a
+    fresh interpreter, over the byte `count`.  VmHWM, unlike ru_maxrss, does
+    not inherit the parent's peak across fork and exec; BLAS runs one thread
+    so its per-thread workspace does not depend on the core count."""
+    script = f"""
+{imports}
+from mlbounds.codes import bch_31_21
+from mlbounds.spectrum import LinearCode
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+code = LinearCode(31, 18, bch_31_21().rows[:18])
+before = peak_kib()
+{action}
+print((peak_kib() - before) * 1024 / ({count}))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simulate.__code__.co_filename)))
+    threads = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=src, **threads)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return float(out.stdout)
 
 
 class TestWilson:
@@ -138,6 +176,28 @@ class TestListDecode:
             else:
                 want = min(members, key=lambda msg: (scores[msg], msg))
                 assert list_decode(code, y, d_star) == want
+
+    def test_ties_across_tiles_match_naive_scan(self, monkeypatch):
+        # 3-codeword tiles spread each list over many tiles and integer
+        # samples tie scores exactly: the merge must keep the smallest message
+        monkeypatch.setattr(simulator, "_TILE", 3)
+        rng = np.random.default_rng(11)
+        code = toy_code_10_5()
+        ties = 0
+        for _ in range(300):
+            y = rng.integers(-2, 4, size=10).astype(np.float64)
+            d_star = int(rng.integers(0, 11))
+            hard = sum(1 << t for t in range(10) if y[t] <= 0.0)
+            scores = naive_scores(code, y)
+            members = [
+                msg
+                for msg in range(1 << 5)
+                if bin(code.encode(msg) ^ hard).count("1") <= d_star
+            ]
+            want = min(members, key=lambda msg: (scores[msg], msg)) if members else None
+            ties += want is not None and sum(scores[m] == scores[want] for m in members) >= 2
+            assert list_decode(code, y, d_star) == want
+        assert ties > 50
 
     def test_suboptimal_versus_ml(self):
         rng = np.random.default_rng(99)
@@ -334,31 +394,81 @@ class TestSimulateEngine:
         assert report.ties == ties
         assert report.joint_errors_by_weight == joint
 
+    def test_class_tiles_match_full_codebook_oracle(self):
+        # at low SNR the scan reaches the big middle classes of [31, 18],
+        # each spread over many tiles
+        code = LinearCode(31, 18, bch_31_21().rows[:18])
+        sizes = [stop - start for start, stop in _layout(code).bounds.values()]
+        assert max(sizes) > 8 * simulator._TILE
+        cfg = SimConfig(code=code, sigma=1.0, d_star=9, trials=300, seed=17)
+        y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
+        want = ml_counters(code, y, cfg.d_star)
+        assert want["word_errors"] and want["region_exits"] and len(want["joint"]) > 3
+        assert_counters(simulate(cfg), want)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_exact_ties_merge_across_tiles(self, monkeypatch, workers):
+        # integer-valued received vectors make exact score ties common;
+        # three-codeword tiles, 20-row score blocks and one-block superblocks
+        # put the tied codewords in different tiles and classes
+        def integer_noise(seed, block_index, m, n, sigma):
+            rng = np.random.default_rng([seed, block_index])
+            return rng.integers(-2, 4, size=(m, n)).astype(np.float64)
+
+        monkeypatch.setattr(simulator, "_noise_block", integer_noise)
+        monkeypatch.setattr(simulator, "_TILE", 3)
+        monkeypatch.setattr(simulator, "_SCAN_CELLS", 60)
+        monkeypatch.setattr(simulator, "_SUPERBLOCK", 1)
+        code = bch_15_7()
+        cfg = SimConfig(code=code, sigma=1.0, d_star=7, trials=BLOCK + 500, seed=5)
+        y = np.concatenate([integer_noise(5, 0, BLOCK, 15, 1.0), integer_noise(5, 1, 500, 15, 1.0)])
+        want = ml_counters(code, y, cfg.d_star)
+        assert want["ties"] > 100 and want["word_errors"] > 100 and want["joint"]
+        assert_counters(simulate(cfg, workers=workers), want)
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_layout_rss_matches_guard_estimate(self):
-        # a fresh interpreter builds the [31, 18] layout (65 MiB by the
-        # guard's count) and reports its peak RSS rise; VmHWM, unlike
-        # ru_maxrss, does not inherit the parent's peak across fork and exec
-        script = """
-from mlbounds.codes import bch_31_21
-from mlbounds.simulator import _layout, _layout_bytes
-from mlbounds.spectrum import LinearCode
-
-def peak_kib():
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-
-code = LinearCode(31, 18, bch_31_21().rows[:18])
-before = peak_kib()
-_layout(code)
-print((peak_kib() - before) * 1024 / _layout_bytes(code))
-"""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(simulate.__code__.co_filename)))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        # the [31, 18] layout build: 6.5 MiB by the guard's count
+        ratio = fresh_peak_ratio(
+            "_layout(code)",
+            "_layout_bytes(code)",
+            "from mlbounds.simulator import _layout, _layout_bytes",
         )
-        assert 0.9 <= float(out.stdout) <= 1.15
+        assert 0.9 <= ratio <= 1.15
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_low_snr_run_rss_within_guard(self):
+        # at sigma = 1.2 with d* = n nearly every class is scanned for every
+        # trial: the layout build and the scan together stay within the count
+        ratio = fresh_peak_ratio(
+            "simulate(SimConfig(code=code, sigma=1.2, d_star=31, trials=2048, seed=1))",
+            "_layout_bytes(code) + _scan_bytes(code, 2048)",
+            "from mlbounds.simulator import SimConfig, _layout_bytes, _scan_bytes, simulate",
+        )
+        assert 0.5 <= ratio <= 1.0
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_reference_decode_rss_within_guard(self):
+        # all samples negative and d* = n: every codeword is scored, tied
+        # against the winner and taken into the list
+        ratio = fresh_peak_ratio(
+            "decode_trial(code, np.full(31, -0.5), 31)",
+            "_layout_bytes(code) + _reference_bytes(code)",
+            "import numpy as np\n"
+            "from mlbounds.simulator import _layout_bytes, _reference_bytes, decode_trial",
+        )
+        assert 0.5 <= ratio <= 1.0
+
+    def test_reference_decoders_count_their_scores(self, monkeypatch):
+        # [200, 26]: the layout build alone passes the 3.5 GB guard, the
+        # score vector on top of it does not; nothing may be built
+        code = LinearCode(200, 26, tuple(1 << i for i in range(26)))
+        assert simulator._layout_bytes(code) < 3_500_000_000
+        monkeypatch.setattr(simulator, "_layout", None)
+        y = np.ones(200)
+        for decode, radius in ((ml_decode, ()), (list_decode, (5,)), (decode_trial, (5,))):
+            with pytest.raises(ResourceLimitError, match="GB"):
+                decode(code, y, *radius)
 
     def test_seed_changes_counters(self):
         base = dict(code=hamming_7_4(), sigma=1.0, d_star=2, trials=3000)
