@@ -14,7 +14,6 @@ from .numerics import (
     SnrConvention,
     TripletGeometry,
     angle_upper_bound,
-    binomial_tail,
     q_function,
     triplet_probability,
 )
@@ -34,13 +33,8 @@ from .spectrum import (
 )
 from .simulator import (
     BLOCK,
-    ListOutcome,
     SimConfig,
     SimReport,
-    TrialOutcome,
-    decode_trial,
-    list_decode,
-    ml_decode,
     simulate,
     wilson_interval,
 )

@@ -45,7 +45,7 @@ from .numerics import (
     q_function,
     triplet_probability,
 )
-from .spectrum import InputOutputSpectrum, SpectrumKind, WeightSpectrum
+from .spectrum import InputOutputSpectrum, SpectrumKind, WeightSpectrum, _content_lines
 
 __all__ = [
     "BoundVariant",
@@ -497,7 +497,7 @@ class FileBoundProvider:
     def __init__(self, path):
         self.path = Path(path)
         self._entries: dict[int, list[tuple[float, float]]] = {}
-        for lineno, line in _provider_lines(self.path):
+        for lineno, line in _content_lines(self.path):
             parts = line.split()
             if len(parts) != 3:
                 raise ProviderLookupError(
@@ -528,14 +528,6 @@ class FileBoundProvider:
         raise ProviderLookupError(
             f"{self.path}: no entry for snr_db={ch.snr_db!r}, d_star={d_star}"
         )
-
-
-def _provider_lines(path: Path):
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
 
 
 def gfbt_combine(

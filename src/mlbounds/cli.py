@@ -43,6 +43,7 @@ from .simulator import SimConfig, simulate
 from .spectrum import (
     InputOutputSpectrum,
     WeightSpectrum,
+    _content_lines,
     ensemble_average,
     enumerate_spectrum,
     format_spectrum,
@@ -172,15 +173,14 @@ def compute_curve(request: CurveRequest) -> BoundCurve:
     return BoundCurve(metadata, tuple(rows))
 
 
-def _write_curve(curve: BoundCurve, stream) -> None:
-    for key, value in curve.metadata:
-        stream.write(f"# {key}={value}\n")
-    stream.write(_CSV_HEADER + "\n")
-    for row in curve.rows:
-        stream.write(
-            f"{row.snr_db!r},{row.sigma!r},{row.raw_value!r},"
-            f"{row.clamped_value!r},{row.d_star_opt}\n"
-        )
+def _format_curve(curve: BoundCurve) -> str:
+    lines = [f"# {key}={value}" for key, value in curve.metadata]
+    lines.append(_CSV_HEADER)
+    lines += [
+        f"{row.snr_db!r},{row.sigma!r},{row.raw_value!r},{row.clamped_value!r},{row.d_star_opt}"
+        for row in curve.rows
+    ]
+    return "".join(line + "\n" for line in lines)
 
 
 def _read_curve(path) -> BoundCurve:
@@ -229,10 +229,13 @@ def _read_curve(path) -> BoundCurve:
 # --- shared argument plumbing ------------------------------------------------
 
 
-def _open_output(args):
+def _emit(args, text: str) -> None:
+    """Write a command's finished output to stdout, or to the -o file."""
     if args.output is None or args.output == "-":
-        return sys.stdout, False
-    return open(args.output, "w", encoding="utf-8"), True
+        sys.stdout.write(text)
+    else:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
 
 
 def _resolve_workers(args) -> int:
@@ -300,12 +303,7 @@ def cmd_spectrum(args) -> int:
     else:
         n, k = args.ensemble
         result = ensemble_average(n, k)
-    stream, close = _open_output(args)
-    try:
-        stream.write(format_spectrum(result))
-    finally:
-        if close:
-            stream.close()
+    _emit(args, format_spectrum(result))
     return EXIT_OK
 
 
@@ -324,13 +322,7 @@ def cmd_bound(args) -> int:
         d_star_max=args.dstar_max,
         base_provider=provider,
     )
-    curve = compute_curve(request)
-    stream, close = _open_output(args)
-    try:
-        _write_curve(curve, stream)
-    finally:
-        if close:
-            stream.close()
+    _emit(args, _format_curve(compute_curve(request)))
     return EXIT_OK
 
 
@@ -362,19 +354,15 @@ def cmd_simulate(args) -> int:
             work_limit=args.work_limit,
         )
         reports.append(simulate(cfg, workers=workers))
-    stream, close = _open_output(args)
-    try:
-        if args.format == "json":
-            payload = [json.loads(r.to_json()) for r in reports]
-            stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        else:
-            blocks = []
-            for (kind, value), report in zip(grid_desc, reports):
-                blocks.append(f"# grid point {kind}={value!r}\n{report.to_text()}")
-            stream.write("\n\n".join(blocks) + "\n")
-    finally:
-        if close:
-            stream.close()
+    if args.format == "json":
+        payload = [json.loads(r.to_json()) for r in reports]
+        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    else:
+        blocks = [
+            f"# grid point {kind}={value!r}\n{report.to_text()}"
+            for (kind, value), report in zip(grid_desc, reports)
+        ]
+        _emit(args, "\n\n".join(blocks) + "\n")
     return EXIT_OK
 
 
@@ -481,33 +469,28 @@ def cmd_compare(args) -> int:
                             f"{tightest[level]!r} beyond its confidence interval"
                         )
 
-    stream, close = _open_output(args)
-    try:
-        stream.write(f"# tool=mlbounds {__version__}\n")
-        for label, curve in zip(labels, curves):
-            for key, value in curve.metadata:
-                stream.write(f"# {label}.{key}={value}\n")
-        header = ["snr_db", "sigma"]
-        for label in labels:
-            header += [f"{label}_raw", f"{label}_clamped"]
-        for label in sim_labels:
-            header += [f"{label}_wer", f"{label}_wer_lo", f"{label}_wer_hi"]
-        stream.write(",".join(header) + "\n")
-        for i, row in enumerate(reference.rows):
-            cells = [repr(row.snr_db), repr(row.sigma)]
-            for curve in curves:
-                cells += [repr(curve.rows[i].raw_value), repr(curve.rows[i].clamped_value)]
-            for column in sim_columns:
-                point = column.get(i)
-                if point is None:
-                    cells += ["", "", ""]
-                else:
-                    lo, hi = point["word_error_ci"]
-                    cells += [repr(point["word_error_rate"]), repr(lo), repr(hi)]
-            stream.write(",".join(cells) + "\n")
-    finally:
-        if close:
-            stream.close()
+    lines = [f"# tool=mlbounds {__version__}"]
+    for label, curve in zip(labels, curves):
+        lines += [f"# {label}.{key}={value}" for key, value in curve.metadata]
+    header = ["snr_db", "sigma"]
+    for label in labels:
+        header += [f"{label}_raw", f"{label}_clamped"]
+    for label in sim_labels:
+        header += [f"{label}_wer", f"{label}_wer_lo", f"{label}_wer_hi"]
+    lines.append(",".join(header))
+    for i, row in enumerate(reference.rows):
+        cells = [repr(row.snr_db), repr(row.sigma)]
+        for curve in curves:
+            cells += [repr(curve.rows[i].raw_value), repr(curve.rows[i].clamped_value)]
+        for column in sim_columns:
+            point = column.get(i)
+            if point is None:
+                cells += ["", "", ""]
+            else:
+                lo, hi = point["word_error_ci"]
+                cells += [repr(point["word_error_rate"]), repr(lo), repr(hi)]
+        lines.append(",".join(cells))
+    _emit(args, "".join(line + "\n" for line in lines))
 
     if violations:
         for line in violations:
@@ -623,25 +606,21 @@ def _suppressed_flags(user_flags: set[str]) -> set[str]:
 def _load_config_tokens(path, user_flags: set[str]) -> list[str]:
     suppressed = _suppressed_flags(user_flags)
     tokens = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if not key:
-                raise ValidationError(f"{path}:{lineno}: empty key")
-            flag = "--" + key.replace("_", "-")
-            if flag in suppressed:
-                continue
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    tokens.append(flag)
-            else:
+    for lineno, line in _content_lines(path):
+        if "=" not in line:
+            raise ValidationError(f"{path}:{lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ValidationError(f"{path}:{lineno}: empty key")
+        flag = "--" + key.replace("_", "-")
+        if flag in suppressed:
+            continue
+        if value.lower() in ("true", "false"):
+            if value.lower() == "true":
                 tokens.append(flag)
-                tokens.extend(shlex.split(value))
+        else:
+            tokens.append(flag)
+            tokens.extend(shlex.split(value))
     return tokens
 
 
@@ -663,26 +642,15 @@ def _inject_config(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     raw_argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_inject_config(raw_argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except MlboundsError as exc:
-        print(f"mlbounds: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"mlbounds: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
+        args = build_parser().parse_args(_inject_config(raw_argv))
         return args.func(args)
+    except SystemExit as exc:  # argparse: --help, --version, usage errors
+        return int(exc.code or 0)
     except ResourceLimitError as exc:
         print(f"mlbounds: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except MlboundsError as exc:
-        print(f"mlbounds: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (MlboundsError, OSError) as exc:
         print(f"mlbounds: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

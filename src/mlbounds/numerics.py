@@ -1,4 +1,4 @@
-"""Scalar kernels shared by every bound: Gaussian tails, binomial tails,
+"""Scalar kernels shared by every bound: the Gaussian tail, the angle cap
 and the two-half-plane ("triplet") probability.
 
 Conventions: BPSK maps bit 0 to +1 and bit 1 to -1 with unit symbol energy,
@@ -25,7 +25,6 @@ __all__ = [
     "ChannelPoint",
     "TripletGeometry",
     "q_function",
-    "binomial_tail",
     "angle_upper_bound",
     "triplet_probability",
 ]
@@ -43,41 +42,6 @@ def q_function(x):
     Accepts scalars or arrays.
     """
     return 0.5 * special.erfc(x / _SQRT2)
-
-
-def binomial_tail(p: float, n_total: int, n_low: int, n_high: int) -> float:
-    """Sum of Binomial(n_total, p) probabilities over m in [n_low, n_high].
-
-    The range is clamped to [0, n_total]; an empty clamped range gives 0.
-    For n_total <= 0 the distribution is degenerate at m = 0, so the value is
-    1 exactly when n_low <= 0 <= n_high and 0 otherwise.  Terms are formed in
-    log space (log-gamma coefficients, log-sum-exp) so the sum keeps relative
-    accuracy when every term underflows a direct product.
-    """
-    n_total = operator.index(n_total)
-    n_low = operator.index(n_low)
-    n_high = operator.index(n_high)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"crossover probability must be in [0, 1], got {p!r}")
-    if n_total <= 0:
-        return 1.0 if n_low <= 0 <= n_high else 0.0
-    lo = max(0, n_low)
-    hi = min(n_total, n_high)
-    if lo > hi:
-        return 0.0
-    if p == 0.0:
-        return 1.0 if lo == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if hi == n_total else 0.0
-    m = np.arange(lo, hi + 1, dtype=np.float64)
-    log_terms = (
-        special.gammaln(n_total + 1.0)
-        - special.gammaln(m + 1.0)
-        - special.gammaln(n_total - m + 1.0)
-        + m * math.log(p)
-        + (n_total - m) * math.log1p(-p)
-    )
-    return min(1.0, float(np.exp(special.logsumexp(log_terms))))
 
 
 def angle_upper_bound(d1: int, d2: int, n: int) -> float:
@@ -174,12 +138,6 @@ class TripletGeometry:
             raise ValidationError(f"need 1 <= d <= n, got d={d}, n={n}")
         if not (0.0 < self.theta <= _HALF_PI):
             raise ValidationError(f"theta must lie in (0, pi/2], got {self.theta!r}")
-
-    @classmethod
-    def from_code_weights(cls, d: int, n: int) -> "TripletGeometry":
-        """Geometry for two weight-d codewords: theta capped by the angle
-        bound with d1 = d2 = d, i.e. min(pi/2, 2*arccos(sqrt(d/n)))."""
-        return cls(d, n, angle_upper_bound(d, d, n))
 
 
 # 20-point panels make the half/whole comparison a practical error estimate

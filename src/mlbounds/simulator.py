@@ -18,7 +18,6 @@ small tile at a time, so no score matrix of the whole codebook exists.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 import operator
@@ -29,18 +28,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .spectrum import _CHUNK_BITS, LinearCode, _as_words, _codewords, _weights
+from .spectrum import _CHUNK_BITS, LinearCode, _codewords, _weights
 
 __all__ = [
     "BLOCK",
-    "ListOutcome",
-    "TrialOutcome",
     "SimConfig",
     "SimReport",
     "wilson_interval",
-    "ml_decode",
-    "list_decode",
-    "decode_trial",
     "simulate",
 ]
 
@@ -50,32 +44,6 @@ __all__ = [
 BLOCK = 1024
 
 _WILSON_Z = 1.96  # 95% two-sided
-
-
-class ListOutcome(enum.Enum):
-    """Fate of the transmitted codeword under radius-d* list decoding."""
-
-    CORRECT_IN_LIST_WON = "correct-in-list-won"
-    CORRECT_IN_LIST_LOST = "correct-in-list-lost"
-    NOT_IN_LIST = "not-in-list"
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Per-trial decoding record for the all-zero transmission.
-
-    nearest_competitor_weight is the Hamming weight of the winning
-    competitor and is present exactly when ml_word_error; ml_tie flags an
-    exactly achieved score tie (zero probability under continuous noise, so
-    a nonzero tie count signals a numerics bug).
-    """
-
-    ml_word_error: bool
-    ml_bit_errors: int
-    hard_decision_weight: int
-    list_outcome: ListOutcome
-    nearest_competitor_weight: int | None
-    ml_tie: bool
 
 
 @dataclass(frozen=True)
@@ -267,135 +235,12 @@ def _scan_bytes(code: LinearCode, trials: int) -> int:
     return 33 * samples + _TILE * (8 * words + 9 * n) + 33 * _SCAN_CELLS
 
 
-def _reference_bytes(code: LinearCode) -> int:
-    """Peak bytes of a reference decode beyond the layout: every codeword's
-    float64 score and tie flag, one tile's bytes and floats and its distances."""
-    return (9 << code.k) + _TILE * (9 * code.n + 9 * ((code.n + 63) // 64) + 32)
-
-
-def _guard(code: LinearCode, trials: int, max_k: int, work_limit: int, extra_bytes: int) -> None:
-    if code.k > max_k:
-        raise ResourceLimitError(
-            f"ML decoding over 2^{code.k} codewords exceeds the k <= {max_k} guard"
-        )
-    work = (1 << code.k) * trials
-    if work > work_limit:
-        raise ResourceLimitError(
-            f"2^k * trials = {work:.3e} exceeds the work limit {work_limit:.3e}; "
-            "raise work_limit only for deliberate long runs"
-        )
-    # malloc may keep the build's freed transients mapped, so the peaks add
-    footprint = _layout_bytes(code) + extra_bytes
-    if footprint > 3_500_000_000:
-        raise ResourceLimitError(
-            f"codebook tables would need ~{footprint / 1e9:.1f} GB"
-        )
-
-
 def _noise_block(seed: int, block_index: int, m: int, n: int, sigma: float) -> np.ndarray:
     key = np.array([seed, block_index], dtype=np.uint64)
     y = np.random.Generator(np.random.Philox(key=key)).standard_normal((m, n))
     y *= sigma
     y += 1.0  # in place, rounding exactly like 1.0 + sigma * z
     return y
-
-
-# --- single-trial reference decoders ----------------------------------------
-
-
-def _scores(code: LinearCode, y: np.ndarray) -> np.ndarray:
-    """Support score of every codeword, in message order."""
-    cw, y = _layout(code).cw, np.asarray(y, dtype=np.float64)
-    out = np.empty(len(cw))
-    for lo in range(0, len(cw), _TILE):
-        out[lo : lo + _TILE] = _tile_bits(cw[lo : lo + _TILE], code.n) @ y
-    return out
-
-
-def _check_received(code: LinearCode, y, d_star: int, max_k: int) -> tuple[np.ndarray, int]:
-    """Guard a reference decode, then check its received vector and radius."""
-    _guard(code, 1, max_k, 1 << 62, _reference_bytes(code))
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (code.n,):
-        raise ValidationError(f"received vector must have shape ({code.n},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValidationError("received vector must be finite")
-    d_star = operator.index(d_star)
-    if not 0 <= d_star <= code.n:
-        raise ValidationError(f"need 0 <= d_star <= n, got {d_star}")
-    return y, d_star
-
-
-def ml_decode(code: LinearCode, y, *, max_k: int = 26) -> int:
-    """Brute-force ML decoding: smallest message index among the
-    Euclidean-nearest codewords (argmin of the support score)."""
-    y, _ = _check_received(code, y, 0, max_k)
-    return int(np.argmin(_scores(code, y)))
-
-
-def _hard_mask(y: np.ndarray) -> int:
-    # Algorithm step S1 boundary rule: y_t <= 0 maps to bit 1
-    mask = 0
-    for t in range(len(y)):
-        if y[t] <= 0.0:
-            mask |= 1 << t
-    return mask
-
-
-def _list_winner(cw: np.ndarray, scores: np.ndarray, hard: int, d_star: int) -> int | None:
-    """Lowest-score codeword within Hamming distance d_star of the hard
-    decision, smallest message on ties; None when the list is empty."""
-    winner, mask = None, _as_words(hard, cw.shape[1])
-    for lo in range(0, len(cw), _TILE):
-        members = lo + np.flatnonzero(_weights(cw[lo : lo + _TILE] ^ mask) <= d_star)
-        if members.size:
-            best = int(members[np.argmin(scores[members])])
-            if winner is None or scores[best] < scores[winner]:
-                winner = best
-    return winner
-
-
-def list_decode(code: LinearCode, y, d_star: int, *, max_k: int = 26) -> int | None:
-    """Hard-decision list decoding: collect codewords within Hamming
-    distance d_star of the hard-decision word, return the Euclidean-nearest
-    list member (smallest message index on ties), or None when the list is
-    empty (declared decoding failure)."""
-    y, d_star = _check_received(code, y, d_star, max_k)
-    return _list_winner(_layout(code).cw, _scores(code, y), _hard_mask(y), d_star)
-
-
-def decode_trial(code: LinearCode, y, d_star: int, *, max_k: int = 26) -> TrialOutcome:
-    """Full per-trial record for the all-zero transmission (reference path;
-    the batch engine in simulate() reproduces these outcomes with pruning)."""
-    y, d_star = _check_received(code, y, d_star, max_k)
-    cw = _layout(code).cw
-    scores = _scores(code, y)
-    winner = int(np.argmin(scores))
-    best = scores[winner]
-    ml_tie = int(np.count_nonzero(scores == best)) >= 2
-    word_error = winner != 0
-    bit_errors = winner.bit_count()
-    competitor_weight = int(np.bitwise_count(cw[winner]).sum()) if word_error else None
-
-    hard = _hard_mask(y)
-    hard_weight = hard.bit_count()
-    if hard_weight > d_star:
-        outcome = ListOutcome.NOT_IN_LIST
-    else:
-        list_winner = _list_winner(cw, scores, hard, d_star)
-        outcome = (
-            ListOutcome.CORRECT_IN_LIST_WON
-            if list_winner == 0
-            else ListOutcome.CORRECT_IN_LIST_LOST
-        )
-    return TrialOutcome(
-        ml_word_error=word_error,
-        ml_bit_errors=bit_errors,
-        hard_decision_weight=hard_weight,
-        list_outcome=outcome,
-        nearest_competitor_weight=competitor_weight,
-        ml_tie=ml_tie,
-    )
 
 
 # --- batch engine ------------------------------------------------------------
@@ -488,9 +333,22 @@ def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
     workers = operator.index(workers)
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    scan_bytes = workers * _scan_bytes(cfg.code, cfg.trials)
-    _guard(cfg.code, cfg.trials, cfg.max_k_for_ml, cfg.work_limit, scan_bytes)
-    layout = _layout(cfg.code)
+    code = cfg.code
+    if code.k > cfg.max_k_for_ml:
+        raise ResourceLimitError(
+            f"ML decoding over 2^{code.k} codewords exceeds the k <= {cfg.max_k_for_ml} guard"
+        )
+    work = (1 << code.k) * cfg.trials
+    if work > cfg.work_limit:
+        raise ResourceLimitError(
+            f"2^k * trials = {work:.3e} exceeds the work limit {cfg.work_limit:.3e}; "
+            "raise work_limit only for deliberate long runs"
+        )
+    # malloc may keep the build's freed transients mapped, so the peaks add
+    footprint = _layout_bytes(code) + workers * _scan_bytes(code, cfg.trials)
+    if footprint > 3_500_000_000:
+        raise ResourceLimitError(f"codebook tables would need ~{footprint / 1e9:.1f} GB")
+    layout = _layout(code)
 
     starts = range(0, cfg.trials, BLOCK)
     blocks = [(lo // BLOCK, min(BLOCK, cfg.trials - lo)) for lo in starts]
@@ -500,11 +358,11 @@ def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
         for counters in pool.map(lambda sb: _run_superblock(layout, cfg, sb), superblocks):
             total.merge(counters)
 
-    rate = cfg.code.k / cfg.code.n
+    rate = code.k / code.n
     snr_db = -10.0 * math.log10(2.0 * rate * cfg.sigma * cfg.sigma)
     return SimReport(
-        n=cfg.code.n,
-        k=cfg.code.k,
+        n=code.n,
+        k=code.k,
         sigma=float(cfg.sigma),
         snr_db=snr_db,
         d_star=int(cfg.d_star),

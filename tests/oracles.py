@@ -1,5 +1,6 @@
-"""Independent oracles for tests: scalar per-weight bound terms, the radius
-scan over them, the Gray-code codebook sweep and full-codebook ML counters.
+"""Independent oracles for tests: the log-space binomial tail, scalar
+per-weight bound terms, the radius scan over them, the Gray-code codebook
+sweep and full-codebook ML counters.
 
 The library evaluates every bound as one vectorized radius scan and walks
 the codebook in numpy chunks.  These are the plain scalar forms of the same
@@ -14,6 +15,7 @@ import operator
 from typing import Callable, Mapping
 
 import numpy as np
+from scipy import special
 
 from mlbounds.bounds import ThetaPolicy
 from mlbounds.errors import ValidationError
@@ -21,11 +23,45 @@ from mlbounds.numerics import (
     ChannelPoint,
     TripletGeometry,
     angle_upper_bound,
-    binomial_tail,
     q_function,
     triplet_probability,
 )
 from mlbounds.spectrum import InputOutputSpectrum, LinearCode, SpectrumKind, WeightSpectrum
+
+
+def binomial_tail(p: float, n_total: int, n_low: int, n_high: int) -> float:
+    """Sum of Binomial(n_total, p) probabilities over m in [n_low, n_high].
+
+    The range is clamped to [0, n_total]; an empty clamped range gives 0.
+    For n_total <= 0 the distribution is degenerate at m = 0, so the value is
+    1 exactly when n_low <= 0 <= n_high and 0 otherwise.  Terms are formed in
+    log space (log-gamma coefficients, log-sum-exp) so the sum keeps relative
+    accuracy when every term underflows a direct product.
+    """
+    n_total = operator.index(n_total)
+    n_low = operator.index(n_low)
+    n_high = operator.index(n_high)
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"crossover probability must be in [0, 1], got {p!r}")
+    if n_total <= 0:
+        return 1.0 if n_low <= 0 <= n_high else 0.0
+    lo = max(0, n_low)
+    hi = min(n_total, n_high)
+    if lo > hi:
+        return 0.0
+    if p == 0.0:
+        return 1.0 if lo == 0 else 0.0
+    if p == 1.0:
+        return 1.0 if hi == n_total else 0.0
+    m = np.arange(lo, hi + 1, dtype=np.float64)
+    log_terms = (
+        special.gammaln(n_total + 1.0)
+        - special.gammaln(m + 1.0)
+        - special.gammaln(n_total - m + 1.0)
+        + m * math.log(p)
+        + (n_total - m) * math.log1p(-p)
+    )
+    return min(1.0, float(np.exp(special.logsumexp(log_terms))))
 
 
 def _check_term_args(a_d: float, d: int, d_star: int, n: int) -> tuple[int, int, int]:

@@ -37,7 +37,6 @@ from mlbounds.errors import ValidationError
 from mlbounds.numerics import (
     ChannelPoint,
     TripletGeometry,
-    binomial_tail,
     q_function,
     triplet_probability,
 )
@@ -50,7 +49,7 @@ from mlbounds.spectrum import (
     macwilliams_transform,
     store_spectrum,
 )
-from oracles import pairwise_term, triplet_term
+from oracles import binomial_tail, pairwise_term, triplet_term
 
 GRID_0_10 = [0.25 * i for i in range(41)]
 GRID_0_8 = [0.25 * i for i in range(33)]

@@ -1,6 +1,6 @@
 """Bound assembly tests.
 
-The scalar kernels (q_function, binomial_tail) are oracle-checked in
+The scalar kernels (q_function and the oracle binomial_tail) are checked in
 test_numerics; here every whole-curve bound is checked against manual
 composition of those kernels at forced radii, and the ordering claims
 (word <= truncated union <= union, bit <= word, results below 1) are
@@ -25,7 +25,6 @@ from mlbounds import (
     UnionBoundProvider,
     ValidationError,
     WeightSpectrum,
-    binomial_tail,
     bit_error_bound,
     ensemble_average,
     enumerate_spectrum,
@@ -38,7 +37,14 @@ from mlbounds import (
     word_error_bound,
 )
 from mlbounds.codes import bch_15_7, hamming_7_4, repetition_code
-from oracles import h_prime_term, h_term, optimize_dstar, pairwise_term, triplet_term
+from oracles import (
+    binomial_tail,
+    h_prime_term,
+    h_term,
+    optimize_dstar,
+    pairwise_term,
+    triplet_term,
+)
 
 
 def ch(sigma):

@@ -19,7 +19,6 @@ deliberate output change, and say why in CHANGES.md:
 """
 
 import hashlib
-import io
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -27,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from mlbounds.bounds import BoundVariant, FileBoundProvider, ThetaPolicy
-from mlbounds.cli import CurveRequest, _snr_grid, _write_curve, compute_curve, main
+from mlbounds.cli import CurveRequest, _format_curve, _snr_grid, compute_curve, main
 from mlbounds.spectrum import ensemble_average, enumerate_spectrum, load_generator
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,9 +91,7 @@ def curve_digest(source, variant, policy, table_dir) -> str:
     curve = compute_curve(
         CurveRequest(variant, spectrum, *GRID, theta_policy=policy, base_provider=provider)
     )
-    buffer = io.StringIO()
-    _write_curve(curve, buffer)
-    return hashlib.sha256(buffer.getvalue().encode("utf-8")).hexdigest()
+    return hashlib.sha256(_format_curve(curve).encode("utf-8")).hexdigest()
 
 
 def _load_goldens(path=GOLDEN) -> dict[str, str]:

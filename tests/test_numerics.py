@@ -3,9 +3,11 @@
 Each reference value is produced by an oracle that shares no code with the
 implementation: adaptive quadrature of the defining integral for Q, exact
 rational recursion for binomial tails, and plain 2D Monte Carlo for the
-two-half-plane probability.
+two-half-plane probability.  The log-space binomial tail checked here is
+itself a test oracle (tests/oracles.py): the bound tests compose it by hand.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,16 +15,17 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from mlbounds.codes import bch_15_7, bch_31_21, bch_31_26, hamming_7_4, toy_code_10_5
 from mlbounds.errors import ValidationError
 from mlbounds.numerics import (
     ChannelPoint,
     SnrConvention,
     TripletGeometry,
     angle_upper_bound,
-    binomial_tail,
     q_function,
     triplet_probability,
 )
+from oracles import binomial_tail
 
 
 def q_oracle(x: float) -> float:
@@ -177,6 +180,28 @@ class TestAngleUpperBound:
         with pytest.raises(ValidationError):
             angle_upper_bound(3, 9, 8)
 
+    @pytest.mark.parametrize(
+        "code",
+        [hamming_7_4(), toy_code_10_5(), bch_15_7(), bch_31_21().dual(), bch_31_26().dual()],
+        ids=["hamming_7_4", "toy_10_5", "bch_15_7", "dual_31_21", "dual_31_26"],
+    )
+    def test_caps_every_equal_weight_codeword_pair(self, code):
+        # brute-force oracle for the tight theta policy: the decision
+        # half-planes of weight-d codewords a, b have normals at angle
+        # arccos(|a & b| / d), and the cap must cover the widest such pair
+        classes: dict[int, list[int]] = {}
+        for msg in range(1, 1 << code.k):
+            word = code.encode(msg)
+            classes.setdefault(word.bit_count(), []).append(word)
+        checked = 0
+        for d, words in classes.items():
+            if len(words) < 2:
+                continue
+            overlap = min((a & b).bit_count() for a, b in itertools.combinations(words, 2))
+            assert math.acos(overlap / d) <= angle_upper_bound(d, d, code.n)
+            checked += 1
+        assert checked
+
 
 class TestTripletProbability:
     def test_right_angle_closed_form(self):
@@ -227,13 +252,6 @@ class TestTripletProbability:
             TripletGeometry(d=2, n=8, theta=math.pi / 2 + 1e-9)
         with pytest.raises(ValidationError):
             triplet_probability(TripletGeometry(d=2, n=8, theta=1.0), 0.0)
-
-    def test_from_code_weights_applies_angle_cap(self):
-        low = TripletGeometry.from_code_weights(2, 16)
-        assert low.theta == math.pi / 2
-        high = TripletGeometry.from_code_weights(14, 16)
-        assert high.theta == pytest.approx(2.0 * math.acos(math.sqrt(14 / 16)), rel=1e-15)
-        assert high.theta < math.pi / 2
 
 
 class TestChannelPoint:

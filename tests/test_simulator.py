@@ -1,8 +1,8 @@
 """Simulator tests.
 
-The batch engine prunes weight classes; the oracle here is a deliberately
-naive per-message loop (encode every message, sum the support samples), and
-the two must agree trial by trial on the same noise.
+The batch engine prunes weight classes and scans them in tiles; the oracle
+(oracles.ml_counters) scores the public encoder's whole codebook against
+every trial, and the two must agree counter by counter on the same noise.
 """
 
 import json
@@ -13,49 +13,25 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import ml_counters
+from oracles import binomial_tail, ml_counters
 
 from mlbounds import (
     LinearCode,
-    ListOutcome,
     ResourceLimitError,
     SimConfig,
     ValidationError,
-    binomial_tail,
-    decode_trial,
-    list_decode,
-    ml_decode,
     q_function,
     simulate,
     wilson_interval,
 )
 from mlbounds import simulator
-from mlbounds.codes import bch_15_7, bch_31_21, hamming_7_4, repetition_code, toy_code_10_5
+from mlbounds.codes import bch_15_7, bch_31_21, hamming_7_4, toy_code_10_5
 from mlbounds.simulator import BLOCK, _layout, _noise_block
 
 # a [72, 5] code whose nonzero codewords all have bits in both 64-bit words
 CODE_72_5 = LinearCode(
     72, 5, tuple((1 << j) | (0b1011 << (62 + j)) | (0xF0F0F << (20 + 3 * j)) for j in range(5))
 )
-
-
-def naive_scores(code, y):
-    """Per-message support-sum scores via the public encoder only."""
-    out = []
-    for msg in range(1 << code.k):
-        cw = code.encode(msg)
-        out.append(sum(y[t] for t in range(code.n) if (cw >> t) & 1))
-    return out
-
-
-def naive_ml(code, y):
-    scores = naive_scores(code, y)
-    best = min(scores)
-    return scores.index(best), best, scores.count(best)
-
-
-def naive_hard_weight(y):
-    return sum(1 for v in y if v <= 0.0)
 
 
 def assert_counters(report, want):
@@ -114,192 +90,14 @@ class TestWilson:
             wilson_interval(7, 5)
 
 
-class TestMlDecode:
-    def test_noiseless_returns_transmitted(self):
-        code = hamming_7_4()
-        assert ml_decode(code, np.ones(7)) == 0
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(2024)
-        for code in (hamming_7_4(), toy_code_10_5(), repetition_code(5)):
-            for _ in range(300):
-                y = 1.0 + 1.0 * rng.standard_normal(code.n)
-                assert ml_decode(code, y) == naive_ml(code, y)[0]
-
-    def test_tie_breaks_to_smallest_index(self):
-        code = repetition_code(3)
-        # S(all-ones) = 1 + 1 - 2 = 0 ties the transmitted word
-        assert ml_decode(code, [1.0, 1.0, -2.0]) == 0
-
-    def test_guard(self):
-        with pytest.raises(ResourceLimitError):
-            ml_decode(hamming_7_4(), np.ones(7), max_k=3)
-
-    def test_rejects_bad_vector(self):
-        with pytest.raises(ValidationError):
-            ml_decode(hamming_7_4(), np.ones(6))
-        with pytest.raises(ValidationError):
-            ml_decode(hamming_7_4(), [1.0] * 6 + [float("nan")])
-
-
-class TestListDecode:
-    def test_full_radius_equals_ml(self):
-        rng = np.random.default_rng(7)
-        code = hamming_7_4()
-        for _ in range(200):
-            y = 1.0 + 1.2 * rng.standard_normal(7)
-            assert list_decode(code, y, 7) == ml_decode(code, y)
-
-    def test_zero_radius_noiseless_succeeds(self):
-        assert list_decode(hamming_7_4(), np.ones(7), 0) == 0
-
-    def test_empty_list_declares_failure(self):
-        # repetition: hard word 110 is at distance 2 from 000 and 1 from 111
-        code = repetition_code(3)
-        assert list_decode(code, [-0.5, -0.5, 0.4], 0) is None
-
-    def test_matches_restricted_naive_scan(self):
-        rng = np.random.default_rng(5)
-        code = toy_code_10_5()
-        for _ in range(200):
-            y = 1.0 + 1.0 * rng.standard_normal(10)
-            d_star = int(rng.integers(0, 11))
-            hard = sum(1 << t for t in range(10) if y[t] <= 0.0)
-            scores = naive_scores(code, y)
-            members = [
-                msg
-                for msg in range(1 << 5)
-                if bin(code.encode(msg) ^ hard).count("1") <= d_star
-            ]
-            if not members:
-                assert list_decode(code, y, d_star) is None
-            else:
-                want = min(members, key=lambda msg: (scores[msg], msg))
-                assert list_decode(code, y, d_star) == want
-
-    def test_ties_across_tiles_match_naive_scan(self, monkeypatch):
-        # 3-codeword tiles spread each list over many tiles and integer
-        # samples tie scores exactly: the merge must keep the smallest message
-        monkeypatch.setattr(simulator, "_TILE", 3)
-        rng = np.random.default_rng(11)
-        code = toy_code_10_5()
-        ties = 0
-        for _ in range(300):
-            y = rng.integers(-2, 4, size=10).astype(np.float64)
-            d_star = int(rng.integers(0, 11))
-            hard = sum(1 << t for t in range(10) if y[t] <= 0.0)
-            scores = naive_scores(code, y)
-            members = [
-                msg
-                for msg in range(1 << 5)
-                if bin(code.encode(msg) ^ hard).count("1") <= d_star
-            ]
-            want = min(members, key=lambda msg: (scores[msg], msg)) if members else None
-            ties += want is not None and sum(scores[m] == scores[want] for m in members) >= 2
-            assert list_decode(code, y, d_star) == want
-        assert ties > 50
-
-    def test_suboptimal_versus_ml(self):
-        rng = np.random.default_rng(99)
-        code = hamming_7_4()
-        ml_errors = 0
-        list_errors = 0
-        for _ in range(2000):
-            y = 1.0 + 1.0 * rng.standard_normal(7)
-            ml_errors += ml_decode(code, y) != 0
-            list_errors += list_decode(code, y, 2) != 0
-        assert list_errors >= ml_errors
-        assert ml_errors > 0
-
-
-class TestDecodeTrial:
-    def test_boundary_zero_sample_maps_to_one(self):
-        code = hamming_7_4()
-        y = np.ones(7)
-        y[3] = 0.0  # exactly on the threshold
-        out = decode_trial(code, y, 2)
-        assert out.hard_decision_weight == 1
-
-    def test_fields_match_naive_oracle(self):
-        rng = np.random.default_rng(31)
-        code = toy_code_10_5()
-        for _ in range(300):
-            y = 1.0 + 0.9 * rng.standard_normal(10)
-            d_star = int(rng.integers(0, 11))
-            out = decode_trial(code, y, d_star)
-            winner, best, n_best = naive_ml(code, y)
-            assert out.ml_word_error == (winner != 0)
-            assert out.ml_tie == (n_best >= 2)
-            assert out.hard_decision_weight == naive_hard_weight(y)
-            if out.ml_word_error:
-                assert out.ml_bit_errors == bin(winner).count("1")
-                assert out.nearest_competitor_weight == bin(code.encode(winner)).count("1")
-            else:
-                assert out.ml_bit_errors == 0
-                assert out.nearest_competitor_weight is None
-            assert (out.list_outcome is ListOutcome.NOT_IN_LIST) == (
-                out.hard_decision_weight > d_star
-            )
-
-    def test_case2_consistency(self):
-        # with the correct word in the list, the list decoder errs only if
-        # some list member strictly beats it
-        rng = np.random.default_rng(13)
-        code = hamming_7_4()
-        lost = 0
-        for _ in range(1500):
-            y = 1.0 + 1.1 * rng.standard_normal(7)
-            out = decode_trial(code, y, 3)
-            if out.list_outcome is ListOutcome.CORRECT_IN_LIST_LOST:
-                lost += 1
-                winner = list_decode(code, y, 3)
-                assert winner != 0
-                assert naive_scores(code, y)[winner] < 0.0
-            if not out.ml_word_error and out.list_outcome is not ListOutcome.NOT_IN_LIST:
-                assert out.list_outcome is ListOutcome.CORRECT_IN_LIST_WON
-        assert lost > 0
-
-    def test_crafted_tie_counted(self):
-        out = decode_trial(repetition_code(3), [1.0, 1.0, -2.0], 3)
-        assert out.ml_tie
-        assert not out.ml_word_error  # tie resolves to the transmitted word
-
-
 class TestSimulateEngine:
     def test_matches_trialwise_reference(self):
         code = hamming_7_4()
         cfg = SimConfig(code=code, sigma=1.0, d_star=2, trials=700, seed=424242)
-        report = simulate(cfg)
-
-        word = bits = exits = ties = 0
-        joint: dict[int, int] = {}
-        scores_cache = {}
-        for block in range((cfg.trials + BLOCK - 1) // BLOCK):
-            m = min(BLOCK, cfg.trials - block * BLOCK)
-            y_block = _noise_block(cfg.seed, block, m, code.n, cfg.sigma)
-            for row in range(m):
-                y = y_block[row]
-                out = decode_trial(code, y, cfg.d_star)
-                word += out.ml_word_error
-                bits += out.ml_bit_errors
-                exits += out.hard_decision_weight > cfg.d_star
-                ties += out.ml_tie
-                if out.hard_decision_weight <= cfg.d_star:
-                    scores = naive_scores(code, y)
-                    for d in (3, 4, 7):
-                        hit = any(
-                            scores[msg] < 0.0
-                            and bin(code.encode(msg)).count("1") == d
-                            for msg in range(1, 16)
-                        )
-                        if hit:
-                            joint[d] = joint.get(d, 0) + 1
-        assert report.word_errors == word
-        assert report.bit_errors == bits
-        assert report.region_exits == exits
-        assert report.ties == ties
-        assert report.joint_errors_by_weight == joint
-        del scores_cache
+        y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
+        want = ml_counters(code, y, cfg.d_star)
+        assert want["word_errors"] and want["region_exits"] and want["joint"]
+        assert_counters(simulate(cfg), want)
 
     def test_bit_reproducible_and_worker_invariant(self):
         cfg = SimConfig(code=toy_code_10_5(), sigma=0.9, d_star=3, trials=2500, seed=7)
@@ -367,32 +165,10 @@ class TestSimulateEngine:
     def test_long_code_matches_naive_oracle(self):
         code = CODE_72_5
         cfg = SimConfig(code=code, sigma=2.6, d_star=28, trials=300, seed=99)
-        report = simulate(cfg)
-        weights = [bin(code.encode(msg)).count("1") for msg in range(1 << code.k)]
-        word = bits = exits = ties = 0
-        joint: dict[int, int] = {}
-        y_block = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
-        for y in y_block:
-            winner, best, count = naive_ml(code, y)
-            out = decode_trial(code, y, cfg.d_star)
-            assert out.ml_word_error == (winner != 0)
-            assert out.nearest_competitor_weight == (weights[winner] if winner else None)
-            assert out.hard_decision_weight == naive_hard_weight(y)
-            word += winner != 0
-            bits += bin(winner).count("1")
-            ties += count >= 2
-            if naive_hard_weight(y) > cfg.d_star:
-                exits += 1
-                continue
-            scores = naive_scores(code, y)
-            for d in {weights[msg] for msg in range(1, 1 << code.k) if scores[msg] < 0.0}:
-                joint[d] = joint.get(d, 0) + 1
-        assert word > 0 and exits > 0 and joint
-        assert report.word_errors == word
-        assert report.bit_errors == bits
-        assert report.region_exits == exits
-        assert report.ties == ties
-        assert report.joint_errors_by_weight == joint
+        y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
+        want = ml_counters(code, y, cfg.d_star)
+        assert want["word_errors"] and want["region_exits"] and want["joint"]
+        assert_counters(simulate(cfg), want)
 
     def test_class_tiles_match_full_codebook_oracle(self):
         # at low SNR the scan reaches the big middle classes of [31, 18],
@@ -446,29 +222,6 @@ class TestSimulateEngine:
             "from mlbounds.simulator import SimConfig, _layout_bytes, _scan_bytes, simulate",
         )
         assert 0.5 <= ratio <= 1.0
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
-    def test_reference_decode_rss_within_guard(self):
-        # all samples negative and d* = n: every codeword is scored, tied
-        # against the winner and taken into the list
-        ratio = fresh_peak_ratio(
-            "decode_trial(code, np.full(31, -0.5), 31)",
-            "_layout_bytes(code) + _reference_bytes(code)",
-            "import numpy as np\n"
-            "from mlbounds.simulator import _layout_bytes, _reference_bytes, decode_trial",
-        )
-        assert 0.5 <= ratio <= 1.0
-
-    def test_reference_decoders_count_their_scores(self, monkeypatch):
-        # [200, 26]: the layout build alone passes the 3.5 GB guard, the
-        # score vector on top of it does not; nothing may be built
-        code = LinearCode(200, 26, tuple(1 << i for i in range(26)))
-        assert simulator._layout_bytes(code) < 3_500_000_000
-        monkeypatch.setattr(simulator, "_layout", None)
-        y = np.ones(200)
-        for decode, radius in ((ml_decode, ()), (list_decode, (5,)), (decode_trial, (5,))):
-            with pytest.raises(ResourceLimitError, match="GB"):
-                decode(code, y, *radius)
 
     def test_seed_changes_counters(self):
         base = dict(code=hamming_7_4(), sigma=1.0, d_star=2, trials=3000)
