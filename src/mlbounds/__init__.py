@@ -12,7 +12,6 @@ from .errors import (
 from .numerics import (
     ChannelPoint,
     SnrConvention,
-    TripletGeometry,
     angle_upper_bound,
     q_function,
     triplet_probability,

@@ -9,11 +9,12 @@ only the region-exit mass, which is always below 1.
 
 Cost per channel point: everything that does not depend on the radius (the
 Q values, the per-weight coefficient products and, under the tight
-theta-policy, one quadrature per weight) is computed once; the scan then
-only gathers binomial masses and sums.  Each variant builds only the
-binomial mass it reads: union builds no table, truncated-union and gfbt only
-the length-n+2 region-exit tail, and the refined variants add the 2-D prefix
-table, whose log-binomial coefficients are cached per code length.
+theta-policy, the Owen's-T factors of all weights above n/2 in one array
+call) is computed once; the scan then only gathers binomial masses and sums.
+Each variant builds only the binomial mass it reads: union builds no table,
+truncated-union and gfbt only the length-n+2 region-exit tail, and the
+refined variants add the 2-D prefix table, whose log-binomial coefficients
+are cached per code length.
 
 Numerical layout notes: per-weight terms are assembled in ascending weight
 order into equally sliced arrays for every variant and summed by one
@@ -38,13 +39,7 @@ import numpy as np
 from scipy import special
 
 from .errors import MlboundsError, ProviderLookupError, ValidationError
-from .numerics import (
-    ChannelPoint,
-    TripletGeometry,
-    angle_upper_bound,
-    q_function,
-    triplet_probability,
-)
+from .numerics import ChannelPoint, angle_upper_bound, q_function, triplet_probability
 from .spectrum import InputOutputSpectrum, SpectrumKind, WeightSpectrum, _content_lines
 
 __all__ = [
@@ -81,9 +76,9 @@ class ThetaPolicy(enum.Enum):
 
     CLOSED_FORM takes theta = pi/2, where the two-half-plane probability is
     exactly 2Q - Q^2.  TIGHT substitutes the angle cap 2*arccos(sqrt(d/n))
-    whenever that is below pi/2 (only possible for d > n/2), paying one
-    quadrature per such weight and channel point, shared by every radius of
-    the scan, for a slightly smaller factor.
+    whenever that is below pi/2 (only possible for d > n/2), where the
+    probability is Q + 2 T(sqrt(d)/sigma, tan(theta/2)) with T Owen's T
+    function; it is never larger, and equals 2Q - Q^2 again at pi/2.
     """
 
     CLOSED_FORM = "closed-form"
@@ -261,18 +256,17 @@ def _triplet_factors(
     arrays: _PointArrays, ch: ChannelPoint, theta_policy: ThetaPolicy
 ) -> np.ndarray:
     """Half the two-half-plane probability per weight: Q - Q^2/2 at the
-    closed-form angle, or the quadrature value at the capped angle when the
-    tight policy actually improves on pi/2."""
+    closed-form angle, or (Q + 2 T(h, tan(theta/2)))/2 at the capped angle
+    theta for the weights where the tight policy improves on pi/2, all of
+    them in one triplet_probability call."""
     q = arrays.q
     factors = q - 0.5 * q * q
     if theta_policy is ThetaPolicy.TIGHT:
         # theta == 0 only at d == n where at most one codeword exists and the
         # factor is multiplied by zero anyway; keep the closed form there.
-        for idx, d in enumerate(arrays.ds):
-            theta = angle_upper_bound(int(d), int(d), arrays.n)
-            if 0.0 < theta < 0.5 * math.pi:
-                geom = TripletGeometry(int(d), arrays.n, theta)
-                factors[idx] = 0.5 * triplet_probability(geom, ch.sigma)
+        theta = angle_upper_bound(arrays.ds, arrays.ds, arrays.n)
+        capped = (theta > 0.0) & (theta < 0.5 * math.pi)
+        factors[capped] = 0.5 * triplet_probability(arrays.ds[capped], theta[capped], ch.sigma)
     return factors
 
 
@@ -451,15 +445,20 @@ def bit_error_bound(
         )
     k = iowe.k
     marginal = iowe.weight_spectrum()
+    # A'_d and i^ of every weight in one pass over the IOWE in (i, d) order:
+    # each A'_d sums in ascending i, and the last i with a positive count is
+    # the largest
+    a_prime = [0.0] * (iowe.n + 1)
+    i_hat = [0] * (iowe.n + 1)
+    for i, d in sorted(iowe.counts):
+        count = iowe.counts[i, d]
+        a_prime[d] += (i / k) * count
+        if count > 0.0:
+            i_hat[d] = i
     probe = _probe_range(marginal, d_star, d_star_max)
     arrays = _PointArrays(marginal, ch)
-    a_prime = np.zeros(len(arrays.ds))
-    i_hat_frac = np.zeros(len(arrays.ds))
-    for idx, d in enumerate(arrays.ds):
-        profile = iowe.slice(int(d))
-        a_prime[idx] = sum((i / k) * profile[i] for i in sorted(profile))
-        i_hat_frac[idx] = max(i for i, c in profile.items() if c > 0.0) / k
-    single_coef = a_prime * arrays.q
+    single_coef = np.array(a_prime)[arrays.ds] * arrays.q
+    i_hat_frac = np.array(i_hat)[arrays.ds] / k
     paired_coef = (arrays.a - 1.0) * _triplet_factors(arrays, ch, theta_policy)
 
     def terms(cut: int, radius: int) -> np.ndarray:

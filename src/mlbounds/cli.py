@@ -379,9 +379,20 @@ def _unique_labels(paths) -> list[str]:
     return labels
 
 
+def _is_real(value) -> bool:
+    """A finite JSON number; bool is an int subclass but not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _load_sim_points(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    """Simulation report points with every field compare reads checked:
+    finite numbers for snr_db, sigma and the rates, [lo, hi] pairs for the
+    intervals, and the bit rate and interval present together or not at all."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise ValidationError(f"{path}: not a JSON simulation report: {exc}") from None
     if isinstance(payload, dict):
         payload = [payload]
     if not isinstance(payload, list) or not all(isinstance(p, dict) for p in payload):
@@ -390,6 +401,21 @@ def _load_sim_points(path) -> list[dict]:
         for field in ("snr_db", "sigma", "word_error_rate", "word_error_ci"):
             if field not in point:
                 raise ValidationError(f"{path}: report missing field {field!r}")
+        if ("bit_error_rate" in point) != ("bit_error_ci" in point):
+            raise ValidationError(f"{path}: bit_error_rate and bit_error_ci must come together")
+        for field in ("snr_db", "sigma", "word_error_rate", "bit_error_rate"):
+            if field in point and not _is_real(point[field]):
+                raise ValidationError(
+                    f"{path}: {field} must be a finite number, got {point[field]!r}"
+                )
+        for field in ("word_error_ci", "bit_error_ci"):
+            ci = point.get(field)
+            if field in point and not (
+                isinstance(ci, list) and len(ci) == 2 and all(map(_is_real, ci))
+            ):
+                raise ValidationError(
+                    f"{path}: {field} must be a [lo, hi] pair of finite numbers, got {ci!r}"
+                )
     return payload
 
 

@@ -1,5 +1,7 @@
-"""Scalar kernels shared by every bound: the Gaussian tail, the angle cap
-and the two-half-plane ("triplet") probability.
+"""Kernels shared by every bound: the Gaussian tail, the angle cap and the
+two-half-plane ("triplet") probability.  Each is a closed form in Q and
+Owen's T function and accepts numpy arrays, so a bound evaluates all its
+weights in one call.
 
 Conventions: BPSK maps bit 0 to +1 and bit 1 to -1 with unit symbol energy,
 the channel adds N(0, sigma^2) per dimension, and p_b = Q(1/sigma) is the
@@ -15,7 +17,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy import special
 
 from .errors import ValidationError
@@ -23,7 +24,6 @@ from .errors import ValidationError
 __all__ = [
     "SnrConvention",
     "ChannelPoint",
-    "TripletGeometry",
     "q_function",
     "angle_upper_bound",
     "triplet_probability",
@@ -44,18 +44,19 @@ def q_function(x):
     return 0.5 * special.erfc(x / _SQRT2)
 
 
-def angle_upper_bound(d1: int, d2: int, n: int) -> float:
+def angle_upper_bound(d1, d2, n: int):
     """Largest separation angle between the decision half-planes of two
     weight-d1 and weight-d2 competitors in a length-n code:
     min(pi/2, arccos(sqrt(d1/n)) + arccos(sqrt(d2/n))).
+
+    d1 and d2 are integers or integer arrays, broadcast together.
     """
     n = operator.index(n)
-    d1 = operator.index(d1)
-    d2 = operator.index(d2)
-    if n < 1 or not (1 <= d1 <= n) or not (1 <= d2 <= n):
+    d1, d2 = np.asarray(d1), np.asarray(d2)
+    if n < 1 or not all(d.dtype.kind in "iu" and np.all((d >= 1) & (d <= n)) for d in (d1, d2)):
         raise ValidationError(f"need 1 <= d1, d2 <= n, got d1={d1}, d2={d2}, n={n}")
-    total = math.acos(math.sqrt(d1 / n)) + math.acos(math.sqrt(d2 / n))
-    return min(_HALF_PI, total)
+    total = np.arccos(np.sqrt(d1 / n)) + np.arccos(np.sqrt(d2 / n))
+    return np.minimum(_HALF_PI, total)
 
 
 class SnrConvention(enum.Enum):
@@ -106,8 +107,7 @@ class ChannelPoint:
     ) -> "ChannelPoint":
         snr_db = float(snr_db)
         if convention is SnrConvention.SIGMA:
-            point = cls.from_sigma(snr_db)
-            return point
+            return cls.from_sigma(snr_db)
         snr_lin = 10.0 ** (snr_db / 10.0)
         if convention is SnrConvention.EBN0_DB:
             if rate is None or not 0.0 < rate <= 1.0:
@@ -121,92 +121,30 @@ class ChannelPoint:
         return cls(sigma, float(q_function(1.0 / sigma)), snr_db, convention)
 
 
-@dataclass(frozen=True)
-class TripletGeometry:
-    """Two competitors at equal distance sqrt(d) from the transmitted point,
-    decision half-plane normals separated by theta, ambient length n.
-    """
-
-    d: int
-    n: int
-    theta: float
-
-    def __post_init__(self):
-        d = operator.index(self.d)
-        n = operator.index(self.n)
-        if not 1 <= d <= n:
-            raise ValidationError(f"need 1 <= d <= n, got d={d}, n={n}")
-        if not (0.0 < self.theta <= _HALF_PI):
-            raise ValidationError(f"theta must lie in (0, pi/2], got {self.theta!r}")
-
-
-# 20-point panels make the half/whole comparison a practical error estimate
-# for analytic integrands while staying cheap per subdivision.
-_GL_NODES, _GL_WEIGHTS = leggauss(20)
-
-
-def _gl_panel(f, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(_GL_WEIGHTS, f(mid + half * _GL_NODES)))
-
-
-def _adaptive_gauss_legendre(f, a: float, b: float, atol: float, rtol: float,
-                             max_depth: int = 48) -> float:
-    """Adaptive bisection with Gauss-Legendre panels.
-
-    A panel is accepted when splitting it in two changes the estimate by
-    less than max(atol, rtol*|refined|); the refined value is returned.
-    """
-
-    def recurse(lo: float, hi: float, whole: float, atol: float, depth: int) -> float:
-        mid = 0.5 * (lo + hi)
-        left = _gl_panel(f, lo, mid)
-        right = _gl_panel(f, mid, hi)
-        refined = left + right
-        if depth <= 0 or abs(refined - whole) <= max(atol, rtol * abs(refined)):
-            return refined
-        half_tol = 0.5 * atol
-        return recurse(lo, mid, left, half_tol, depth - 1) + recurse(
-            mid, hi, right, half_tol, depth - 1
-        )
-
-    return recurse(a, b, _gl_panel(f, a, b), atol, max_depth)
-
-
-def triplet_probability(geom: TripletGeometry, sigma: float) -> float:
+def triplet_probability(d, theta, sigma: float):
     """Probability that N(0, sigma^2 I_2) noise lands in the union of two
-    half-planes at signed distance sqrt(d), normals theta apart.
+    half-planes at distance sqrt(d) from the origin, normals theta apart.
 
-    Decomposes as the first half-plane plus the part of the second one not
-    already covered:
+    d (integers >= 1) and theta (in (0, pi/2]) are scalars or arrays,
+    broadcast together.  With h = sqrt(d)/sigma the mass is
 
-        Q(sqrt(d)/sigma)
-        + int_{sqrt(d)}^{inf} phi_sigma(x) Phi_sigma((sqrt(d) - x cos t)/sin t) dx
+        Q(h) + 2 T(h, tan(theta/2)),
 
-    The outer integral is truncated at sqrt(d) + 10*sigma (the remainder is
-    below exp(-50) of the leading term) and evaluated with adaptive
-    Gauss-Legendre panels to 1e-12 absolute and relative tolerance; the
-    inner integral is the closed-form normal CDF.  The result is
-    non-decreasing in theta, equals 2Q - Q^2 at theta = pi/2, and is always
-    bracketed by [Q, 2Q].
+    where T is Owen's T function (D. B. Owen, Ann. Math. Statist. 1956): the
+    first half-plane plus the part of the second one outside it.  At
+    theta = pi/2, T(h, 1) = Q(h)(1 - Q(h))/2 and the mass is 2Q - Q^2.  The
+    value is non-decreasing in theta and bracketed by [Q, 2Q].  Against a
+    60-digit mpmath quadrature it is within 1e-13 relative wherever it
+    exceeds 1e-30, except for 3.36 < h < 3.4, where scipy's owens_t changes
+    method and the error reaches 2.1e-13; within 1e-10 down to 1e-250.
     """
+    d = np.asarray(d)
+    theta = np.asarray(theta, dtype=np.float64)
+    if d.dtype.kind not in "iu" or np.any(d < 1):
+        raise ValidationError(f"need integer weights d >= 1, got {d!r}")
+    if not np.all((theta > 0.0) & (theta <= _HALF_PI)):
+        raise ValidationError(f"theta must lie in (0, pi/2], got {theta!r}")
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
-    sd = math.sqrt(geom.d)
-    q1 = float(q_function(sd / sigma))
-    cos_t = math.cos(geom.theta)
-    sin_t = math.sin(geom.theta)
-    inv_sigma = 1.0 / sigma
-    pdf_norm = inv_sigma / math.sqrt(2.0 * math.pi)
-
-    def integrand(x):
-        upper = (sd - x * cos_t) / sin_t
-        pdf = pdf_norm * np.exp(-0.5 * (x * inv_sigma) ** 2)
-        cdf = 0.5 * special.erfc(-upper * inv_sigma / _SQRT2)
-        return pdf * cdf
-
-    overlap = _adaptive_gauss_legendre(
-        integrand, sd, sd + 10.0 * sigma, atol=1e-12, rtol=1e-12
-    )
-    return q1 + overlap
+    h = np.sqrt(d.astype(np.float64)) / sigma
+    return q_function(h) + 2.0 * special.owens_t(h, np.tan(0.5 * theta))

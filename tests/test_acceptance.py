@@ -36,7 +36,6 @@ from mlbounds.codes import bch_15_7, bch_31_21, hamming_7_4, toy_code_10_5
 from mlbounds.errors import ValidationError
 from mlbounds.numerics import (
     ChannelPoint,
-    TripletGeometry,
     q_function,
     triplet_probability,
 )
@@ -215,9 +214,7 @@ def test_04_triplet_integral_properties():
     for d in range(1, 11):
         for sigma in (0.5, 1.0, 2.0):
             q = float(q_function(math.sqrt(d) / sigma))
-            at_right_angle = triplet_probability(
-                TripletGeometry(d, 10, 0.5 * math.pi), sigma
-            )
+            at_right_angle = float(triplet_probability(d, 0.5 * math.pi, sigma))
             closed = 2.0 * q - q * q
             worst_closed = max(worst_closed, rel_diff(at_right_angle, closed))
             if rel_diff(at_right_angle, closed) > 1e-10:
@@ -225,10 +222,7 @@ def test_04_triplet_integral_properties():
                     f"d={d} sigma={sigma}: pi/2 value {at_right_angle!r} vs 2Q-Q^2 {closed!r}"
                 )
             thetas = np.linspace(0.03, 0.5 * math.pi, 30)
-            values = [
-                triplet_probability(TripletGeometry(d, 10, float(t)), sigma)
-                for t in thetas
-            ]
+            values = triplet_probability(d, thetas, sigma).tolist()
             for left, right in zip(values, values[1:]):
                 if right < left:
                     failures.append(f"d={d} sigma={sigma}: not monotone ({left}>{right})")

@@ -387,6 +387,28 @@ class TestCompositionAtForcedRadii:
                 ) + binomial_tail(point.p_b, 7, d_star + 1, 7)
                 assert rel_close(res.value, want)
 
+    def test_tight_matches_quadrature_oracle(self):
+        # the library's Owen's-T factors against the scalar oracle terms,
+        # whose tight factor integrates the defining integral instead
+        tight = ThetaPolicy.TIGHT
+        for spec in (HAMMING, BCH15):
+            n = spec.n
+            for point in self.POINTS:
+                for d_star in (2, 3, n // 2, n):
+                    triplet = triplet_error_bound(spec, point, theta_policy=tight, d_star=d_star)
+                    word = word_error_bound(spec, point, theta_policy=tight, d_star=d_star)
+                    tail = binomial_tail(point.p_b, n, d_star + 1, n)
+                    kept = [d for d in spec.weights() if d <= 2 * d_star]
+                    want_triplet = tail + sum(
+                        triplet_term(int(spec.count(d)), d, d_star, n, point, tight)
+                        for d in kept
+                    )
+                    want_word = tail + sum(
+                        h_term(spec.count(d), d, d_star, n, point, tight) for d in kept
+                    )
+                    assert rel_close(triplet.value, want_triplet, 1e-11)
+                    assert rel_close(word.value, want_word, 1e-11)
+
     def test_word_matches_scalar_terms_on_ensemble(self):
         ens = ensemble_average(20, 10)
         point = ch(1.0)
@@ -456,15 +478,21 @@ class TestRadiusScanWork:
     ENS = ensemble_average(100, 50)
     POINT = ChannelPoint.from_snr_db(2.0, rate=0.5)
 
-    def test_tight_quadrature_once_per_weight(self, monkeypatch):
+    def test_tight_point_does_no_per_weight_python_work(self, monkeypatch):
+        # one vectorized triplet_probability call per point covers every
+        # weight with a capped angle below pi/2, and bit reads no IOWE slices
         calls = []
         real = bounds.triplet_probability
 
-        def counting(geom, sigma):
-            calls.append(geom.d)
-            return real(geom, sigma)
+        def counting(d, theta, sigma):
+            calls.append(np.asarray(d).tolist())
+            return real(d, theta, sigma)
+
+        def refuse(iowe, d):
+            raise AssertionError("per-weight IOWE slice")
 
         monkeypatch.setattr(bounds, "triplet_probability", counting)
+        monkeypatch.setattr(InputOutputSpectrum, "slice", refuse)
         # only 50 < d < 100 have a capped angle below pi/2
         heavy = [d for d in self.ENS.weights() if 50 < d < 100]
         assert len(heavy) == 49
@@ -475,7 +503,12 @@ class TestRadiusScanWork:
         for fn, spec in ((word_error_bound, self.ENS), (triplet_error_bound, integer)):
             calls.clear()
             fn(spec, self.POINT, theta_policy=ThetaPolicy.TIGHT)
-            assert sorted(calls) == heavy
+            assert calls == [heavy]
+        calls.clear()
+        bit_error_bound(
+            enumerate_spectrum(bch_15_7()), ch(1.0), theta_policy=ThetaPolicy.TIGHT
+        )
+        assert calls == [[8, 9, 10]]  # bch_15_7 weights above 15/2, below 15
 
     def test_union_builds_no_table_and_truncated_union_no_prefix(self, monkeypatch):
         built = []

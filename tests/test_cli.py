@@ -564,6 +564,46 @@ class TestCompareCommand:
         assert code == EXIT_VALIDATION
         assert "exceeds the tightest word bound" in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"word_error_ci": [0.01]},
+            {"word_error_rate": "0.02"},
+            {"word_error_ci": "0.01,0.03"},
+            {"bit_error_ci": [0.001, 0.002]},
+            {"sigma": True},
+            {"snr_db": float("nan")},
+        ],
+        ids=["short-ci", "string-rate", "string-ci", "bit-ci-without-rate", "bool-sigma",
+             "nan-snr"],
+    )
+    def test_malformed_sim_field_exits_2(self, capsys, curves, tmp_path, edit):
+        union, _ = curves
+        grid_row = parse_csv(union.read_text())[2][1]
+        point = {
+            "snr_db": 2.0,
+            "sigma": float(grid_row["sigma"]),
+            "word_error_rate": 0.02,
+            "word_error_ci": [0.01, 0.03],
+            **edit,
+        }
+        sim = tmp_path / "edited.json"
+        sim.write_text(json.dumps([point]))
+        code, out, err = run(
+            capsys, "compare", "--curve", str(union), "--sim", str(sim),
+            "--assert-dominance",
+        )
+        assert code == EXIT_VALIDATION
+        assert f"{sim}: " in err and next(iter(edit)) in err
+
+    def test_sim_file_that_is_not_json_exits_2(self, capsys, curves, tmp_path):
+        union, _ = curves
+        sim = tmp_path / "truncated.json"
+        sim.write_text('[{"snr_db": 2.0,')
+        code, out, err = run(capsys, "compare", "--curve", str(union), "--sim", str(sim))
+        assert code == EXIT_VALIDATION
+        assert f"{sim}: not a JSON simulation report" in err
+
     def test_bit_curves_check_bit_rates_not_word_rates(self, capsys, curves, tmp_path):
         # the simulated word rate may exceed a bit bound; that must not be
         # flagged, while an impossible bit rate against the bit curve must be

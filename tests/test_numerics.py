@@ -2,15 +2,19 @@
 
 Each reference value is produced by an oracle that shares no code with the
 implementation: adaptive quadrature of the defining integral for Q, exact
-rational recursion for binomial tails, and plain 2D Monte Carlo for the
-two-half-plane probability.  The log-space binomial tail checked here is
-itself a test oracle (tests/oracles.py): the bound tests compose it by hand.
+rational recursion for binomial tails, and for the two-half-plane
+probability plain 2D Monte Carlo, a 60-digit mpmath quadrature of its
+Owen's-T form and the float Gauss-Legendre quadrature of its defining
+integral.  The log-space binomial tail and that Gauss-Legendre quadrature
+are themselves test oracles (tests/oracles.py): the bound tests compose them
+by hand.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -20,12 +24,11 @@ from mlbounds.errors import ValidationError
 from mlbounds.numerics import (
     ChannelPoint,
     SnrConvention,
-    TripletGeometry,
     angle_upper_bound,
     q_function,
     triplet_probability,
 )
-from oracles import binomial_tail
+from oracles import binomial_tail, triplet_probability_quadrature
 
 
 def q_oracle(x: float) -> float:
@@ -207,10 +210,9 @@ class TestTripletProbability:
     def test_right_angle_closed_form(self):
         for d in (1, 4, 10):
             for sigma in (0.5, 1.0, 2.0):
-                geom = TripletGeometry(d=d, n=4 * d, theta=math.pi / 2)
                 q = float(q_function(math.sqrt(d) / sigma))
                 want = 2.0 * q - q * q
-                got = triplet_probability(geom, sigma)
+                got = triplet_probability(d, math.pi / 2, sigma)
                 assert abs(got - want) <= 1e-10 * want
 
     def test_monte_carlo_oracle(self):
@@ -223,35 +225,118 @@ class TestTripletProbability:
         hit2 = samples[:, 0] * math.cos(theta) + samples[:, 1] * math.sin(theta) >= thresh
         p_hat = float(np.mean(hit1 | hit2))
         se = math.sqrt(p_hat * (1.0 - p_hat) / samples.shape[0])
-        got = triplet_probability(TripletGeometry(d=d, n=12, theta=theta), sigma)
+        got = triplet_probability(d, theta, sigma)
         assert abs(got - p_hat) <= 3.0 * se
 
     def test_monotone_in_theta(self):
         for d, sigma in ((2, 1.0), (6, 0.7)):
             thetas = np.linspace(0.05, math.pi / 2, 30)
-            vals = [
-                triplet_probability(TripletGeometry(d=d, n=4 * d, theta=float(t)), sigma)
-                for t in thetas
-            ]
+            vals = triplet_probability(d, thetas, sigma).tolist()
             assert all(b >= a - 1e-13 * a for a, b in zip(vals, vals[1:]))
 
     def test_bracketed_by_q_and_2q(self):
         for d, sigma, theta in ((1, 1.0, 0.3), (5, 0.6, 1.2), (9, 2.0, math.pi / 2)):
             q = float(q_function(math.sqrt(d) / sigma))
-            got = triplet_probability(TripletGeometry(d=d, n=4 * d, theta=theta), sigma)
+            got = triplet_probability(d, theta, sigma)
             assert q <= got <= 2.0 * q
 
     def test_geometry_validation(self):
         with pytest.raises(ValidationError):
-            TripletGeometry(d=0, n=8, theta=1.0)
+            triplet_probability(0, 1.0, 1.0)
         with pytest.raises(ValidationError):
-            TripletGeometry(d=3, n=2, theta=1.0)
+            triplet_probability(np.array([3, 0]), 1.0, 1.0)
         with pytest.raises(ValidationError):
-            TripletGeometry(d=2, n=8, theta=0.0)
+            triplet_probability(2.5, 1.0, 1.0)
         with pytest.raises(ValidationError):
-            TripletGeometry(d=2, n=8, theta=math.pi / 2 + 1e-9)
+            triplet_probability(2, 0.0, 1.0)
         with pytest.raises(ValidationError):
-            triplet_probability(TripletGeometry(d=2, n=8, theta=1.0), 0.0)
+            triplet_probability(2, math.pi / 2 + 1e-9, 1.0)
+        with pytest.raises(ValidationError):
+            triplet_probability(2, np.array([1.0, math.nan]), 1.0)
+        with pytest.raises(ValidationError):
+            triplet_probability(2, 1.0, 0.0)
+
+    def test_vectorized_matches_elementwise(self):
+        ds = np.array([3, 7, 40, 999])
+        thetas = np.array([0.2, 1.0, math.pi / 2, 0.06])
+        together = triplet_probability(ds, thetas, 1.3)
+        one_by_one = [float(triplet_probability(d, t, 1.3)) for d, t in zip(ds, thetas)]
+        assert together.tolist() == one_by_one
+
+    def test_matches_gauss_legendre_oracle(self):
+        # the float quadrature of the defining integral agrees wherever its
+        # 1e-12 absolute tolerance is small against the value
+        for d, theta, sigma in ((1, 0.3, 1.0), (4, 1.1, 0.9), (9, 0.7, 2.0), (12, 1.4, 1.5)):
+            got = float(triplet_probability(d, theta, sigma))
+            want = triplet_probability_quadrature(d, theta, sigma)
+            assert abs(got - want) <= 1e-11 * want
+
+
+def mass_mpmath(d: int, theta: float, sigma: float) -> float:
+    """Two-half-plane mass at 60 digits: with H = sqrt(d)/sigma and
+    t = tan(theta/2),
+
+        erfc(H/sqrt2)/2 + 2 int_0^t exp(-H^2 (1+x^2)/2) / (2 pi (1+x^2)) dx.
+
+    exp(-H^2/2) is taken out of the integral, whose integrand then falls
+    off on the scale 1/H, so the interval is split at 4/H and 16/H before
+    Gauss-Legendre quadrature.
+    """
+    with mpmath.workdps(60):
+        h = mpmath.sqrt(d) / mpmath.mpf(sigma)
+        t = mpmath.tan(mpmath.mpf(theta) / 2)
+        cuts = sorted({mpmath.mpf(0), t, min(t, 4 / h), min(t, 16 / h)})
+        wedge = mpmath.quad(
+            lambda x: mpmath.exp(-h * h * x * x / 2) / (1 + x * x), cuts,
+            method="gauss-legendre",
+        )
+        half_plane = mpmath.erfc(h / mpmath.sqrt(2)) / 2
+        return float(half_plane + wedge * mpmath.exp(-h * h / 2) / mpmath.pi)
+
+
+class TestTripletProbabilityMpmath:
+    """Owen's-T mass against a 60-digit reference at the tight angle cap
+    2 arccos(sqrt(d/n)), d > n/2: relative error within 1e-13 above 1e-30
+    and 1e-10 down to 1e-250, and never below the reference by more."""
+
+    # (n, d, sigma) deep in the tail; (1000, 999, 2.5) is where the former
+    # adaptive quadrature fell 6.8e-4 relative below the true value
+    DEEP = [(1000, 999, 2.5), (1000, 600, 1.0), (2000, 1999, 1.5), (2000, 1200, 1.5),
+            (500, 499, 0.9), (64, 63, 0.5), (31, 17, 0.4), (15, 8, 0.3)]
+
+    @staticmethod
+    def check(n, d, sigma, tol=None):
+        theta = float(angle_upper_bound(d, d, n))
+        assert 0.0 < theta < math.pi / 2
+        got = float(triplet_probability(d, theta, sigma))
+        want = mass_mpmath(d, theta, sigma)
+        assert want >= 1e-250
+        if tol is None:
+            tol = 1e-13 if want > 1e-30 else 1e-10
+        assert abs(got - want) <= tol * want, (n, d, sigma, got, want)
+
+    @pytest.mark.parametrize("n,d,sigma", DEEP)
+    def test_deep_tail(self, n, d, sigma):
+        self.check(n, d, sigma, tol=1e-13)
+
+    @pytest.mark.parametrize("h,a", [(3.37625, 0.8775), (3.3605, 0.898), (3.39, 0.85)])
+    def test_owens_t_method_switch_band(self, h, a):
+        # scipy's owens_t is least accurate just above h = 3.36, where it
+        # changes method: up to 2.1e-13 relative there, and below the value
+        d = 9
+        theta = 2.0 * math.atan(a)
+        sigma = math.sqrt(d) / h
+        got = float(triplet_probability(d, theta, sigma))
+        want = mass_mpmath(d, theta, sigma)
+        assert abs(got - want) <= 2.5e-13 * want
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(20260)
+        sigmas = (1.5, 2.0, 2.5, 4.0)  # sqrt(2000)/1.5 keeps every value above 1e-250
+        for case in range(200):
+            n = int(rng.integers(3, 2001))
+            d = int(rng.integers(n // 2 + 1, n))
+            self.check(n, d, sigmas[case % len(sigmas)])
 
 
 class TestChannelPoint:
