@@ -12,9 +12,9 @@ Q values, the per-weight coefficient products and, under the tight
 theta-policy, the Owen's-T factors of all weights above n/2 in one array
 call) is computed once; the scan then only gathers binomial masses and sums.
 Each variant builds only the binomial mass it reads: union builds no table,
-truncated-union and gfbt only the length-n+2 region-exit tail, and the
-refined variants add the 2-D prefix table, whose log-binomial coefficients
-are cached per code length.
+truncated-union and gfbt read only the length-n+2 region-exit tail, and the
+refined variants also stream the prefix masses B(p_b, N, 0, d*-1) one
+column per radius, in ascending d*, so memory stays O(n).
 
 Numerical layout notes: per-weight terms are assembled in ascending weight
 order into equally sliced arrays for every variant and summed by one
@@ -31,9 +31,9 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Any, Callable, Protocol
 
 import numpy as np
 from scipy import special
@@ -118,36 +118,17 @@ class BaseBoundProvider(Protocol):
     def __call__(self, sub_spectrum: WeightSpectrum, ch: ChannelPoint) -> float: ...
 
 
-@lru_cache(maxsize=1)
-def _log_binomial(n: int) -> np.ndarray:
-    """log C(N, m) at [N, m] for N, m in [0, n], -inf where m > N.
-
-    Independent of p, so every channel point of a curve shares one copy;
-    only the latest length is kept, since the table grows as n^2.  Read-only
-    because the cache hands the same array to every caller.
-    """
-    upper = np.arange(n + 1, dtype=np.float64)[:, None]  # N
-    m = np.arange(n + 1, dtype=np.float64)[None, :]
-    with np.errstate(invalid="ignore"):
-        coeffs = (
-            special.gammaln(upper + 1.0)
-            - special.gammaln(m + 1.0)
-            - special.gammaln(upper - m + 1.0)
-        )
-    coeffs[np.broadcast_to(m > upper, coeffs.shape)] = -np.inf
-    coeffs.setflags(write=False)
-    return coeffs
-
-
 class _BinomialTable:
     """Binomial(N, p) masses at fixed p for lengths N in [0, n].
 
-    suffix[m] = B(p, n, m, n) comes from row N = n alone; prefix[N, m] =
-    B(p, N, 0, m) is the full (n+1) x (n+1) table, built on first access.
-    Rows are built from log-space pmfs so deep tails keep relative accuracy;
-    prefixes come from forward sums and suffixes from backward sums, never
-    from 1-x subtractions.  Everything is clamped to <= 1 so a product
-    term * mass can never exceed the unrefined term in floating point.
+    suffix[m] = B(p, n, m, n) comes from row N = n alone.  Prefix masses
+    B(p, N, 0, m) stream one column m at a time: the radius scan asks for
+    them in ascending m, so one running vector over N holds the latest
+    column and memory stays O(n).  Pmfs are formed in log space so deep
+    tails keep relative accuracy; prefixes come from forward sums and
+    suffixes from backward sums, never from 1-x subtractions.  Everything
+    is clamped to <= 1 so a product term * mass can never exceed the
+    unrefined term in floating point.
     """
 
     def __init__(self, p: float, n: int):
@@ -155,44 +136,39 @@ class _BinomialTable:
             raise ValidationError(f"table needs p in [0, 1), got {p!r}")
         self.p = p
         self.n = n
+        self._lf = lf = special.gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)  # log N!
+        self._sums = np.zeros(n + 1)  # B(p, N, 0, column) at row N
+        self._column = -1
         suffix = np.zeros(n + 2)
         if p == 0.0:
             # deep-SNR degenerate case: zero hard errors almost surely
             suffix[0] = 1.0
         else:
             m = np.arange(n + 1, dtype=np.float64)
-            logpmf = (
-                special.gammaln(n + 1.0)
-                - special.gammaln(m + 1.0)
-                - special.gammaln(n - m + 1.0)
-                + m * math.log(p)
-                + (n - m) * math.log1p(-p)
-            )
+            logpmf = lf[n] - lf - lf[::-1] + m * math.log(p) + (n - m) * math.log1p(-p)
             suffix[: n + 1] = np.cumsum(np.exp(logpmf)[::-1])[::-1]
         self.suffix = np.minimum(1.0, suffix)
 
-    @cached_property
-    def prefix(self) -> np.ndarray:
-        n = self.n
-        if self.p == 0.0:
-            return np.ones((n + 1, n + 1))
-        upper = np.arange(n + 1, dtype=np.float64)[:, None]  # N
-        m = np.arange(n + 1, dtype=np.float64)
-        table = _log_binomial(n) + m * math.log(self.p)
-        table += (upper - m) * math.log1p(-self.p)
-        np.exp(table, out=table)  # exactly 0 where m > N
-        np.cumsum(table, axis=1, out=table)
-        return np.minimum(1.0, table, out=table)
-
     def mass_upto(self, rows: np.ndarray, m: int) -> np.ndarray:
-        """B(p, N, 0, m) for an array of lengths N >= 0.
+        """B(p, N, 0, m) for an array of lengths N >= 0, m never below the
+        previous request.
 
-        Row N is constant from column N on (its pmf is 0 past N), so
-        m >= N needs no clipping.
+        Column j adds the pmf at j to rows N >= j only; row N is constant
+        from column N on, so m >= N needs no clipping.
         """
         if m < 0:
             return np.zeros(len(rows))
-        return self.prefix[rows, m]
+        if m < self._column:
+            raise ValidationError(f"prefix column {m} requested after column {self._column}")
+        if self.p == 0.0:
+            return np.ones(len(rows))
+        n, lf = self.n, self._lf
+        log_p, log_q = math.log(self.p), math.log1p(-self.p)
+        for j in range(self._column + 1, m + 1):
+            gap = np.arange(n + 1 - j, dtype=np.float64)  # N - j for N in [j, n]
+            self._sums[j:] += np.exp(((lf[j:] - lf[j]) - lf[: n + 1 - j]) + j * log_p + gap * log_q)
+        self._column = m
+        return np.minimum(1.0, self._sums[rows])
 
     def region_exit(self, d_star: int) -> float:
         """B(p, n, d*+1, n): hard-decision weight leaves the radius-d* ball."""
@@ -234,7 +210,7 @@ class _PointArrays:
         self.a = np.array([spectrum.counts[int(d)] for d in self.ds], dtype=np.float64)
         self.q = np.atleast_1d(q_function(np.sqrt(self.ds.astype(np.float64)) / ch.sigma))
         self.aq = self.a * self.q  # plain union term per weight
-        # prefix-table rows n-d and n-2d; lengths <= 0 are degenerate at zero
+        # prefix rows n-d and n-2d; lengths <= 0 are degenerate at zero
         # successes, which is exactly row 0
         self.single_rows = np.clip(self.n - self.ds, 0, None)
         self.paired_rows = np.clip(self.n - 2 * self.ds, 0, None)
@@ -270,15 +246,18 @@ def _triplet_factors(
     return factors
 
 
-def _minimize(objective: Callable[[int], float], probe: range) -> tuple[float, int]:
-    """Scan radii and keep the smallest objective, ties to the smallest d*."""
-    best: tuple[float, int] | None = None
+def _minimize(
+    objective: Callable[[int], tuple[float, Any]], probe: range
+) -> tuple[float, int, Any]:
+    """Scan radii and keep the smallest objective, ties to the smallest d*,
+    together with the detail the objective returned for it."""
+    best: tuple[float, int, Any] | None = None
     for d_star in probe:
-        value = objective(d_star)
+        value, detail = objective(d_star)
         if not math.isfinite(value):
             raise ValidationError(f"objective at d_star={d_star} is {value!r}")
         if best is None or value < best[0]:
-            best = (value, d_star)
+            best = (value, d_star, detail)
     assert best is not None  # probe ranges are never empty
     return best
 
@@ -293,21 +272,20 @@ def _combined_bound(
 
     terms(cut, radius) gives the per-weight terms of the first cut weights,
     the ones with d <= 2*radius.  The objective is their one contiguous
-    np.sum plus the region-exit tail; only the winning radius has its terms
-    turned into per_d_terms.
+    np.sum plus the region-exit tail; the winning radius's terms become
+    per_d_terms.  Radii ascend, as the streamed prefix masses require.
     """
     cuts = np.searchsorted(
         arrays.ds, 2 * np.arange(probe.start, probe.stop), side="right"
     ).tolist()
     table = arrays.table
 
-    def objective(radius: int) -> float:
-        cut = cuts[radius - probe.start]
-        return float(np.sum(terms(cut, radius))) + table.region_exit(radius)
+    def objective(radius: int) -> tuple[float, np.ndarray]:
+        radius_terms = terms(cuts[radius - probe.start], radius)
+        return float(np.sum(radius_terms)) + table.region_exit(radius), radius_terms
 
-    value, d_star = _minimize(objective, probe)
-    cut = cuts[d_star - probe.start]
-    per_d = dict(zip(arrays.ds[:cut].tolist(), terms(cut, d_star).tolist()))
+    value, d_star, best = _minimize(objective, probe)
+    per_d = dict(zip(arrays.ds[: len(best)].tolist(), best.tolist()))
     return BoundResult(value, d_star, per_d, table.region_exit(d_star), variant)
 
 
@@ -570,13 +548,11 @@ def gfbt_combine(
             )
         return value
 
-    bases: dict[int, float] = {}
+    def objective(radius: int) -> tuple[float, float]:
+        value = base(radius)
+        return value + table.region_exit(radius), value
 
-    def objective(radius: int) -> float:
-        bases[radius] = base(radius)
-        return bases[radius] + table.region_exit(radius)
-
-    value, best = _minimize(objective, probe)
+    value, best, base_term = _minimize(objective, probe)
     return BoundResult(
-        value, best, {}, table.region_exit(best), BoundVariant.GFBT_COMBINED, bases[best]
+        value, best, {}, table.region_exit(best), BoundVariant.GFBT_COMBINED, base_term
     )

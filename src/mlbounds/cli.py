@@ -61,6 +61,7 @@ EXIT_RESOURCE = 3
 WORKERS_ENV = "MLBOUNDS_WORKERS"
 
 _CSV_HEADER = "snr_db,sigma,raw_value,clamped_value,d_star_opt"
+_MAX_GRID_POINTS = 1_000_000
 
 
 # --- curve computation (library surface of the bound subcommand) ------------
@@ -82,12 +83,19 @@ class CurveRequest:
     base_provider: BaseBoundProvider | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.snr_start) and math.isfinite(self.snr_stop)):
+            raise ValidationError(
+                f"snr start and stop must be finite, got {self.snr_start!r}, {self.snr_stop!r}"
+            )
         if not (math.isfinite(self.snr_step) and self.snr_step > 0.0):
             raise ValidationError(f"snr step must be > 0, got {self.snr_step!r}")
         if not self.snr_start <= self.snr_stop:
             raise ValidationError(
                 f"snr start must not exceed stop, got {self.snr_start!r} > {self.snr_stop!r}"
             )
+        # _snr_grid's point count exceeds the cap exactly when this fails
+        if not (self.snr_stop - self.snr_start) / self.snr_step + 1e-9 < _MAX_GRID_POINTS:
+            raise ValidationError(f"snr grid has more than {_MAX_GRID_POINTS:,} points")
 
 
 @dataclass(frozen=True)

@@ -381,7 +381,11 @@ def ensemble_average(n: int, k: int) -> WeightSpectrum:
     A_0 = 1 and A_d = C(n, d) (2^k - 1)/(2^n - 1) for d >= 1.
 
     Built in log space; C(100, 50) alone overflows any direct integer-free
-    float path long before n reaches interesting sizes.
+    float path long before n reaches interesting sizes.  Where even the
+    average overflows float64 (from n near 2100 at rate 1/2) the result is a
+    TRUNCATED spectrum whose dmax is the last weight with a finite count:
+    bounds then probe only d* <= dmax/2, union refuses it, and the bound
+    stays valid but may be loose once d* sits at dmax/2.
     """
     n = operator.index(n)
     k = operator.index(k)
@@ -392,9 +396,14 @@ def ensemble_average(n: int, k: int) -> WeightSpectrum:
         special.gammaln(n + 1.0) - special.gammaln(d + 1.0) - special.gammaln(n - d + 1.0)
     )
     log_ratio = (k - n) * _LN2 + math.log1p(-(2.0**-k)) - math.log1p(-(2.0**-n))
-    values = np.exp(log_binom + log_ratio)
+    with np.errstate(over="ignore"):
+        values = np.exp(log_binom + log_ratio)
+    overflow = np.flatnonzero(np.isinf(values))  # index i is weight i + 1
+    dmax = int(overflow[0]) if overflow.size else n
     counts = {0: 1.0}
-    counts.update({int(dd): float(v) for dd, v in zip(range(1, n + 1), values)})
+    counts.update({int(dd): float(v) for dd, v in zip(range(1, dmax + 1), values)})
+    if dmax < n:
+        return WeightSpectrum(n, k, counts, SpectrumKind.TRUNCATED, dmax)
     return WeightSpectrum(n, k, counts, SpectrumKind.ENSEMBLE_AVERAGE)
 
 

@@ -8,6 +8,7 @@ asserted as plain float comparisons with no tolerance.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from oracles import (
     pairwise_term,
     triplet_term,
 )
+from test_simulator import fresh_peak_ratio
 
 
 def ch(sigma):
@@ -518,18 +520,62 @@ class TestRadiusScanWork:
             built.append(n)
             init(table, p, n)
 
-        def refuse(table):
-            raise AssertionError("prefix table built")
+        def refuse(table, rows, m):
+            raise AssertionError("prefix mass read")
 
         monkeypatch.setattr(bounds._BinomialTable, "__init__", counting_init)
-        monkeypatch.setattr(bounds._BinomialTable, "prefix", property(refuse))
+        monkeypatch.setattr(bounds._BinomialTable, "mass_upto", refuse)
         union_bound(self.ENS, self.POINT)
         assert built == []
         truncated_union_bound(self.ENS, self.POINT)
         gfbt_combine(UnionBoundProvider(), self.ENS, self.POINT)
         assert built == [100, 100]
-        with pytest.raises(AssertionError, match="prefix table built"):
+        with pytest.raises(AssertionError, match="prefix mass read"):
             word_error_bound(self.ENS, self.POINT)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_long_code_point_memory_is_linear_in_n(self):
+        # a [4096, 2048] word point streams its prefix columns; a 2-D table
+        # of the prefix masses alone would be 134 MB
+        rise_mb = fresh_peak_ratio(
+            "word_error_bound(spec, ChannelPoint.from_snr_db(2.0, rate=0.5))",
+            "2**20",
+            "from mlbounds import ChannelPoint, ensemble_average, word_error_bound\n"
+            "spec = ensemble_average(4096, 2048)",
+        )
+        assert rise_mb < 50.0
+
+
+class TestBinomialStream:
+    """The streamed prefix columns of _BinomialTable against the scalar
+    log-space oracle, column by column in the order the radius scan asks."""
+
+    @pytest.mark.parametrize("n", [1, 7, 31, 100, 500])
+    @pytest.mark.parametrize("p", [0.0, 1e-12, 0.1, 0.45])
+    def test_columns_match_oracle(self, n, p):
+        table = bounds._BinomialTable(p, n)
+        every = np.arange(n + 1)
+        columns = [table.mass_upto(every, m) for m in range(n + 1)]
+        for m, column in enumerate(columns):
+            # row m is where the column reaches 1; the sparse rows keep the
+            # oracle's scalar calls affordable at n = 500
+            rows = every if n <= 31 else sorted({0, 1, n // 3, n // 2, n - 1, n, m, min(m + 1, n)})
+            for row in rows:
+                want = binomial_tail(p, int(row), 0, m)
+                if want >= 1e-290:
+                    assert abs(column[row] - want) <= 1e-11 * want, (n, p, m, row)
+        # a first request deep into the table (a fixed d*) streams every
+        # column before it and lands on the same bits
+        fresh = bounds._BinomialTable(p, n)
+        assert np.array_equal(fresh.mass_upto(every, n // 2), columns[n // 2])
+
+    def test_columns_only_ascend(self):
+        table = bounds._BinomialTable(0.1, 20)
+        rows = np.arange(21)
+        table.mass_upto(rows, 5)
+        table.mass_upto(rows, 5)  # the same column again is fine
+        with pytest.raises(ValidationError, match="column 4 requested after column 5"):
+            table.mass_upto(rows, 4)
 
 
 class TestBoundResultShape:

@@ -229,6 +229,18 @@ class TestBoundCommand:
             code, out, err = run(capsys, *argv)
             assert code == EXIT_VALIDATION, argv
 
+    def test_infinite_snr_bounds_are_refused(self, capsys):
+        for flag in ("--snr-stop=inf", "--snr-start=-inf"):
+            code, out, err = run(capsys, "bound", "--enumerate", HAMMING_GEN, flag)
+            assert code == EXIT_VALIDATION, flag
+            assert "must be finite" in err and "Traceback" not in err
+
+    def test_grid_above_a_million_points_is_refused(self, capsys):
+        # 10 dB in steps of 1e-300 would be about 10^301 points
+        code, out, err = run(capsys, "bound", "--enumerate", HAMMING_GEN, "--snr-step", "1e-300")
+        assert code == EXIT_VALIDATION
+        assert "more than 1,000,000 points" in err and out == ""
+
     def test_workers_flag_only_on_simulate(self, capsys, tmp_path):
         curve = tmp_path / "c.csv"
         assert main(["bound", "--enumerate", HAMMING_GEN, "-o", str(curve)]) == EXIT_OK
@@ -278,6 +290,22 @@ class TestTruncatedSpectrumWorkflow:
         )
         assert code == EXIT_VALIDATION
         assert "d_star" in err
+
+
+    def test_overflowing_ensemble_runs_truncated(self, capsys):
+        # A_d of the [4096, 2048] ensemble overflows float64 past d = 881
+        grid = ("--snr-start", "0", "--snr-stop", "10", "--snr-step", "2.5")
+        code, out, err = run(capsys, "bound", "--ensemble", "4096", "2048", *grid)
+        assert code == EXIT_OK and err == ""
+        meta, _, rows = parse_csv(out)
+        assert meta["spectrum_kind"] == "truncated"
+        assert len(rows) == 5
+        assert all(int(row["d_star_opt"]) <= 440 for row in rows)
+        code, out, err = run(
+            capsys, "bound", "--ensemble", "4096", "2048", "--variant", "union", *grid
+        )
+        assert code == EXIT_VALIDATION
+        assert "needs the full spectrum" in err
 
 
 class TestSimulateCommand:

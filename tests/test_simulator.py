@@ -43,10 +43,11 @@ def assert_counters(report, want):
 
 
 def fresh_peak_ratio(action: str, count: str, imports: str) -> float:
-    """Peak RSS rise of `action` on the [31, 18] subcode of bch_31_21 in a
-    fresh interpreter, over the byte `count`.  VmHWM, unlike ru_maxrss, does
-    not inherit the parent's peak across fork and exec; BLAS runs one thread
-    so its per-thread workspace does not depend on the core count."""
+    """Peak RSS rise of `action` in a fresh interpreter, over the byte
+    `count`; `code` there is the [31, 18] subcode of bch_31_21.  VmHWM,
+    unlike ru_maxrss, does not inherit the parent's peak across fork and
+    exec; BLAS runs one thread so its per-thread workspace does not depend
+    on the core count."""
     script = f"""
 {imports}
 from mlbounds.codes import bch_31_21

@@ -5,6 +5,8 @@ The enumeration oracle multiplies every message by the generator matrix mod
 """
 
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +211,27 @@ class TestEnsembleAverage:
         spec = ensemble_average(12, 12)
         for d in range(1, 13):
             assert math.isclose(spec.count(d), math.comb(12, d), rel_tol=1e-12)
+
+    def test_long_ensemble_just_below_overflow_stays_complete(self):
+        # the largest average, at d = 1000, is within a factor 10 of float64's limit
+        spec = ensemble_average(2000, 1000)
+        assert spec.kind is SpectrumKind.ENSEMBLE_AVERAGE and spec.truncation is None
+        assert sorted(spec.counts) == list(range(2001))
+        for d in (1, 500, 1000, 1999, 2000):
+            want = Fraction(math.comb(2000, d)) * (2**1000 - 1) / (2**2000 - 1)
+            assert math.isclose(spec.count(d), float(want), rel_tol=1e-10)
+
+    def test_overflowing_ensemble_truncates_at_last_finite_weight(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = ensemble_average(4096, 2048)
+        assert spec.kind is SpectrumKind.TRUNCATED and spec.truncation == 881
+        assert sorted(spec.counts) == list(range(882))
+        exact = {
+            d: Fraction(math.comb(4096, d)) * (2**2048 - 1) / (2**4096 - 1) for d in (881, 882)
+        }
+        assert exact[882] > sys.float_info.max > exact[881]
+        assert math.isclose(spec.count(881), float(exact[881]), rel_tol=1e-10)
 
 
 class TestSpectrumTypes:
