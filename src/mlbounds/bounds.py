@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Any, Callable, Protocol
 
 import numpy as np
-from scipy import special
 
 from .errors import MlboundsError, ProviderLookupError, ValidationError
 from .numerics import ChannelPoint, angle_upper_bound, q_function, triplet_probability
@@ -132,6 +131,8 @@ class _BinomialTable:
     """
 
     def __init__(self, p: float, n: int):
+        from scipy import special
+
         if not 0.0 <= p < 1.0:
             raise ValidationError(f"table needs p in [0, 1), got {p!r}")
         self.p = p

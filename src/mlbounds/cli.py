@@ -38,7 +38,7 @@ from .bounds import (
     word_error_bound,
 )
 from .errors import MlboundsError, ResourceLimitError, ValidationError
-from .numerics import ChannelPoint, SnrConvention
+from .numerics import ChannelPoint, SnrConvention, noise_sigma
 from .simulator import SimConfig, simulate
 from .spectrum import (
     InputOutputSpectrum,
@@ -342,13 +342,8 @@ def cmd_simulate(args) -> int:
         grid_desc = [("sigma", s) for s in sigmas]
     else:
         convention = SnrConvention(args.snr_convention)
-        rate = code.k / code.n
-        grid_desc = []
-        sigmas = []
-        for x in args.snr:
-            point = ChannelPoint.from_snr_db(float(x), convention, rate=rate)
-            sigmas.append(point.sigma)
-            grid_desc.append((convention.value, float(x)))
+        sigmas = [noise_sigma(x, convention, code.k / code.n) for x in args.snr]
+        grid_desc = [(convention.value, float(x)) for x in args.snr]
     d_star = args.dstar if args.dstar is not None else code.n
     reports = []
     for sigma in sigmas:

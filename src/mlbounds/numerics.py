@@ -7,6 +7,9 @@ Conventions: BPSK maps bit 0 to +1 and bit 1 to -1 with unit symbol energy,
 the channel adds N(0, sigma^2) per dimension, and p_b = Q(1/sigma) is the
 crossover probability of the binary symmetric channel induced by
 hard-decision demodulation.
+
+scipy is imported inside the functions that call it, here and in bounds and
+spectrum, so the spectrum and simulate commands never load it.
 """
 
 from __future__ import annotations
@@ -17,13 +20,13 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 
 __all__ = [
     "SnrConvention",
     "ChannelPoint",
+    "noise_sigma",
     "q_function",
     "angle_upper_bound",
     "triplet_probability",
@@ -41,6 +44,8 @@ def q_function(x):
     underflow-to-zero result is the intended value at such operating points.
     Accepts scalars or arrays.
     """
+    from scipy import special
+
     return 0.5 * special.erfc(x / _SQRT2)
 
 
@@ -65,6 +70,37 @@ class SnrConvention(enum.Enum):
     EBN0_DB = "ebn0"  # sigma^2 = 1 / (2 R 10^(x/10)), R = k/n
     ESN0_DB = "esn0"  # sigma^2 = 1 / (2 10^(x/10))
     SIGMA = "sigma"  # x is sigma itself
+
+
+def noise_sigma(
+    value: float,
+    convention: SnrConvention = SnrConvention.EBN0_DB,
+    rate: float | None = None,
+) -> float:
+    """Per-dimension noise sigma of one grid value under `convention`; the
+    Eb/N0 mapping needs the code rate.  ChannelPoint adds p_b = Q(1/sigma)
+    to it, while simulate needs sigma alone and so never loads scipy.
+    Values whose 10^(x/10) leaves the float range, or that map to a sigma
+    of 0 or inf, are refused.
+    """
+    value = float(value)
+    if convention is SnrConvention.SIGMA:
+        if not (value > 0.0 and math.isfinite(value)):
+            raise ValidationError(f"sigma must be positive and finite, got {value!r}")
+        return value
+    if convention is SnrConvention.EBN0_DB and (rate is None or not 0.0 < rate <= 1.0):
+        raise ValidationError(f"Eb/N0 mapping needs a code rate in (0, 1], got {rate!r}")
+    scale = 2.0 * rate if convention is SnrConvention.EBN0_DB else 2.0
+    try:
+        sigma = math.sqrt(1.0 / (scale * 10.0 ** (value / 10.0)))
+    except (OverflowError, ZeroDivisionError):  # 10^(x/10) overflows or underflows to 0
+        sigma = math.nan
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise ValidationError(
+            f"{convention.value} = {value!r} dB is out of range: "
+            "it maps to no positive finite noise sigma"
+        )
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -93,10 +129,7 @@ class ChannelPoint:
 
     @classmethod
     def from_sigma(cls, sigma: float) -> "ChannelPoint":
-        sigma = float(sigma)
-        if not (sigma > 0.0 and math.isfinite(sigma)):
-            raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
-        return cls(sigma, float(q_function(1.0 / sigma)), sigma, SnrConvention.SIGMA)
+        return cls.from_snr_db(sigma, SnrConvention.SIGMA)
 
     @classmethod
     def from_snr_db(
@@ -105,20 +138,8 @@ class ChannelPoint:
         convention: SnrConvention = SnrConvention.EBN0_DB,
         rate: float | None = None,
     ) -> "ChannelPoint":
-        snr_db = float(snr_db)
-        if convention is SnrConvention.SIGMA:
-            return cls.from_sigma(snr_db)
-        snr_lin = 10.0 ** (snr_db / 10.0)
-        if convention is SnrConvention.EBN0_DB:
-            if rate is None or not 0.0 < rate <= 1.0:
-                raise ValidationError(f"Eb/N0 mapping needs a code rate in (0, 1], got {rate!r}")
-            var = 1.0 / (2.0 * rate * snr_lin)
-        elif convention is SnrConvention.ESN0_DB:
-            var = 1.0 / (2.0 * snr_lin)
-        else:  # pragma: no cover - enum is exhaustive
-            raise ValidationError(f"unknown convention {convention!r}")
-        sigma = math.sqrt(var)
-        return cls(sigma, float(q_function(1.0 / sigma)), snr_db, convention)
+        sigma = noise_sigma(snr_db, convention, rate)
+        return cls(sigma, float(q_function(1.0 / sigma)), float(snr_db), convention)
 
 
 def triplet_probability(d, theta, sigma: float):
@@ -138,6 +159,8 @@ def triplet_probability(d, theta, sigma: float):
     exceeds 1e-30, except for 3.36 < h < 3.4, where scipy's owens_t changes
     method and the error reaches 2.1e-13; within 1e-10 down to 1e-250.
     """
+    from scipy import special
+
     d = np.asarray(d)
     theta = np.asarray(theta, dtype=np.float64)
     if d.dtype.kind not in "iu" or np.any(d < 1):

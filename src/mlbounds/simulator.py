@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.random  # noqa: F401 - loaded here, not inside the first run's noise block
 
 from .errors import ResourceLimitError, ValidationError
 from .spectrum import _CHUNK_BITS, LinearCode, _codewords, _weights

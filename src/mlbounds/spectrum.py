@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .errors import FileFormatError, ResourceLimitError, ValidationError
 
@@ -387,6 +386,8 @@ def ensemble_average(n: int, k: int) -> WeightSpectrum:
     bounds then probe only d* <= dmax/2, union refuses it, and the bound
     stays valid but may be loose once d* sits at dmax/2.
     """
+    from scipy import special
+
     n = operator.index(n)
     k = operator.index(k)
     if not 1 <= k <= n:

@@ -235,6 +235,16 @@ class TestBoundCommand:
             assert code == EXIT_VALIDATION, flag
             assert "must be finite" in err and "Traceback" not in err
 
+    def test_extreme_snr_bounds_are_refused(self, capsys):
+        # 10^(3100/10) overflows a float; 10^(-3300/10) underflows to 0
+        for snr in ("3100", "-3300"):
+            code, out, err = run(
+                capsys, "bound", "--enumerate", HAMMING_GEN,
+                f"--snr-start={snr}", f"--snr-stop={snr}",
+            )
+            assert code == EXIT_VALIDATION, snr
+            assert "out of range" in err and out == ""
+
     def test_grid_above_a_million_points_is_refused(self, capsys):
         # 10 dB in steps of 1e-300 would be about 10^301 points
         code, out, err = run(capsys, "bound", "--enumerate", HAMMING_GEN, "--snr-step", "1e-300")
@@ -309,6 +319,12 @@ class TestTruncatedSpectrumWorkflow:
 
 
 class TestSimulateCommand:
+    def test_extreme_snr_is_refused(self, capsys):
+        for snr in ("3100", "-3300", "inf"):
+            code, out, err = run(capsys, "simulate", "--code", HAMMING_GEN, "--snr", snr)
+            assert code == EXIT_VALIDATION, snr
+            assert "out of range" in err and out == ""
+
     def test_json_reruns_are_byte_identical_and_worker_invariant(self, tmp_path):
         argv = [
             "simulate", "--code", HAMMING_GEN, "--sigma", "0.9",

@@ -19,6 +19,8 @@ deliberate output change, and say why in CHANGES.md:
 """
 
 import hashlib
+import os
+import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -27,7 +29,14 @@ import pytest
 
 from mlbounds.bounds import BoundVariant, FileBoundProvider, ThetaPolicy
 from mlbounds.cli import CurveRequest, _format_curve, _snr_grid, compute_curve, main
-from mlbounds.spectrum import ensemble_average, enumerate_spectrum, load_generator
+from mlbounds.spectrum import (
+    SpectrumKind,
+    WeightSpectrum,
+    ensemble_average,
+    enumerate_spectrum,
+    load_generator,
+    store_spectrum,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "bound_curves.sha256"
@@ -140,6 +149,38 @@ def test_curve_bytes_match_golden(name, source, variant, policy, table_dir):
 @pytest.mark.parametrize("code", sorted(SIM_CASES))
 def test_simulate_bytes_match_golden(code, workers, tmp_path):
     assert simulate_digest(code, workers, tmp_path) == _load_goldens(SIM_GOLDEN)[code]
+
+
+def test_scipy_loads_only_for_bounds(tmp_path):
+    """In a fresh interpreter, spectrum and simulate commands leave scipy
+    unloaded; a bound curve computed after them, which loads it at its first
+    call site, still matches its golden."""
+    primal = tmp_path / "hamming.spec"
+    store_spectrum(WeightSpectrum(7, 4, {0: 1, 3: 7, 4: 7, 7: 1}, SpectrumKind.EXACT), primal)
+    gen = str(ROOT / "data" / "codes" / "hamming_7_4.gen")
+    commands = [
+        ["spectrum", "--enumerate", gen],
+        ["spectrum", "--macwilliams", str(primal)],
+        ["simulate", "--code", gen, "--snr", "2", "--trials", "300"],
+    ]
+    curve = tmp_path / "word.csv"
+    bound = ["bound", "--enumerate", gen, "--variant", "word", "--theta-policy", "tight"]
+    script = f"""
+import sys
+from mlbounds import cli
+
+for argv in {commands!r}:
+    assert cli.main(argv + ["-o", {os.devnull!r}]) == 0, argv
+print("scipy" in sys.modules)
+assert cli.main({bound!r} + ["-o", {str(curve)!r}]) == 0
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
+    digest = hashlib.sha256(curve.read_bytes()).hexdigest()
+    assert digest == _load_goldens()["hamming_7_4.word.tight"]
 
 
 if __name__ == "__main__":

@@ -367,3 +367,7 @@ class TestChannelPoint:
             ChannelPoint.from_snr_db(1.0, SnrConvention.EBN0_DB, rate=1.5)
         with pytest.raises(ValidationError):
             ChannelPoint(sigma=1.0, p_b=0.4, snr_db=1.0, snr_convention=SnrConvention.SIGMA)
+        # 10^(x/10) overflows above about 3082 dB and is 0 below about -3240 dB
+        for snr_db in (3100.0, -3300.0, math.nan):
+            with pytest.raises(ValidationError, match="out of range"):
+                ChannelPoint.from_snr_db(snr_db, SnrConvention.ESN0_DB)
