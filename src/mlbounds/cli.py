@@ -14,18 +14,18 @@ config-file values beat built-in defaults.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import shlex
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import __version__
 from .bounds import (
     BaseBoundProvider,
-    BoundResult,
     BoundVariant,
     FileBoundProvider,
     ThetaPolicy,
@@ -67,9 +67,34 @@ _MAX_GRID_POINTS = 1_000_000
 # --- curve computation (library surface of the bound subcommand) ------------
 
 
+# The bound of each variant, by its name in this module.  Requests look the
+# name up when they are checked and computed, so a wrapper bound over the
+# name (a tracer, a test double) sees every call.
+_BOUNDS = {
+    BoundVariant.UNION: "union_bound",
+    BoundVariant.TRUNCATED_UNION: "truncated_union_bound",
+    BoundVariant.PAIRWISE_IMPROVED: "pairwise_error_bound",
+    BoundVariant.TRIPLET_IMPROVED: "triplet_error_bound",
+    BoundVariant.UNIFIED_WORD: "word_error_bound",
+    BoundVariant.UNIFIED_BIT: "bit_error_bound",
+    BoundVariant.GFBT_COMBINED: "gfbt_combine",
+}
+
+# The optional request fields, with the flag that sets each.  A variant reads
+# a field exactly when its bound takes a parameter of the same name.
+_FIELD_FLAGS = {
+    "theta_policy": "--theta-policy",
+    "d_star": "--dstar",
+    "d_star_max": "--dstar-max",
+    "provider": "--base-bound",
+}
+
+
 @dataclass(frozen=True)
 class CurveRequest:
-    """One bound curve: variant x spectrum x SNR grid."""
+    """One bound curve: variant x spectrum x SNR grid.  Fields the variant's
+    bound does not read keep their defaults; a provider path is read with
+    FileBoundProvider once the variant is known to read it."""
 
     variant: BoundVariant
     spectrum: WeightSpectrum | InputOutputSpectrum
@@ -80,7 +105,7 @@ class CurveRequest:
     theta_policy: ThetaPolicy = ThetaPolicy.CLOSED_FORM
     d_star: int | None = None
     d_star_max: int | None = None
-    base_provider: BaseBoundProvider | None = None
+    provider: BaseBoundProvider | str | os.PathLike | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.snr_start) and math.isfinite(self.snr_stop)):
@@ -96,6 +121,22 @@ class CurveRequest:
         # _snr_grid's point count exceeds the cap exactly when this fails
         if not (self.snr_stop - self.snr_start) / self.snr_step + 1e-9 < _MAX_GRID_POINTS:
             raise ValidationError(f"snr grid has more than {_MAX_GRID_POINTS:,} points")
+        if self.variant not in _BOUNDS:
+            raise ValidationError(f"unknown variant {self.variant!r}")
+        params = inspect.signature(globals()[_BOUNDS[self.variant]]).parameters
+        defaults = {f.name: f.default for f in fields(self)}
+        for name, flag in _FIELD_FLAGS.items():
+            if name not in params and getattr(self, name) != defaults[name]:
+                raise ValidationError(f"{self.variant.value} does not read {name} ({flag})")
+        if "iowe" in params and not isinstance(self.spectrum, InputOutputSpectrum):
+            raise ValidationError(
+                "the bit bound needs an input-output spectrum (IOWE); "
+                "this source provides only codeword weights"
+            )
+        if "provider" in params and self.provider is None:
+            raise ValidationError("the gfbt variant needs a base bound table (--base-bound)")
+        if isinstance(self.provider, (str, os.PathLike)):
+            object.__setattr__(self, "provider", FileBoundProvider(self.provider))
 
 
 @dataclass(frozen=True)
@@ -118,54 +159,22 @@ def _snr_grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
-def _marginal(spectrum) -> WeightSpectrum:
-    if isinstance(spectrum, InputOutputSpectrum):
-        return spectrum.weight_spectrum()
-    return spectrum
-
-
-def _evaluate_variant(request: CurveRequest, point: ChannelPoint) -> BoundResult:
-    variant = request.variant
-    radius = dict(d_star=request.d_star, d_star_max=request.d_star_max)
-    if variant is BoundVariant.UNION:
-        return union_bound(_marginal(request.spectrum), point)
-    if variant is BoundVariant.TRUNCATED_UNION:
-        return truncated_union_bound(_marginal(request.spectrum), point, **radius)
-    if variant is BoundVariant.PAIRWISE_IMPROVED:
-        return pairwise_error_bound(_marginal(request.spectrum), point, **radius)
-    if variant is BoundVariant.TRIPLET_IMPROVED:
-        return triplet_error_bound(
-            _marginal(request.spectrum), point, theta_policy=request.theta_policy, **radius
-        )
-    if variant is BoundVariant.UNIFIED_WORD:
-        return word_error_bound(
-            _marginal(request.spectrum), point, theta_policy=request.theta_policy, **radius
-        )
-    if variant is BoundVariant.UNIFIED_BIT:
-        if not isinstance(request.spectrum, InputOutputSpectrum):
-            raise ValidationError(
-                "the bit bound needs an input-output spectrum (IOWE); "
-                "this source provides only codeword weights"
-            )
-        return bit_error_bound(
-            request.spectrum, point, theta_policy=request.theta_policy, **radius
-        )
-    if variant is BoundVariant.GFBT_COMBINED:
-        if request.base_provider is None:
-            raise ValidationError("the gfbt variant needs a base bound table (--base-bound)")
-        return gfbt_combine(request.base_provider, _marginal(request.spectrum), point, **radius)
-    raise ValidationError(f"unknown variant {variant!r}")  # pragma: no cover
-
-
 def compute_curve(request: CurveRequest) -> BoundCurve:
     spectrum = request.spectrum
     rate = spectrum.k / spectrum.n
     if request.convention is SnrConvention.EBN0_DB and spectrum.k == 0:
         raise ValidationError("Eb/N0 mapping is undefined for a rate-0 spectrum")
+    bound = globals()[_BOUNDS[request.variant]]
+    params = inspect.signature(bound).parameters
+    reads = {name: getattr(request, name) for name in _FIELD_FLAGS if name in params}
+    source = spectrum
+    if "iowe" not in params and isinstance(spectrum, InputOutputSpectrum):
+        source = spectrum.weight_spectrum()
+    reads["iowe" if "iowe" in params else "spectrum"] = source
     rows = []
     for grid_value in _snr_grid(request.snr_start, request.snr_stop, request.snr_step):
         point = ChannelPoint.from_snr_db(grid_value, request.convention, rate=rate)
-        result = _evaluate_variant(request, point)
+        result = bound(ch=point, **reads)
         rows.append(
             CurveRow(grid_value, point.sigma, result.value, result.clamped, result.d_star_opt)
         )
@@ -178,6 +187,8 @@ def compute_curve(request: CurveRequest) -> BoundCurve:
         ("theta_policy", request.theta_policy.value),
         ("d_star", "optimized" if request.d_star is None else str(request.d_star)),
     )
+    if request.d_star_max is not None:
+        metadata += (("d_star_max", str(request.d_star_max)),)
     return BoundCurve(metadata, tuple(rows))
 
 
@@ -265,18 +276,20 @@ def _resolve_workers(args) -> int:
 
 
 def _load_source(args):
-    """Resolve the spectrum source flags common to bound/compare inputs."""
+    """The spectrum named by the source flags that spectrum and bound share."""
+    if args.max_k is not None and args.enumerate is None:
+        raise ValidationError("--max-k applies only to --enumerate")
     if args.spectrum is not None:
         return load_spectrum(args.spectrum)
     if args.enumerate is not None:
-        return enumerate_spectrum(load_generator(args.enumerate), max_k=args.max_k)
-    n, k = args.ensemble
-    return ensemble_average(n, k)
+        guard = {} if args.max_k is None else {"max_k": args.max_k}
+        return enumerate_spectrum(load_generator(args.enumerate), **guard)
+    return ensemble_average(*args.ensemble)
 
 
-def _add_source_flags(parser: argparse.ArgumentParser) -> None:
+def _add_source_flags(parser: argparse.ArgumentParser, file_flag: str, file_help: str) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--spectrum", metavar="FILE", help="spectrum file (weight or iowe)")
+    group.add_argument(file_flag, dest="spectrum", metavar="FILE", help=file_help)
     group.add_argument(
         "--enumerate", metavar="GENFILE", help="enumerate the code in a generator file"
     )
@@ -287,9 +300,7 @@ def _add_source_flags(parser: argparse.ArgumentParser) -> None:
         metavar=("N", "K"),
         help="random binary linear [N,K] ensemble average",
     )
-    parser.add_argument(
-        "--max-k", type=int, default=28, help="enumeration guard on 2^k sweeps"
-    )
+    parser.add_argument("--max-k", type=int, help="with --enumerate: the largest k (default 28)")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -301,26 +312,19 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    if args.macwilliams is not None:
-        primal = load_spectrum(args.macwilliams)
-        if not isinstance(primal, WeightSpectrum):
+    result = _load_source(args)
+    if args.spectrum is not None:
+        if not isinstance(result, WeightSpectrum):
             raise ValidationError("macwilliams transform expects a weight spectrum file")
-        result = macwilliams_transform(primal)
-    elif args.enumerate is not None:
-        result = enumerate_spectrum(load_generator(args.enumerate), max_k=args.max_k)
-    else:
-        n, k = args.ensemble
-        result = ensemble_average(n, k)
+        result = macwilliams_transform(result)
     _emit(args, format_spectrum(result))
     return EXIT_OK
 
 
 def cmd_bound(args) -> int:
-    spectrum = _load_source(args)
-    provider = FileBoundProvider(args.base_bound) if args.base_bound is not None else None
     request = CurveRequest(
         variant=BoundVariant(args.variant),
-        spectrum=spectrum,
+        spectrum=_load_source(args),
         snr_start=args.snr_start,
         snr_stop=args.snr_stop,
         snr_step=args.snr_step,
@@ -328,7 +332,7 @@ def cmd_bound(args) -> int:
         theta_policy=ThetaPolicy(args.theta_policy),
         d_star=args.dstar,
         d_star_max=args.dstar_max,
-        base_provider=provider,
+        provider=args.base_bound,
     )
     _emit(args, _format_curve(compute_curve(request)))
     return EXIT_OK
@@ -337,13 +341,14 @@ def cmd_bound(args) -> int:
 def cmd_simulate(args) -> int:
     code = load_generator(args.code)
     workers = _resolve_workers(args)
-    if args.sigma is not None:
-        sigmas = [float(s) for s in args.sigma]
-        grid_desc = [("sigma", s) for s in sigmas]
+    if args.sigma is None:
+        grid = args.snr
+        convention = SnrConvention(args.snr_convention or SnrConvention.EBN0_DB.value)
+    elif args.snr_convention is None:
+        grid, convention = args.sigma, SnrConvention.SIGMA
     else:
-        convention = SnrConvention(args.snr_convention)
-        sigmas = [noise_sigma(x, convention, code.k / code.n) for x in args.snr]
-        grid_desc = [(convention.value, float(x)) for x in args.snr]
+        raise ValidationError("--snr-convention applies only to --snr, not to --sigma")
+    sigmas = [noise_sigma(x, convention, code.k / code.n) for x in grid]
     d_star = args.dstar if args.dstar is not None else code.n
     reports = []
     for sigma in sigmas:
@@ -353,7 +358,6 @@ def cmd_simulate(args) -> int:
             d_star=d_star,
             trials=args.trials,
             seed=args.seed,
-            max_k_for_ml=args.max_k_for_ml,
             work_limit=args.work_limit,
         )
         reports.append(simulate(cfg, workers=workers))
@@ -362,8 +366,8 @@ def cmd_simulate(args) -> int:
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         blocks = [
-            f"# grid point {kind}={value!r}\n{report.to_text()}"
-            for (kind, value), report in zip(grid_desc, reports)
+            f"# grid point {convention.value}={value!r}\n{report.to_text()}"
+            for value, report in zip(grid, reports)
         ]
         _emit(args, "\n\n".join(blocks) + "\n")
     return EXIT_OK
@@ -541,16 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectrum", help="compute or transform weight spectra")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--ensemble", nargs=2, type=int, metavar=("N", "K"))
-    group.add_argument("--enumerate", metavar="GENFILE")
-    group.add_argument("--macwilliams", metavar="SPECFILE")
-    sp.add_argument("--max-k", type=int, default=28)
+    _add_source_flags(sp, "--macwilliams", "MacWilliams transform of a dual weight spectrum file")
     _add_common_flags(sp)
     sp.set_defaults(func=cmd_spectrum)
 
     bp = sub.add_parser("bound", help="evaluate a bound curve over an SNR grid")
-    _add_source_flags(bp)
+    _add_source_flags(bp, "--spectrum", "spectrum file (weight or iowe)")
     bp.add_argument(
         "--variant",
         choices=[v.value for v in BoundVariant],
@@ -583,12 +583,11 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument(
         "--snr-convention",
         choices=[SnrConvention.EBN0_DB.value, SnrConvention.ESN0_DB.value],
-        default=SnrConvention.EBN0_DB.value,
+        help="with --snr: the dB convention (default ebn0)",
     )
     mp.add_argument("--dstar", type=int, default=None, help="list radius (default n)")
     mp.add_argument("--trials", type=int, default=10000)
     mp.add_argument("--seed", type=int, default=0)
-    mp.add_argument("--max-k-for-ml", type=int, default=26)
     mp.add_argument("--work-limit", type=int, default=400_000_000_000)
     mp.add_argument("--format", choices=["json", "text"], default="json")
     mp.add_argument(

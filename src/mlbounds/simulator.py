@@ -54,12 +54,15 @@ class SimConfig:
     d_star: int
     trials: int
     seed: int
-    max_k_for_ml: int = 26
     work_limit: int = 400_000_000_000
 
     def __post_init__(self):
         if not (isinstance(self.sigma, (int, float)) and math.isfinite(self.sigma) and self.sigma > 0):
             raise ValidationError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        # the report's Eb/N0 is -10 log10 of this product
+        rate = self.code.k / self.code.n
+        if not 0.0 < 2.0 * rate * self.sigma * self.sigma < math.inf:
+            raise ValidationError(f"sigma = {self.sigma!r} gives no finite Eb/N0 at rate {rate!r}")
         d_star = operator.index(self.d_star)
         if not 0 <= d_star <= self.code.n:
             raise ValidationError(f"need 0 <= d_star <= n, got {d_star}")
@@ -335,10 +338,6 @@ def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     code = cfg.code
-    if code.k > cfg.max_k_for_ml:
-        raise ResourceLimitError(
-            f"ML decoding over 2^{code.k} codewords exceeds the k <= {cfg.max_k_for_ml} guard"
-        )
     work = (1 << code.k) * cfg.trials
     if work > cfg.work_limit:
         raise ResourceLimitError(

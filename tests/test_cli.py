@@ -1,13 +1,20 @@
 """Command line behavior: exit codes, output determinism, config precedence,
 and the compare subcommand's alignment and dominance rules."""
 
+import functools
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from mlbounds.bounds import FileBoundProvider, UnionBoundProvider, truncated_union_bound
+from mlbounds.bounds import (
+    FileBoundProvider,
+    ThetaPolicy,
+    UnionBoundProvider,
+    truncated_union_bound,
+)
+from mlbounds import cli
 from mlbounds.cli import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, main
 from mlbounds.codes import repetition_code
 from mlbounds.numerics import ChannelPoint
@@ -269,6 +276,94 @@ class TestBoundCommand:
         assert "mlbounds" in out
 
 
+# Flag combinations where the command would read no value of the flag.
+# {spec} is a weight spectrum file; the --base-bound path never exists, so a
+# refusal that came after opening it would read as a missing file.
+_UNREAD = [
+    (["bound", "--enumerate", HAMMING_GEN, "--variant", "union", "--dstar", "1"], "--dstar"),
+    (["bound", "--enumerate", HAMMING_GEN, "--variant", "union", "--dstar-max", "3"],
+     "--dstar-max"),
+    *[
+        (["bound", "--enumerate", HAMMING_GEN, "--variant", variant, "--theta-policy", "tight"],
+         "--theta-policy")
+        for variant in ("union", "truncated-union", "pairwise", "gfbt")
+    ],
+    *[
+        (["bound", "--enumerate", HAMMING_GEN, "--variant", variant,
+          "--base-bound", "/nonexistent/base.txt"], "--base-bound")
+        for variant in ("union", "truncated-union", "pairwise", "triplet", "word", "bit")
+    ],
+    (["bound", "--spectrum", "{spec}", "--max-k", "5"], "--max-k"),
+    (["bound", "--ensemble", "16", "8", "--max-k", "5"], "--max-k"),
+    (["spectrum", "--macwilliams", "{spec}", "--max-k", "5"], "--max-k"),
+    (["spectrum", "--ensemble", "16", "8", "--max-k", "5"], "--max-k"),
+    *[
+        (["simulate", "--code", HAMMING_GEN, "--sigma", "0.8", "--trials", "10",
+          "--snr-convention", convention], "--snr-convention")
+        for convention in ("ebn0", "esn0")
+    ],
+]
+
+
+class TestUnreadFlagsAreRefused:
+    @pytest.mark.parametrize(
+        "argv,flag", _UNREAD, ids=[" ".join(a for a in v if a != HAMMING_GEN) for v, _ in _UNREAD]
+    )
+    def test_refused_before_any_output(self, capsys, tmp_path, argv, flag):
+        spec = tmp_path / "w.spec"
+        store_spectrum(WeightSpectrum(7, 4, {0: 1, 3: 7, 4: 7, 7: 1}, SpectrumKind.EXACT), spec)
+        out_file = tmp_path / "out"
+        argv = [token.replace("{spec}", str(spec)) for token in argv]
+        code, out, err = run(capsys, *argv, "-o", str(out_file))
+        assert code == EXIT_VALIDATION, err
+        assert flag in err and out == ""
+        assert "No such file" not in err and "Traceback" not in err
+        assert not out_file.exists()
+
+    def test_read_flags_still_run(self, capsys, tmp_path):
+        table = tmp_path / "base.txt"
+        table.write_text("".join(f"1.0 {d} 0.0\n" for d in range(8)))
+        grid = ["--snr-start", "1", "--snr-stop", "1"]
+        for argv in (
+            ["--variant", "truncated-union", "--dstar", "1", "--dstar-max", "3"],
+            ["--variant", "triplet", "--theta-policy", "tight"],
+            ["--variant", "gfbt", "--base-bound", str(table), "--dstar-max", "3"],
+            ["--variant", "bit", "--max-k", "4", "--theta-policy", "tight"],
+        ):
+            code, out, err = run(capsys, "bound", "--enumerate", HAMMING_GEN, *grid, *argv)
+            assert code == EXIT_OK, (argv, err)
+
+    def test_dstar_max_is_recorded_only_when_given(self, capsys):
+        argv = ["bound", "--enumerate", HAMMING_GEN, "--snr-start", "1", "--snr-stop", "2"]
+        _, plain, _ = run(capsys, *argv)
+        _, capped, _ = run(capsys, *argv, "--dstar-max", "1")
+        assert "d_star_max" not in plain
+        meta, _, rows = parse_csv(capped)
+        assert meta["d_star_max"] == "1"
+        assert all(int(row["d_star_opt"]) <= 1 for row in rows)
+        # the line follows d_star, and the metadata before it is unchanged
+        assert capped.startswith(plain.split("snr_db,")[0] + "# d_star_max=1\n")
+
+    def test_bounds_are_looked_up_at_call_time(self, capsys, monkeypatch):
+        # a wrapper bound over the module's name sees every grid point, and
+        # the parameters behind the wrapper still decide what is read
+        calls = []
+        real = cli.word_error_bound
+
+        @functools.wraps(real)
+        def counted(*args, **kwargs):
+            calls.append(kwargs["theta_policy"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "word_error_bound", counted)
+        code, out, err = run(
+            capsys, "bound", "--enumerate", HAMMING_GEN, "--theta-policy", "tight",
+            "--snr-start", "0", "--snr-stop", "2",
+        )
+        assert code == EXIT_OK, err
+        assert len(calls) == 9 and set(calls) == {ThetaPolicy.TIGHT}
+
+
 class TestTruncatedSpectrumWorkflow:
     @pytest.fixture()
     def spec_file(self, tmp_path):
@@ -324,6 +419,13 @@ class TestSimulateCommand:
             code, out, err = run(capsys, "simulate", "--code", HAMMING_GEN, "--snr", snr)
             assert code == EXIT_VALIDATION, snr
             assert "out of range" in err and out == ""
+
+    def test_extreme_sigma_is_refused(self, capsys):
+        # sigma^2 underflows to 0 or overflows, so the report has no Eb/N0
+        for sigma in ("1e-200", "1e200"):
+            code, out, err = run(capsys, "simulate", "--code", HAMMING_GEN, "--sigma", sigma)
+            assert code == EXIT_VALIDATION, sigma
+            assert "no finite Eb/N0" in err and out == "" and "Traceback" not in err
 
     def test_json_reruns_are_byte_identical_and_worker_invariant(self, tmp_path):
         argv = [

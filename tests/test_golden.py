@@ -98,7 +98,7 @@ def curve_digest(source, variant, policy, table_dir) -> str:
             _write_base_table(table, spectrum.n)
         provider = FileBoundProvider(table)
     curve = compute_curve(
-        CurveRequest(variant, spectrum, *GRID, theta_policy=policy, base_provider=provider)
+        CurveRequest(variant, spectrum, *GRID, theta_policy=policy, provider=provider)
     )
     return hashlib.sha256(_format_curve(curve).encode("utf-8")).hexdigest()
 

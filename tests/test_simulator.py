@@ -144,14 +144,40 @@ class TestSimulateEngine:
         assert total_joint > 0
 
     def test_guards(self):
+        # the codebook of a k = 28 code alone counts 2^28 * 26 bytes, ~7 GB
+        code = LinearCode(28, 28, tuple(1 << j for j in range(28)))
+        with pytest.raises(ResourceLimitError, match="GB"):
+            simulate(SimConfig(code=code, sigma=1.0, d_star=3, trials=10, seed=1))
         code = toy_code_10_5()
-        with pytest.raises(ResourceLimitError):
-            simulate(SimConfig(code=code, sigma=1.0, d_star=3, trials=10, seed=1, max_k_for_ml=4))
         with pytest.raises(ResourceLimitError):
             simulate(SimConfig(code=code, sigma=1.0, d_star=3, trials=10**9, seed=1, work_limit=10**6))
 
+    @pytest.mark.parametrize(
+        "n,trials,workers,admitted",
+        [(27, 1000, 1, True), (27, 1317, 1, True), (27, 1318, 1, False), (27, 1000, 2, False),
+         (64, 233, 1, True), (64, 234, 1, False)],
+    )
+    def test_footprint_guard_limits_k_27(self, monkeypatch, n, trials, workers, admitted):
+        # a k = 27 codebook counts 2^27 * 26 bytes, ~3.49 GB, which leaves one
+        # worker's scan buffers about 10 MB of the 3.5 GB limit
+        class Built(Exception):
+            pass
+
+        def unbuilt(code):
+            raise Built
+
+        monkeypatch.setattr(simulator, "_layout", unbuilt)
+        code = LinearCode(n, 27, tuple(1 << j for j in range(27)))
+        cfg = SimConfig(code=code, sigma=1.0, d_star=3, trials=trials, seed=1)
+        with pytest.raises(Built if admitted else ResourceLimitError):
+            simulate(cfg, workers=workers)
+
     def test_config_validation(self):
         code = hamming_7_4()
+        # sigma^2 underflows to 0 or overflows: the report's Eb/N0 would not be finite
+        for sigma in (1e-200, 1e200):
+            with pytest.raises(ValidationError, match="no finite Eb/N0"):
+                SimConfig(code=code, sigma=sigma, d_star=2, trials=10, seed=1)
         with pytest.raises(ValidationError):
             SimConfig(code=code, sigma=-1.0, d_star=2, trials=10, seed=1)
         with pytest.raises(ValidationError):
