@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import MlboundsError, ProviderLookupError, ValidationError
 from .numerics import ChannelPoint, angle_upper_bound, q_function, triplet_probability
-from .spectrum import InputOutputSpectrum, SpectrumKind, WeightSpectrum, _content_lines
+from .spectrum import InputOutputSpectrum, SpectrumKind, WeightSpectrum, _content_lines, _near_int
 
 __all__ = [
     "BoundVariant",
@@ -251,15 +251,18 @@ def _minimize(
     objective: Callable[[int], tuple[float, Any]], probe: range
 ) -> tuple[float, int, Any]:
     """Scan radii and keep the smallest objective, ties to the smallest d*,
-    together with the detail the objective returned for it."""
-    best: tuple[float, int, Any] | None = None
-    for d_star in probe:
-        value, detail = objective(d_star)
-        if not math.isfinite(value):
-            raise ValidationError(f"objective at d_star={d_star} is {value!r}")
-        if best is None or value < best[0]:
-            best = (value, d_star, detail)
-    assert best is not None  # probe ranges are never empty
+    together with the detail the objective returned for it.  An objective
+    that overflows to inf loses; NaN, or inf at every radius, is refused."""
+    best: tuple[float, int, Any] = (math.inf, probe.start, None)
+    with np.errstate(over="ignore"):
+        for d_star in probe:
+            value, detail = objective(d_star)
+            if math.isnan(value):
+                raise ValidationError(f"objective at d_star={d_star} is nan")
+            if value < best[0]:
+                best = (value, d_star, detail)
+    if best[0] == math.inf:
+        raise ValidationError(f"objective at d_star={best[1]} is inf")
     return best
 
 
@@ -298,7 +301,10 @@ def union_bound(spectrum: WeightSpectrum, ch: ChannelPoint) -> BoundResult:
     if spectrum.kind is SpectrumKind.TRUNCATED:
         raise ValidationError("union bound needs the full spectrum, not a truncated one")
     arrays = _PointArrays(spectrum, ch)
-    value = float(np.sum(arrays.aq))
+    with np.errstate(over="ignore"):
+        value = float(np.sum(arrays.aq))
+    if value == math.inf:
+        raise ValidationError(f"union bound overflows float64 at sigma={ch.sigma!r}")
     per_d = dict(zip(arrays.ds.tolist(), arrays.aq.tolist()))
     return BoundResult(value, spectrum.n, per_d, 0.0, BoundVariant.UNION)
 
@@ -356,7 +362,7 @@ def triplet_error_bound(
     """Combined bound with weight classes paired off two at a time (exact
     integer spectra only; parity of each A_d decides the leftover term)."""
     for d in spectrum.weights():
-        if abs(spectrum.counts[d] - round(spectrum.counts[d])) > 1e-6:
+        if not _near_int(spectrum.counts[d]):
             raise ValidationError(
                 f"pairing needs integer multiplicities, got A_{d}={spectrum.counts[d]!r}"
             )
@@ -423,6 +429,8 @@ def bit_error_bound(
             "bit bound needs a per-code IOWE; ensemble averages have no usable i^ profile"
         )
     k = iowe.k
+    if k == 0:
+        raise ValidationError("bit bound needs k >= 1 message bits, got k=0")
     marginal = iowe.weight_spectrum()
     # A'_d and i^ of every weight in one pass over the IOWE in (i, d) order:
     # each A'_d sums in ascending i, and the last i with a positive count is
@@ -456,12 +464,7 @@ class UnionBoundProvider:
     """T_u of the restricted spectrum: sum of A_d Q(sqrt(d)/sigma)."""
 
     def __call__(self, sub_spectrum: WeightSpectrum, ch: ChannelPoint) -> float:
-        ds = sub_spectrum.weights()
-        if not ds:
-            return 0.0
-        a = np.array([sub_spectrum.counts[d] for d in ds])
-        q = np.atleast_1d(q_function(np.sqrt(np.array(ds, dtype=np.float64)) / ch.sigma))
-        return float(np.sum(a * q))
+        return float(np.sum(_PointArrays(sub_spectrum, ch).aq))
 
 
 class FileBoundProvider:

@@ -118,8 +118,7 @@ class CurveRequest:
             raise ValidationError(
                 f"snr start must not exceed stop, got {self.snr_start!r} > {self.snr_stop!r}"
             )
-        # _snr_grid's point count exceeds the cap exactly when this fails
-        if not (self.snr_stop - self.snr_start) / self.snr_step + 1e-9 < _MAX_GRID_POINTS:
+        if _grid_count(self.snr_start, self.snr_stop, self.snr_step) > _MAX_GRID_POINTS:
             raise ValidationError(f"snr grid has more than {_MAX_GRID_POINTS:,} points")
         if self.variant not in _BOUNDS:
             raise ValidationError(f"unknown variant {self.variant!r}")
@@ -154,16 +153,18 @@ class BoundCurve:
     rows: tuple[CurveRow, ...]
 
 
+def _grid_count(start: float, stop: float, step: float) -> int:
+    """Grid points start + i*step <= stop (1e-9 slack), at most _MAX_GRID_POINTS + 1."""
+    return math.floor(min((stop - start) / step + 1e-9, _MAX_GRID_POINTS)) + 1
+
+
 def _snr_grid(start: float, stop: float, step: float) -> list[float]:
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    return [start + i * step for i in range(_grid_count(start, stop, step))]
 
 
 def compute_curve(request: CurveRequest) -> BoundCurve:
     spectrum = request.spectrum
     rate = spectrum.k / spectrum.n
-    if request.convention is SnrConvention.EBN0_DB and spectrum.k == 0:
-        raise ValidationError("Eb/N0 mapping is undefined for a rate-0 spectrum")
     bound = globals()[_BOUNDS[request.variant]]
     params = inspect.signature(bound).parameters
     reads = {name: getattr(request, name) for name in _FIELD_FLAGS if name in params}
@@ -258,21 +259,14 @@ def _emit(args, text: str) -> None:
 
 
 def _resolve_workers(args) -> int:
+    """--workers, else $MLBOUNDS_WORKERS, else 1; simulate checks the count."""
     if args.workers is not None:
-        value = args.workers
-    else:
-        env = os.environ.get(WORKERS_ENV)
-        if env is None:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValidationError(
-                f"{WORKERS_ENV} must be an integer, got {env!r}"
-            ) from None
-    if value < 1:
-        raise ValidationError(f"worker count must be >= 1, got {value}")
-    return value
+        return args.workers
+    env = os.environ.get(WORKERS_ENV, "1")
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
 
 
 def _load_source(args):
@@ -348,7 +342,7 @@ def cmd_simulate(args) -> int:
         grid, convention = args.sigma, SnrConvention.SIGMA
     else:
         raise ValidationError("--snr-convention applies only to --snr, not to --sigma")
-    sigmas = [noise_sigma(x, convention, code.k / code.n) for x in grid]
+    sigmas = [noise_sigma(x, convention, code.rate) for x in grid]
     d_star = args.dstar if args.dstar is not None else code.n
     reports = []
     for sigma in sigmas:
@@ -362,7 +356,7 @@ def cmd_simulate(args) -> int:
         )
         reports.append(simulate(cfg, workers=workers))
     if args.format == "json":
-        payload = [json.loads(r.to_json()) for r in reports]
+        payload = [report.to_dict() for report in reports]
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         blocks = [

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 
-def cyclic_code(n: int, generator_poly: int, systematic: bool = True) -> LinearCode:
+def cyclic_code(n: int, generator_poly: int) -> LinearCode:
     """[n, n - deg(g)] cyclic code generated by g(x).
 
     Rows start as the shifted coefficient masks of x^j * g(x); a nonzero
@@ -40,9 +40,7 @@ def cyclic_code(n: int, generator_poly: int, systematic: bool = True) -> LinearC
     if not 1 <= n - deg:
         raise ValidationError(f"degree {deg} polynomial leaves no message bits in length {n}")
     k = n - deg
-    rows = [g << j for j in range(k)]
-    if systematic:
-        rows, _ = _gf2_rref(rows, n)
+    rows, _ = _gf2_rref([g << j for j in range(k)], n)
     return LinearCode(n, k, tuple(rows))
 
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -46,6 +47,9 @@ BLOCK = 1024
 
 _WILSON_Z = 1.96  # 95% two-sided
 
+# the counters SimReport gives a rate and a Wilson interval, by field stem
+_RATED = ("word_error", "bit_error", "region_exit")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -60,7 +64,7 @@ class SimConfig:
         if not (isinstance(self.sigma, (int, float)) and math.isfinite(self.sigma) and self.sigma > 0):
             raise ValidationError(f"sigma must be finite and > 0, got {self.sigma!r}")
         # the report's Eb/N0 is -10 log10 of this product
-        rate = self.code.k / self.code.n
+        rate = self.code.rate
         if not 0.0 < 2.0 * rate * self.sigma * self.sigma < math.inf:
             raise ValidationError(f"sigma = {self.sigma!r} gives no finite Eb/N0 at rate {rate!r}")
         d_star = operator.index(self.d_star)
@@ -68,6 +72,10 @@ class SimConfig:
             raise ValidationError(f"need 0 <= d_star <= n, got {d_star}")
         if operator.index(self.trials) < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if operator.index(self.work_limit) < 1:
+            raise ValidationError(f"work_limit must be >= 1, got {self.work_limit}")
+        if self.code.n > 65_535:  # the codebook layout keeps weights as uint16
+            raise ValidationError(f"simulation needs n <= 65,535, got n={self.code.n}")
         seed = operator.index(self.seed)
         if not 0 <= seed < 2**64:
             raise ValidationError("seed must fit in 64 bits")
@@ -133,46 +141,34 @@ class SimReport:
     def region_exit_ci(self) -> tuple[float, float]:
         return wilson_interval(self.region_exits, self.trials)
 
-    def to_json(self) -> str:
-        payload = {
-            "n": self.n,
-            "k": self.k,
-            "sigma": self.sigma,
-            "snr_db": self.snr_db,
-            "d_star": self.d_star,
-            "trials": self.trials,
-            "seed": self.seed,
-            "word_errors": self.word_errors,
-            "word_error_rate": self.word_error_rate,
-            "word_error_ci": list(self.word_error_ci),
-            "bit_errors": self.bit_errors,
-            "bit_error_rate": self.bit_error_rate,
-            "bit_error_ci": list(self.bit_error_ci),
-            "region_exits": self.region_exits,
-            "region_exit_rate": self.region_exit_rate,
-            "region_exit_ci": list(self.region_exit_ci),
-            "ties": self.ties,
-            "joint_errors_by_weight": {str(d): c for d, c in sorted(self.joint_errors_by_weight.items())},
+    def to_dict(self) -> dict:
+        """The JSON payload: every field plus each rate and its interval."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        for stem in _RATED:
+            payload[f"{stem}_rate"] = getattr(self, f"{stem}_rate")
+            payload[f"{stem}_ci"] = list(getattr(self, f"{stem}_ci"))
+        payload["joint_errors_by_weight"] = {
+            str(d): c for d, c in sorted(self.joint_errors_by_weight.items())
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
         lines = [
             f"[{self.n},{self.k}] code, sigma={self.sigma!r} ({self.snr_db:.4f} dB Eb/N0), "
-            f"d_star={self.d_star}, trials={self.trials}, seed={self.seed}",
-            f"word errors : {self.word_errors}  rate={self.word_error_rate:.6e}  "
-            f"ci95=[{self.word_error_ci[0]:.6e}, {self.word_error_ci[1]:.6e}]",
-            f"bit errors  : {self.bit_errors}  rate={self.bit_error_rate:.6e}  "
-            f"ci95=[{self.bit_error_ci[0]:.6e}, {self.bit_error_ci[1]:.6e}]",
-            f"region exits: {self.region_exits}  rate={self.region_exit_rate:.6e}  "
-            f"ci95=[{self.region_exit_ci[0]:.6e}, {self.region_exit_ci[1]:.6e}]",
-            f"score ties  : {self.ties}",
+            f"d_star={self.d_star}, trials={self.trials}, seed={self.seed}"
         ]
-        if self.joint_errors_by_weight:
-            pairs = ", ".join(f"{d}:{c}" for d, c in sorted(self.joint_errors_by_weight.items()))
-            lines.append(f"joint errors by competitor weight (within region): {pairs}")
-        else:
-            lines.append("joint errors by competitor weight (within region): none")
+        for stem in _RATED:
+            lo, hi = getattr(self, f"{stem}_ci")
+            lines.append(
+                f"{stem.replace('_', ' ') + 's':<12}: {getattr(self, stem + 's')}  "
+                f"rate={getattr(self, stem + '_rate'):.6e}  ci95=[{lo:.6e}, {hi:.6e}]"
+            )
+        lines.append(f"score ties  : {self.ties}")
+        pairs = ", ".join(f"{d}:{c}" for d, c in sorted(self.joint_errors_by_weight.items()))
+        lines.append(f"joint errors by competitor weight (within region): {pairs or 'none'}")
         return "\n".join(lines)
 
 
@@ -185,8 +181,9 @@ class _ClassLayout:
     cw holds the codewords in message order as ceil(n/64) uint64 words.
     msgs lists the message indices sorted by Hamming weight; within a class
     they stay ascending (stable sort), so a first-occurrence argmin over any
-    slice of a class is also the smallest-message tie-break within it.  The
-    scans expand cw rows into 0/1 floats one tile at a time (_tile_bits).
+    slice of a class is also the smallest-message tie-break within it;
+    classes holds (d, start, stop) of each nonempty class d >= 1 in msgs.
+    The scans expand cw rows into 0/1 floats one tile at a time (_tile_bits).
     """
 
     def __init__(self, code: LinearCode):
@@ -198,8 +195,7 @@ class _ClassLayout:
             weights[lo : lo + step] = _weights(chunk)
         self.msgs = np.argsort(weights, kind="stable").astype(np.uint32)
         ends = np.cumsum(np.bincount(weights, minlength=n + 1)).tolist()
-        self.class_weights = [d for d in range(1, n + 1) if ends[d] > ends[d - 1]]
-        self.bounds = {d: (ends[d - 1], ends[d]) for d in self.class_weights}
+        self.classes = [(d, lo, hi) for d, (lo, hi) in enumerate(zip(ends, ends[1:]), 1) if lo < hi]
 
 
 @lru_cache(maxsize=1)
@@ -250,33 +246,17 @@ def _noise_block(seed: int, block_index: int, m: int, n: int, sigma: float) -> n
 # --- batch engine ------------------------------------------------------------
 
 
-class _Counters:
-    def __init__(self):
-        self.word_errors = 0
-        self.bit_errors = 0
-        self.region_exits = 0
-        self.ties = 0
-        self.joint: dict[int, int] = {}
-
-    def merge(self, other: "_Counters") -> None:
-        self.word_errors += other.word_errors
-        self.bit_errors += other.bit_errors
-        self.region_exits += other.region_exits
-        self.ties += other.ties
-        for d, c in other.joint.items():
-            self.joint[d] = self.joint.get(d, 0) + c
-
-
 def _run_superblock(
     layout: _ClassLayout, cfg: SimConfig, blocks: list[tuple[int, int]]
-) -> _Counters:
+) -> Counter:
+    """SimReport's four counters over the blocks, keyed by field name and
+    all present, plus each nonzero joint count under its weight d."""
     n = cfg.code.n
     y = np.concatenate([_noise_block(cfg.seed, b, size, n, cfg.sigma) for b, size in blocks])
     m = len(y)
-    counters = _Counters()
 
     in_region = np.count_nonzero(y <= 0.0, axis=1) <= cfg.d_star
-    counters.region_exits = int(m - np.count_nonzero(in_region))
+    counters = Counter(region_exits=int(m - np.count_nonzero(in_region)))
 
     # LB[:, d] = sum of the d smallest samples: lower bound on every
     # weight-d support score, exact pruning criterion
@@ -289,11 +269,10 @@ def _run_superblock(
 
     # the minimum, its multiplicity and its smallest message merge the same
     # way in any order, so each tile of a class merges straight into them
-    for d in layout.class_weights:
+    for d, start, stop in layout.classes:
         cand = np.nonzero(lb[:, d - 1] <= 0.0)[0]
         if cand.size == 0:
             continue
-        start, stop = layout.bounds[d]
         negative = np.zeros(cand.size, dtype=bool)
         for lo in range(start, stop, _TILE):
             tile_msgs = layout.msgs[lo : min(lo + _TILE, stop)]
@@ -316,12 +295,12 @@ def _run_superblock(
                 best[idx] = tmin
         errors_in_region = int(np.count_nonzero(negative & in_region[cand]))
         if errors_in_region:
-            counters.joint[d] = errors_in_region
+            counters[d] = errors_in_region
 
     errors = best < 0.0
-    counters.word_errors = int(np.count_nonzero(errors))
-    counters.bit_errors = int(np.bitwise_count(best_msg[errors].astype(np.uint64)).sum())
-    counters.ties = int(np.count_nonzero(mult >= 2))
+    counters["word_errors"] = int(np.count_nonzero(errors))
+    counters["bit_errors"] = int(np.bitwise_count(best_msg[errors].astype(np.uint64)).sum())
+    counters["ties"] = int(np.count_nonzero(mult >= 2))
     return counters
 
 
@@ -353,13 +332,13 @@ def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
     starts = range(0, cfg.trials, BLOCK)
     blocks = [(lo // BLOCK, min(BLOCK, cfg.trials - lo)) for lo in starts]
     superblocks = [blocks[lo : lo + _SUPERBLOCK] for lo in range(0, len(blocks), _SUPERBLOCK)]
-    total = _Counters()
+    total = Counter()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for counters in pool.map(lambda sb: _run_superblock(layout, cfg, sb), superblocks):
-            total.merge(counters)
+            total.update(counters)
 
-    rate = code.k / code.n
-    snr_db = -10.0 * math.log10(2.0 * rate * cfg.sigma * cfg.sigma)
+    snr_db = -10.0 * math.log10(2.0 * code.rate * cfg.sigma * cfg.sigma)
+    joint = {d: total.pop(d) for d in sorted(key for key in total if isinstance(key, int))}
     return SimReport(
         n=code.n,
         k=code.k,
@@ -368,9 +347,6 @@ def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
         d_star=int(cfg.d_star),
         trials=int(cfg.trials),
         seed=int(cfg.seed),
-        word_errors=total.word_errors,
-        bit_errors=total.bit_errors,
-        region_exits=total.region_exits,
-        ties=total.ties,
-        joint_errors_by_weight=dict(sorted(total.joint.items())),
+        joint_errors_by_weight=joint,
+        **total,  # the four counters left
     )

@@ -309,6 +309,8 @@ def enumerate_spectrum(code: LinearCode, *, max_k: int = 28) -> InputOutputSpect
     Each codebook chunk adds its (message weight, codeword weight) pairs to
     a (k+1) x (n+1) table with one bincount.
     """
+    if max_k < 0:
+        raise ValidationError(f"max_k must be >= 0, got {max_k}")
     if code.k > max_k:
         raise ResourceLimitError(
             f"enumeration over 2^{code.k} messages exceeds the k <= {max_k} guard"

@@ -240,6 +240,21 @@ class TestUnionBound:
         with pytest.raises(ValidationError):
             union_bound(HAMMING.restrict(4), ch(1.0))
 
+    def test_refuses_overflowing_sum(self):
+        # every A_d of the [2054, 1027] average is finite, their union sum
+        # at -30 dB is not; RuntimeWarnings are errors under pytest
+        ens = ensemble_average(2054, 1027)
+        assert ens.kind is SpectrumKind.ENSEMBLE_AVERAGE
+        point = ChannelPoint.from_snr_db(-30.0, rate=0.5)
+        with pytest.raises(ValidationError, match="overflows float64"):
+            union_bound(ens, point)
+        # the region-split variants drop the overflowing radii and d* = 0 wins
+        for bound in (truncated_union_bound, pairwise_error_bound, word_error_bound):
+            res = bound(ens, point)
+            assert res.d_star_opt == 0 and res.value < 1.0
+        with pytest.raises(ValidationError, match="d_star=523 is inf"):
+            truncated_union_bound(ens, point, d_star=523)
+
 
 class TestTruncatedUnionBound:
     def test_forced_full_radius_equals_union_exactly(self):
@@ -424,7 +439,25 @@ class TestCompositionAtForcedRadii:
             assert rel_close(res.value, want)
 
 
+class TestMinimize:
+    def test_infinite_objective_loses(self):
+        values = [math.inf, 0.5, math.inf, 0.25, 0.25]
+        assert bounds._minimize(lambda r: (values[r], r), range(5)) == (0.25, 3, 3)
+
+    def test_nan_or_all_infinite_is_refused(self):
+        values = [1.0, math.nan, 0.5]
+        with pytest.raises(ValidationError, match="d_star=1 is nan"):
+            bounds._minimize(lambda r: (values[r], None), range(3))
+        with pytest.raises(ValidationError, match="d_star=2 is inf"):
+            bounds._minimize(lambda r: (math.inf, None), range(2, 5))
+
+
 class TestVariantEdges:
+    def test_bit_refuses_zero_message_bits(self):
+        iowe = InputOutputSpectrum(7, 0, {(0, 0): 1.0}, SpectrumKind.EXACT)
+        with pytest.raises(ValidationError, match="k >= 1"):
+            bit_error_bound(iowe, ch(1.0))
+
     def test_triplet_rejects_fractional_spectrum(self):
         with pytest.raises(ValidationError):
             triplet_error_bound(ensemble_average(20, 10), ch(1.0))

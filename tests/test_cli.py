@@ -104,6 +104,13 @@ class TestSpectrumCommand:
         assert code == EXIT_RESOURCE
         assert "resource guard" in err
 
+    def test_negative_max_k_is_a_validation_error(self, capsys):
+        code, out, err = run(
+            capsys, "spectrum", "--enumerate", HAMMING_GEN, "--max-k", "-1"
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "max_k must be >= 0" in err
+
 
 class TestBoundCommand:
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
@@ -177,6 +184,29 @@ class TestBoundCommand:
             "--snr-start", "2", "--snr-stop", "3", "--snr-step", "1",
         )
         assert code == EXIT_OK
+
+    def test_bit_variant_refuses_zero_message_bits(self, capsys, tmp_path):
+        path = tmp_path / "k0.iowe"
+        store_spectrum(InputOutputSpectrum(7, 0, {(0, 0): 1.0}, SpectrumKind.EXACT), path)
+        code, out, err = run(
+            capsys, "bound", "--spectrum", str(path), "--variant", "bit",
+            "--snr-convention", "esn0",
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "k >= 1" in err and "Traceback" not in err
+
+    def test_union_overflow_is_refused(self, capsys):
+        # the [2054, 1027] average is complete, but its union sum at -30 dB
+        # overflows; the region-split variants stay below 1 there
+        argv = ("bound", "--ensemble", "2054", "1027", "--snr-start", "-30", "--snr-stop", "-30")
+        code, out, err = run(capsys, *argv, "--variant", "union")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "union bound overflows float64" in err and "Warning" not in err
+        for variant in ("truncated-union", "pairwise", "word"):
+            code, out, err = run(capsys, *argv, "--variant", variant)
+            assert code == EXIT_OK and err == "", variant
+            _, _, (row,) = parse_csv(out)
+            assert row["d_star_opt"] == "0" and float(row["raw_value"]) < 1.0
 
     def test_gfbt_requires_base_table_flag(self, capsys):
         code, out, err = run(
@@ -514,6 +544,17 @@ class TestSimulateCommand:
         )
         assert code == EXIT_RESOURCE
         assert "resource guard" in err
+
+    def test_invalid_counts_exit_two_not_three(self, capsys, monkeypatch):
+        argv = ["simulate", "--code", HAMMING_GEN, "--sigma", "0.8", "--trials", "10"]
+        code, out, err = run(capsys, *argv, "--work-limit", "-5")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "work_limit must be >= 1" in err
+        code, out, err = run(capsys, *argv, "--workers", "0")
+        assert code == EXIT_VALIDATION and "workers must be >= 1" in err
+        monkeypatch.setenv("MLBOUNDS_WORKERS", "0")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION and "workers must be >= 1" in err
 
     def test_validation_exit_codes(self, capsys):
         cases = [

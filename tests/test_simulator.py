@@ -25,7 +25,7 @@ from mlbounds import (
     wilson_interval,
 )
 from mlbounds import simulator
-from mlbounds.codes import bch_15_7, bch_31_21, hamming_7_4, toy_code_10_5
+from mlbounds.codes import bch_15_7, bch_31_21, hamming_7_4, repetition_code, toy_code_10_5
 from mlbounds.simulator import BLOCK, _layout, _noise_block
 
 # a [72, 5] code whose nonzero codewords all have bits in both 64-bit words
@@ -143,6 +143,15 @@ class TestSimulateEngine:
         assert total_joint >= report.word_errors - report.region_exits
         assert total_joint > 0
 
+    def test_config_refuses_long_codes_and_bad_work_limit(self):
+        # the layout keeps weights as uint16; a config alone builds no layout
+        with pytest.raises(ValidationError, match="n <= 65,535"):
+            SimConfig(code=repetition_code(70_000), sigma=300.0, d_star=70_000, trials=200, seed=1)
+        SimConfig(code=repetition_code(65_535), sigma=300.0, d_star=65_535, trials=200, seed=1)
+        for limit in (0, -5):
+            with pytest.raises(ValidationError, match="work_limit must be >= 1"):
+                SimConfig(code=hamming_7_4(), sigma=1.0, d_star=3, trials=10, seed=1, work_limit=limit)
+
     def test_guards(self):
         # the codebook of a k = 28 code alone counts 2^28 * 26 bytes, ~7 GB
         code = LinearCode(28, 28, tuple(1 << j for j in range(28)))
@@ -201,7 +210,7 @@ class TestSimulateEngine:
         # at low SNR the scan reaches the big middle classes of [31, 18],
         # each spread over many tiles
         code = LinearCode(31, 18, bch_31_21().rows[:18])
-        sizes = [stop - start for start, stop in _layout(code).bounds.values()]
+        sizes = [stop - start for _, start, stop in _layout(code).classes]
         assert max(sizes) > 8 * simulator._TILE
         cfg = SimConfig(code=code, sigma=1.0, d_star=9, trials=300, seed=17)
         y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)

@@ -8,6 +8,7 @@ import math
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from mlbounds.spectrum import (
     store_generator,
     store_spectrum,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data" / "codes"
 
 
 def brute_force_iowe(code: LinearCode) -> dict:
@@ -65,6 +68,20 @@ class TestLinearCode:
         # systematic: message bits appear verbatim in the low positions
         for m in range(16):
             assert code.encode(m) & 0b1111 == m
+
+    @pytest.mark.parametrize(
+        "name,build",
+        [("hamming_7_4", hamming_7_4), ("toy_10_5", toy_code_10_5), ("bch_15_7", bch_15_7),
+         ("bch_31_21", bch_31_21), ("bch_31_26", bch_31_26)],
+    )
+    def test_generator_files_match_constructors(self, name, build):
+        # the goldens and benchmarks read the files, the unit tests build the codes
+        assert load_generator(DATA / f"{name}.gen") == build()
+
+    def test_every_generator_file_is_checked(self):
+        assert sorted(p.stem for p in DATA.glob("*.gen")) == [
+            "bch_15_7", "bch_31_21", "bch_31_26", "hamming_7_4", "toy_10_5"
+        ]
 
     def test_rank_validation(self):
         with pytest.raises(ValidationError):
@@ -123,6 +140,10 @@ class TestEnumerateSpectrum:
     def test_enumeration_guard(self):
         with pytest.raises(ResourceLimitError):
             enumerate_spectrum(hamming_7_4(), max_k=3)
+
+    def test_negative_guard_is_invalid_input(self):
+        with pytest.raises(ValidationError, match="max_k must be >= 0"):
+            enumerate_spectrum(hamming_7_4(), max_k=-1)
 
 
 class TestMacwilliams:
