@@ -111,7 +111,8 @@ class BaseBoundProvider(Protocol):
     """Any upper bound on ML error probability of the subcode with spectrum
     restricted to d <= 2d*, evaluated at a channel point.
 
-    Must return a finite value in [0, inf) and 0 for an empty sub-spectrum.
+    Must return a value in [0, inf] and 0 for an empty sub-spectrum; a radius
+    whose value is inf loses the scan.
     """
 
     def __call__(self, sub_spectrum: WeightSpectrum, ch: ChannelPoint) -> float: ...
@@ -546,9 +547,9 @@ def gfbt_combine(
             value = float(provider(sub, ch))
         except MlboundsError as exc:
             raise type(exc)(f"base bound failed at d_star={radius}: {exc}") from exc
-        if not (math.isfinite(value) and value >= 0.0):
+        if not value >= 0.0:  # NaN fails too; inf lets the radius lose
             raise ValidationError(
-                f"provider returned {value!r} at d_star={radius}, need finite >= 0"
+                f"provider returned {value!r} at d_star={radius}, need finite >= 0 or inf"
             )
         return value
 

@@ -7,8 +7,8 @@ one table, optionally asserting dominance).
 
 Exit codes: 0 success, 2 validation/input errors, 3 resource-guard refusals.
 Outputs are deterministic for fixed inputs; metadata lives in '#' comments,
-never in data rows.  Configuration precedence: command-line flags beat
-config-file values beat built-in defaults.
+never in data rows.  An argument '@FILE' stands for the flags in FILE,
+shell-quoted, with '#' comments; flags given after it override them.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .simulator import SimConfig, simulate
 from .spectrum import (
     InputOutputSpectrum,
     WeightSpectrum,
-    _content_lines,
     ensemble_average,
     enumerate_spectrum,
     format_spectrum,
@@ -57,8 +56,6 @@ __all__ = ["CurveRequest", "CurveRow", "BoundCurve", "compute_curve", "main"]
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
-
-WORKERS_ENV = "MLBOUNDS_WORKERS"
 
 _CSV_HEADER = "snr_db,sigma,raw_value,clamped_value,d_star_opt"
 _MAX_GRID_POINTS = 1_000_000
@@ -258,17 +255,6 @@ def _emit(args, text: str) -> None:
             handle.write(text)
 
 
-def _resolve_workers(args) -> int:
-    """--workers, else $MLBOUNDS_WORKERS, else 1; simulate checks the count."""
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return int(env)
-    except ValueError:
-        raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-
-
 def _load_source(args):
     """The spectrum named by the source flags that spectrum and bound share."""
     if args.max_k is not None and args.enumerate is None:
@@ -298,7 +284,6 @@ def _add_source_flags(parser: argparse.ArgumentParser, file_flag: str, file_help
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="FILE", help="key=value defaults file")
     parser.add_argument("-o", "--output", metavar="FILE", help="output path (default stdout)")
 
 
@@ -334,7 +319,6 @@ def cmd_bound(args) -> int:
 
 def cmd_simulate(args) -> int:
     code = load_generator(args.code)
-    workers = _resolve_workers(args)
     if args.sigma is None:
         grid = args.snr
         convention = SnrConvention(args.snr_convention or SnrConvention.EBN0_DB.value)
@@ -354,7 +338,7 @@ def cmd_simulate(args) -> int:
             seed=args.seed,
             work_limit=args.work_limit,
         )
-        reports.append(simulate(cfg, workers=workers))
+        reports.append(simulate(cfg, workers=args.workers))
     if args.format == "json":
         payload = [report.to_dict() for report in reports]
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -526,12 +510,23 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-# --- parser / config ----------------------------------------------------------
+# --- parser ------------------------------------------------------------------
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads each line of an '@FILE' argument as shell words; '#' starts a comment."""
+
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        try:
+            return shlex.split(arg_line, comments=True)
+        except ValueError as exc:  # an unclosed quote
+            raise ValidationError(f"argument file line {arg_line!r}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mlbounds",
+        fromfile_prefix_chars="@",
         description="ML decoding error bounds and Monte Carlo validation "
         "for binary linear block codes over BPSK-AWGN",
     )
@@ -584,12 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     mp.add_argument("--seed", type=int, default=0)
     mp.add_argument("--work-limit", type=int, default=400_000_000_000)
     mp.add_argument("--format", choices=["json", "text"], default="json")
-    mp.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=f"worker count (default: ${WORKERS_ENV} or 1)",
-    )
+    mp.add_argument("--workers", type=int, default=1, help="worker count (default 1)")
     _add_common_flags(mp)
     mp.set_defaults(func=cmd_simulate)
 
@@ -609,70 +599,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags that argparse treats as mutually exclusive; a user flag from one of
-# these sets suppresses config values for every member of the same set.
-_EXCLUSIVE_SETS = (
-    frozenset({"--spectrum", "--enumerate", "--ensemble", "--macwilliams"}),
-    frozenset({"--snr", "--sigma"}),
-)
-
-
-def _suppressed_flags(user_flags: set[str]) -> set[str]:
-    suppressed = set(user_flags)
-    for group in _EXCLUSIVE_SETS:
-        if user_flags & group:
-            suppressed |= group
-    return suppressed
-
-
-def _load_config_tokens(path, user_flags: set[str]) -> list[str]:
-    suppressed = _suppressed_flags(user_flags)
-    tokens = []
-    for lineno, line in _content_lines(path):
-        if "=" not in line:
-            raise ValidationError(f"{path}:{lineno}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key:
-            raise ValidationError(f"{path}:{lineno}: empty key")
-        flag = "--" + key.replace("_", "-")
-        if flag in suppressed:
-            continue
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                tokens.append(flag)
-        else:
-            tokens.append(flag)
-            tokens.extend(shlex.split(value))
-    return tokens
-
-
-def _inject_config(argv: list[str]) -> list[str]:
-    """Splice config-file values in ahead of the user's flags.  A key is
-    skipped when the user already passed its flag (or a flag argparse holds
-    mutually exclusive with it), so explicit flags always win."""
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None or not argv:
-        return argv
-    user_flags = {token.split("=", 1)[0] for token in argv[1:] if token.startswith("--")}
-    return [argv[0], *_load_config_tokens(path, user_flags), *argv[1:]]
-
-
 def main(argv=None) -> int:
-    raw_argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_inject_config(raw_argv))
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse: --help, --version, usage errors
         return int(exc.code or 0)
     except ResourceLimitError as exc:
         print(f"mlbounds: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (MlboundsError, OSError) as exc:
+    except (MlboundsError, OSError, UnicodeDecodeError) as exc:
         print(f"mlbounds: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -146,6 +146,21 @@ def _near_int(value: float, tol: float = 1e-6) -> bool:
     return abs(value) >= 2.0**52 or abs(value - round(value)) <= tol
 
 
+def _check_shape(n: int, k: int, kind: SpectrumKind, truncation: int | None) -> int:
+    """Check the k range and the kind/truncation pair of a spectrum; return
+    the largest weight its entries may have."""
+    n = operator.index(n)
+    k = operator.index(k)
+    if not 0 <= k <= n:
+        raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if kind is SpectrumKind.TRUNCATED:
+        if truncation is None or not 0 <= truncation:
+            raise ValidationError("truncated spectra need a truncation radius >= 0")
+    elif truncation is not None:
+        raise ValidationError(f"{kind.value} spectra must not set a truncation")
+    return n if truncation is None else min(n, truncation)
+
+
 @dataclass(frozen=True)
 class WeightSpectrum:
     """Weight multiplicities {d: A_d} of an [n, k] code.
@@ -161,20 +176,11 @@ class WeightSpectrum:
     truncation: int | None = None
 
     def __post_init__(self):
-        n = operator.index(self.n)
-        k = operator.index(self.k)
-        if not 0 <= k <= n:
-            raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
-        if self.kind is SpectrumKind.TRUNCATED:
-            if self.truncation is None or not 0 <= self.truncation:
-                raise ValidationError("truncated spectra need a truncation radius >= 0")
-        elif self.truncation is not None:
-            raise ValidationError(f"{self.kind.value} spectra must not set a truncation")
-        limit = self.truncation if self.truncation is not None else n
+        limit = _check_shape(self.n, self.k, self.kind, self.truncation)
         for d, count in self.counts.items():
             d = operator.index(d)
-            if not 0 <= d <= min(n, limit):
-                raise ValidationError(f"weight {d} outside [0, {min(n, limit)}]")
+            if not 0 <= d <= limit:
+                raise ValidationError(f"weight {d} outside [0, {limit}]")
             if not (math.isfinite(count) and count >= 0.0):
                 raise ValidationError(f"count A_{d}={count!r} must be finite and >= 0")
         if self.kind is not SpectrumKind.TRUNCATED:
@@ -226,19 +232,10 @@ class InputOutputSpectrum:
     truncation: int | None = None
 
     def __post_init__(self):
-        n = operator.index(self.n)
-        k = operator.index(self.k)
-        if not 0 <= k <= n:
-            raise ValidationError(f"need 0 <= k <= n, got k={k}, n={n}")
-        if self.kind is SpectrumKind.TRUNCATED:
-            if self.truncation is None or not 0 <= self.truncation:
-                raise ValidationError("truncated spectra need a truncation radius >= 0")
-        elif self.truncation is not None:
-            raise ValidationError(f"{self.kind.value} spectra must not set a truncation")
-        limit = self.truncation if self.truncation is not None else n
+        limit = _check_shape(self.n, self.k, self.kind, self.truncation)
         for (i, d), count in self.counts.items():
-            if not (0 <= operator.index(i) <= k and 0 <= operator.index(d) <= min(n, limit)):
-                raise ValidationError(f"entry ({i}, {d}) outside [0,{k}] x [0,{min(n, limit)}]")
+            if not (0 <= operator.index(i) <= self.k and 0 <= operator.index(d) <= limit):
+                raise ValidationError(f"entry ({i}, {d}) outside [0,{self.k}] x [0,{limit}]")
             if not (math.isfinite(count) and count >= 0.0):
                 raise ValidationError(f"count A_({i},{d})={count!r} must be finite and >= 0")
         if self.kind is SpectrumKind.EXACT:

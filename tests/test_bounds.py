@@ -689,6 +689,16 @@ class TestGfbtCombine:
         with pytest.raises(ProviderLookupError, match="d_star=2"):
             gfbt_combine(failing, HAMMING, ch(1.0), d_star=2)
 
+    def test_infinite_base_loses_its_radius(self):
+        # the union sum of the [2054, 1027] average overflows at every large
+        # radius at -30 dB; those radii lose, as in truncated_union_bound
+        ens = ensemble_average(2054, 1027)
+        point = ChannelPoint.from_snr_db(-30.0, rate=0.5)
+        via_provider = gfbt_combine(UnionBoundProvider(), ens, point)
+        direct = truncated_union_bound(ens, point)
+        assert via_provider.value == direct.value == 0.9999999999997208
+        assert via_provider.d_star_opt == direct.d_star_opt == 0
+
     def test_provider_bad_value_rejected(self):
         with pytest.raises(ValidationError, match="d_star=3"):
             gfbt_combine(lambda sub, point: -0.5, HAMMING, ch(1.0), d_star=3)

@@ -1,4 +1,4 @@
-"""Command line behavior: exit codes, output determinism, config precedence,
+"""Command line behavior: exit codes, output determinism, argument files,
 and the compare subcommand's alignment and dominance rules."""
 
 import functools
@@ -493,28 +493,6 @@ class TestSimulateCommand:
         assert "# grid point sigma=0.7" in out
         assert "word errors" in out
 
-    def test_workers_env_var_and_flag_override(self, capsys, tmp_path, monkeypatch):
-        argv = [
-            "simulate", "--code", HAMMING_GEN, "--sigma", "0.9",
-            "--trials", "900", "--seed", "4",
-        ]
-        base = tmp_path / "base.json"
-        assert main(argv + ["-o", str(base)]) == EXIT_OK
-
-        via_env = tmp_path / "env.json"
-        monkeypatch.setenv("MLBOUNDS_WORKERS", "3")
-        assert main(argv + ["-o", str(via_env)]) == EXIT_OK
-        assert base.read_bytes() == via_env.read_bytes()
-
-        monkeypatch.setenv("MLBOUNDS_WORKERS", "garbage")
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_VALIDATION
-        assert "MLBOUNDS_WORKERS" in err
-        # explicit flag wins over the broken environment value
-        flagged = tmp_path / "flag.json"
-        assert main(argv + ["--workers", "2", "-o", str(flagged)]) == EXIT_OK
-        assert base.read_bytes() == flagged.read_bytes()
-
     def test_code_longer_than_64_simulates(self, capsys, tmp_path):
         gen = tmp_path / "rep70.gen"
         store_generator(repetition_code(70), gen)
@@ -545,15 +523,12 @@ class TestSimulateCommand:
         assert code == EXIT_RESOURCE
         assert "resource guard" in err
 
-    def test_invalid_counts_exit_two_not_three(self, capsys, monkeypatch):
+    def test_invalid_counts_exit_two_not_three(self, capsys):
         argv = ["simulate", "--code", HAMMING_GEN, "--sigma", "0.8", "--trials", "10"]
         code, out, err = run(capsys, *argv, "--work-limit", "-5")
         assert code == EXIT_VALIDATION and out == ""
         assert "work_limit must be >= 1" in err
         code, out, err = run(capsys, *argv, "--workers", "0")
-        assert code == EXIT_VALIDATION and "workers must be >= 1" in err
-        monkeypatch.setenv("MLBOUNDS_WORKERS", "0")
-        code, out, err = run(capsys, *argv)
         assert code == EXIT_VALIDATION and "workers must be >= 1" in err
 
     def test_validation_exit_codes(self, capsys):
@@ -577,71 +552,108 @@ class TestSimulateCommand:
         assert out_a != out_b
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults_and_flags_win(self, capsys, tmp_path):
-        cfg = tmp_path / "bounds.cfg"
-        cfg.write_text(
-            "# shared sweep defaults\n"
-            "variant = union\n"
-            "snr-start = 0\n"
-            "snr-stop = 8\n"
-            "snr-step = 2\n"
-        )
+class TestArgumentFile:
+    def test_later_flag_beats_file(self, capsys, tmp_path):
+        args = tmp_path / "sweep.args"
+        args.write_text("--variant union\n--snr-start 0 --snr-stop 8\n--snr-step 2\n")
         code, out, err = run(
-            capsys, "bound", "--enumerate", HAMMING_GEN, "--config", str(cfg),
-            "--snr-stop", "4",
+            capsys, "bound", "--enumerate", HAMMING_GEN, f"@{args}", "--snr-stop", "4"
         )
-        assert code == EXIT_OK
+        assert code == EXIT_OK, err
         meta, _, rows = parse_csv(out)
-        assert meta["variant"] == "union"  # from the config file
-        assert [float(r["snr_db"]) for r in rows] == [0.0, 2.0, 4.0]  # flag beat config
+        assert meta["variant"] == "union"  # from the file
+        assert [float(r["snr_db"]) for r in rows] == [0.0, 2.0, 4.0]  # the flag won
 
-    def test_underscore_keys_match_dashed_flags(self, capsys, tmp_path):
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("snr_convention = sigma\nsnr_start = 0.8\nsnr_stop = 0.8\n")
-        code, out, err = run(
-            capsys, "bound", "--enumerate", HAMMING_GEN, "--config", str(cfg),
+    def test_comments_and_shell_quoting(self, capsys, tmp_path):
+        spaced = tmp_path / "my curves"
+        spaced.mkdir()
+        for variant in ("union", "word"):
+            assert main([
+                "bound", "--enumerate", HAMMING_GEN, "--variant", variant,
+                "--snr-start", "2", "--snr-stop", "3", "--snr-step", "1",
+                "-o", str(spaced / f"{variant}.csv"),
+            ]) == EXIT_OK
+        word, union = spaced / "word.csv", spaced / "union.csv"
+        args = tmp_path / "cmp.args"
+        args.write_text(
+            "# tightest first, so the dominance check must trip\n"
+            f"--curve '{word}'  # a quoted path with a space\n"
+            "\n"
+            f'--curve "{union}" --assert-dominance\n'
         )
-        assert code == EXIT_OK
-        _, _, rows = parse_csv(out)
-        assert rows[0]["sigma"] == "0.8"
-
-    def test_config_source_yields_to_flag_source(self, capsys, tmp_path):
-        # config picks the ensemble source, the command line picks a file;
-        # the flag wins instead of tripping the mutual-exclusion check
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text("ensemble = 16 8\n")
-        code, out, err = run(
-            capsys, "spectrum", "--config", str(cfg), "--enumerate", HAMMING_GEN
-        )
-        assert code == EXIT_OK
-        assert "iowe n=7 k=4" in out
-        code, out, err = run(capsys, "spectrum", "--config", str(cfg))
-        assert code == EXIT_OK
-        assert "n=16 k=8" in out
-
-    def test_boolean_true_enables_store_true_flag(self, capsys, tmp_path):
-        curve = tmp_path / "c.csv"
-        assert main([
-            "bound", "--enumerate", HAMMING_GEN, "--variant", "union",
-            "--snr-start", "2", "--snr-stop", "3", "--snr-step", "1",
-            "-o", str(curve),
-        ]) == EXIT_OK
-        cfg = tmp_path / "cmp.cfg"
-        cfg.write_text("assert-dominance = true\n")
-        code, out, err = run(
-            capsys, "compare", "--curve", str(curve), "--config", str(cfg)
-        )
-        assert code == EXIT_OK
-
-    def test_malformed_config_line_is_validation_error(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("variant union\n")
-        code, out, err = run(
-            capsys, "bound", "--enumerate", HAMMING_GEN, "--config", str(cfg)
-        )
+        code, out, err = run(capsys, "compare", f"@{args}")
         assert code == EXIT_VALIDATION
-        assert "key=value" in err
+        assert "dominance violation" in err and "unrecognized" not in err
+        assert "\nsnr_db,sigma,word_raw,word_clamped,union_raw,union_clamped\n" in out
+
+    def test_file_source_conflicting_with_flag_source_exits_2(self, capsys, tmp_path):
+        args = tmp_path / "ens.args"
+        args.write_text("--ensemble 16 8\n")
+        code, out, err = run(capsys, "spectrum", f"@{args}")
+        assert code == EXIT_OK and "n=16 k=8" in out
+        code, out, err = run(capsys, "spectrum", f"@{args}", "--enumerate", HAMMING_GEN)
+        assert code == EXIT_VALIDATION and out == ""
+        assert "not allowed with" in err
+
+    def test_unread_flag_in_file_exits_2(self, capsys, tmp_path):
+        args = tmp_path / "fixed.args"
+        args.write_text("--dstar 2\n")
+        code, out, err = run(
+            capsys, "bound", "--enumerate", HAMMING_GEN, "--variant", "union", f"@{args}"
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert "does not read" in err
+
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "bound", "--enumerate", HAMMING_GEN, f"@{tmp_path / 'absent'}")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "No such file" in err
+
+    def test_unclosed_quote_exits_2(self, capsys, tmp_path):
+        args = tmp_path / "bad.args"
+        args.write_text('--variant "union\n')
+        code, out, err = run(capsys, "bound", "--enumerate", HAMMING_GEN, f"@{args}")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "No closing quotation" in err
+
+    def test_workers_environment_variable_is_ignored(self, tmp_path, monkeypatch):
+        argv = [
+            "simulate", "--code", HAMMING_GEN, "--sigma", "0.9",
+            "--trials", "900", "--seed", "4",
+        ]
+        monkeypatch.delenv("MLBOUNDS_WORKERS", raising=False)
+        base = tmp_path / "base.json"
+        assert main(argv + ["-o", str(base)]) == EXIT_OK
+        monkeypatch.setenv("MLBOUNDS_WORKERS", "garbage")
+        via_env = tmp_path / "env.json"
+        assert main(argv + ["-o", str(via_env)]) == EXIT_OK
+        assert base.read_bytes() == via_env.read_bytes()
+
+
+# every flag that names an input file, plus an argument file; {bad} is a
+# file that is not UTF-8 text
+_FILE_FLAGS = {
+    "--macwilliams": ["spectrum", "--macwilliams", "{bad}"],
+    "--enumerate": ["spectrum", "--enumerate", "{bad}"],
+    "--spectrum": ["bound", "--spectrum", "{bad}"],
+    "--base-bound": ["bound", "--enumerate", HAMMING_GEN, "--variant", "gfbt", "--base-bound", "{bad}"],
+    "simulate --code": ["simulate", "--code", "{bad}", "--sigma", "0.8"],
+    "--curve": ["compare", "--curve", "{bad}"],
+    "--sim": ["compare", "--curve", "{curve}", "--sim", "{bad}"],
+    "@file": ["bound", "--enumerate", HAMMING_GEN, "@{bad}"],
+}
+
+
+@pytest.mark.parametrize("argv", _FILE_FLAGS.values(), ids=_FILE_FLAGS.keys())
+def test_non_utf8_input_file_exits_2(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe")
+    curve = tmp_path / "c.csv"
+    assert main(["bound", "--enumerate", HAMMING_GEN, "--snr-stop", "1", "-o", str(curve)]) == 0
+    argv = [token.format(bad=bad, curve=curve) for token in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_VALIDATION, err
+    assert out == "" and "mlbounds: error:" in err
 
 
 class TestCompareCommand:
