@@ -8,12 +8,15 @@ Two things still work:
   1. The combined bounds optimize d* over [0, d_max/2] only, because a list
      radius of d* needs the counts up to weight 2d*.
   2. The region split accepts any externally computed base bound for the
-     in-region term via a provider table keyed by (snr_db, d*), so a tighter
-     geometric bound can be dropped in without reimplementing it here.
+     in-region term: a provider is any callable provider(d_star, ch)
+     bounding the subcode of weights <= 2d*, and FileBoundProvider replays a
+     table keyed by (snr_db, d*), so a tighter geometric bound can be dropped
+     in without reimplementing it here.
 
-This demo uses the plain union mass of each restricted sub-spectrum as the
-"external" base bound and shows the combination reproducing the built-in
-truncated union bound exactly.
+This demo tabulates the union mass of the weights <= 2d*, the per-weight
+terms of the truncated union bound forced to d*, as the "external" base
+bound and shows the combination reproducing the built-in truncated union
+bound exactly.
 
 Run time: under a second.
 """
@@ -21,11 +24,12 @@ Run time: under a second.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from mlbounds import (
     ChannelPoint,
     FileBoundProvider,
     SpectrumKind,
-    UnionBoundProvider,
     WeightSpectrum,
     gfbt_combine,
     truncated_union_bound,
@@ -52,14 +56,12 @@ def main():
         print(f"{snr_db:6.2f} {w.value:12.4e} {t.value:12.4e} {w.d_star_opt:4d}")
 
     # write a base-bound table an external tool could have produced
-    provider = UnionBoundProvider()
     lines = []
     for snr_db in snrs:
         ch = ChannelPoint.from_snr_db(snr_db, rate=rate)
         for d_star in range(0, spectrum.truncation // 2 + 1):
-            sub = spectrum.restrict(2 * d_star)
-            if sub.weights():
-                lines.append(f"{snr_db!r} {d_star} {provider(sub, ch)!r}")
+            terms = truncated_union_bound(spectrum, ch, d_star=d_star).per_d_terms
+            lines.append(f"{snr_db!r} {d_star} {float(np.sum(list(terms.values())))!r}")
     with tempfile.TemporaryDirectory() as tmp:
         table = Path(tmp) / "base_bounds.txt"
         table.write_text("\n".join(lines) + "\n")

@@ -13,6 +13,7 @@ from .numerics import (
     ChannelPoint,
     SnrConvention,
     angle_upper_bound,
+    noise_sigma,
     q_function,
     triplet_probability,
 )
@@ -38,12 +39,10 @@ from .simulator import (
     wilson_interval,
 )
 from .bounds import (
-    BaseBoundProvider,
     BoundResult,
     BoundVariant,
     FileBoundProvider,
     ThetaPolicy,
-    UnionBoundProvider,
     bit_error_bound,
     gfbt_combine,
     pairwise_error_bound,

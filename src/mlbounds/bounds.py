@@ -26,14 +26,13 @@ bit <= word) hold exactly in floating point, not just in exact arithmetic.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Protocol
+from typing import Any, Callable
 
 import numpy as np
 
@@ -45,8 +44,6 @@ __all__ = [
     "BoundVariant",
     "ThetaPolicy",
     "BoundResult",
-    "BaseBoundProvider",
-    "UnionBoundProvider",
     "FileBoundProvider",
     "union_bound",
     "truncated_union_bound",
@@ -105,17 +102,6 @@ class BoundResult:
     @property
     def clamped(self) -> float:
         return min(self.value, 1.0)
-
-
-class BaseBoundProvider(Protocol):
-    """Any upper bound on ML error probability of the subcode with spectrum
-    restricted to d <= 2d*, evaluated at a channel point.
-
-    Must return a value in [0, inf] and 0 for an empty sub-spectrum; a radius
-    whose value is inf loses the scan.
-    """
-
-    def __call__(self, sub_spectrum: WeightSpectrum, ch: ChannelPoint) -> float: ...
 
 
 class _BinomialTable:
@@ -461,19 +447,13 @@ def bit_error_bound(
 # --- generic combination with an external base bound ------------------------
 
 
-class UnionBoundProvider:
-    """T_u of the restricted spectrum: sum of A_d Q(sqrt(d)/sigma)."""
-
-    def __call__(self, sub_spectrum: WeightSpectrum, ch: ChannelPoint) -> float:
-        return float(np.sum(_PointArrays(sub_spectrum, ch).aq))
-
-
 class FileBoundProvider:
     """Replay of a precomputed base-bound table.
 
     File format: '#' comments plus one 'snr_db d_star value' record per
     line.  Lookup keys on the channel point's snr_db (matched to 1e-9) and
-    the radius recovered from the sub-spectrum's truncation 2d*.
+    the radius d*; a record whose d* and snr_db (to 1e-9) repeat an earlier
+    one is refused, so the answer cannot depend on line order.
     """
 
     def __init__(self, path):
@@ -495,67 +475,61 @@ class FileBoundProvider:
                 raise ProviderLookupError(
                     f"{self.path}:{lineno}: need d_star >= 0 and a finite value >= 0"
                 )
+            if self._lookup(snr, d_star) is not None:
+                raise ProviderLookupError(
+                    f"{self.path}:{lineno}: duplicate record for snr_db={snr!r}, d_star={d_star}"
+                )
             self._entries.setdefault(d_star, []).append((snr, value))
 
-    def __call__(self, sub_spectrum: WeightSpectrum, ch: ChannelPoint) -> float:
-        truncation = sub_spectrum.truncation
-        if truncation is None or truncation % 2:
-            raise ProviderLookupError(
-                "file provider needs sub-spectra carrying an even truncation 2d*"
-            )
-        d_star = truncation // 2
+    def _lookup(self, snr_db: float, d_star: int) -> float | None:
         for snr, value in self._entries.get(d_star, ()):
-            if abs(snr - ch.snr_db) <= 1e-9:
+            if abs(snr - snr_db) <= 1e-9:
                 return value
-        raise ProviderLookupError(
-            f"{self.path}: no entry for snr_db={ch.snr_db!r}, d_star={d_star}"
-        )
+        return None
+
+    def __call__(self, d_star: int, ch: ChannelPoint) -> float:
+        value = self._lookup(ch.snr_db, d_star)
+        if value is None:
+            raise ProviderLookupError(
+                f"{self.path}: no entry for snr_db={ch.snr_db!r}, d_star={d_star}"
+            )
+        return value
 
 
 def gfbt_combine(
-    provider: BaseBoundProvider,
+    provider: Callable[[int, ChannelPoint], float],
     spectrum: WeightSpectrum,
     ch: ChannelPoint,
     *,
     d_star: int | None = None,
     d_star_max: int | None = None,
 ) -> BoundResult:
-    """min over d* of provider(spectrum restricted to 2d*) + B(p_b, n, d*+1, n).
+    """min over d* of provider(d*, ch) + B(p_b, n, d*+1, n).
 
-    Any bound on the subcode spanned by weights <= 2d* is a valid base term,
-    so this combines external bounds with the region tail; with
-    UnionBoundProvider it reproduces truncated_union_bound exactly.  An
-    empty sub-spectrum short-circuits to base 0 (a subcode with only the
-    transmitted word cannot produce an error inside the region).
+    provider(d*, ch) is any upper bound on the ML error probability at ch of
+    the subcode spanned by the codewords of weight <= 2d*, so this combines
+    external bounds with the region tail.  It must return a value in
+    [0, inf]; a radius whose value is inf loses the scan.  It is asked only
+    for radii whose subcode holds a nonzero codeword: below half the
+    lightest positive weight the base is 0, since a subcode with only the
+    transmitted word cannot produce an error inside the region.
     """
     probe = _probe_range(spectrum, d_star, d_star_max)
     table = _BinomialTable(ch.p_b, spectrum.n)
-    # each radius keeps a prefix of the weight-sorted entries; the subcode is
-    # empty while that prefix holds no weight d >= 1 with A_d > 0
-    entries = sorted(spectrum.counts.items())
-    weights = [d for d, _ in entries]
-    first = next((i for i, (d, c) in enumerate(entries) if d >= 1 and c > 0.0), len(entries))
-
-    def base(radius: int) -> float:
-        cut = bisect.bisect_right(weights, 2 * radius)
-        if cut <= first:
-            return 0.0
-        sub = WeightSpectrum(
-            spectrum.n, spectrum.k, dict(entries[:cut]), SpectrumKind.TRUNCATED, 2 * radius
-        )
-        try:
-            value = float(provider(sub, ch))
-        except MlboundsError as exc:
-            raise type(exc)(f"base bound failed at d_star={radius}: {exc}") from exc
-        if not value >= 0.0:  # NaN fails too; inf lets the radius lose
-            raise ValidationError(
-                f"provider returned {value!r} at d_star={radius}, need finite >= 0 or inf"
-            )
-        return value
+    lightest = min(spectrum.weights(), default=math.inf)
 
     def objective(radius: int) -> tuple[float, float]:
-        value = base(radius)
-        return value + table.region_exit(radius), value
+        base = 0.0
+        if 2 * radius >= lightest:
+            try:
+                base = float(provider(radius, ch))
+            except MlboundsError as exc:
+                raise type(exc)(f"base bound failed at d_star={radius}: {exc}") from exc
+            if not base >= 0.0:  # NaN fails too; inf lets the radius lose
+                raise ValidationError(
+                    f"provider returned {base!r} at d_star={radius}, need finite >= 0 or inf"
+                )
+        return base + table.region_exit(radius), base
 
     value, best, base_term = _minimize(objective, probe)
     return BoundResult(

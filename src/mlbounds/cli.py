@@ -22,10 +22,10 @@ import shlex
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .bounds import (
-    BaseBoundProvider,
     BoundVariant,
     FileBoundProvider,
     ThetaPolicy,
@@ -49,6 +49,7 @@ from .spectrum import (
     load_generator,
     load_spectrum,
     macwilliams_transform,
+    _text_lines,
 )
 
 __all__ = ["CurveRequest", "CurveRow", "BoundCurve", "compute_curve", "main"]
@@ -102,7 +103,7 @@ class CurveRequest:
     theta_policy: ThetaPolicy = ThetaPolicy.CLOSED_FORM
     d_star: int | None = None
     d_star_max: int | None = None
-    provider: BaseBoundProvider | str | os.PathLike | None = None
+    provider: Callable[[int, ChannelPoint], float] | str | os.PathLike | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.snr_start) and math.isfinite(self.snr_stop)):
@@ -205,39 +206,38 @@ def _read_curve(path) -> BoundCurve:
     metadata = []
     rows = []
     saw_header = False
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, value = body.split("=", 1)
-                    metadata.append((key.strip(), value.strip()))
-                continue
-            if not saw_header:
-                if line != _CSV_HEADER:
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected header '{_CSV_HEADER}', got {line!r}"
-                    )
-                saw_header = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ValidationError(f"{path}:{lineno}: expected 5 columns")
-            try:
-                rows.append(
-                    CurveRow(
-                        float(parts[0]),
-                        float(parts[1]),
-                        float(parts[2]),
-                        float(parts[3]),
-                        int(parts[4]),
-                    )
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, value = body.split("=", 1)
+                metadata.append((key.strip(), value.strip()))
+            continue
+        if not saw_header:
+            if line != _CSV_HEADER:
+                raise ValidationError(
+                    f"{path}:{lineno}: expected header '{_CSV_HEADER}', got {line!r}"
                 )
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+            saw_header = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise ValidationError(f"{path}:{lineno}: expected 5 columns")
+        try:
+            rows.append(
+                CurveRow(
+                    float(parts[0]),
+                    float(parts[1]),
+                    float(parts[2]),
+                    float(parts[3]),
+                    int(parts[4]),
+                )
+            )
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     if not saw_header or not rows:
         raise ValidationError(f"{path}: no curve rows found")
     return BoundCurve(tuple(metadata), tuple(rows))

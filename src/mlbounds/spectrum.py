@@ -210,8 +210,8 @@ class WeightSpectrum:
     def restrict(self, max_weight: int) -> "WeightSpectrum":
         """Sub-spectrum keeping only weights d <= max_weight, marked truncated.
 
-        The truncation radius records the requested cut even when it exceeds
-        n, so callers can recover the cut they asked for.
+        The truncation records the requested cut as given, even when it
+        exceeds n; max_known_weight caps it at n.
         """
         max_weight = operator.index(max_weight)
         if max_weight < 0:
@@ -427,13 +427,21 @@ def ensemble_average(n: int, k: int) -> WeightSpectrum:
 _KIND_TOKENS = {kind.value: kind for kind in SpectrumKind}
 
 
+def _text_lines(path: Path) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes are refused with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _content_lines(path: Path):
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield lineno, line
 
 
 def _parse_header(path: Path, lineno: int, line: str):

@@ -1,7 +1,7 @@
 """Independent oracles for tests: the log-space binomial tail, the
 two-half-plane probability by quadrature, scalar per-weight bound terms, the
-radius scan over them, the Gray-code codebook sweep and full-codebook ML
-counters.
+union base bound for gfbt tables, the radius scan over them, the Gray-code
+codebook sweep and full-codebook ML counters.
 
 The library evaluates every bound as one vectorized radius scan and walks
 the codebook in numpy chunks.  These are the plain scalar forms of the same
@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy import special
 
-from mlbounds.bounds import ThetaPolicy
+from mlbounds.bounds import ThetaPolicy, truncated_union_bound
 from mlbounds.errors import ValidationError
 from mlbounds.numerics import ChannelPoint, angle_upper_bound, q_function
 from mlbounds.spectrum import InputOutputSpectrum, LinearCode, SpectrumKind, WeightSpectrum
@@ -255,6 +255,12 @@ def h_prime_term(
     return min(branch1, branch2)
 
 
+def union_base(spectrum: WeightSpectrum, ch: ChannelPoint, d_star: int) -> float:
+    """Union mass sum_{d <= 2d*} A_d Q(sqrt(d)/sigma): the truncated union
+    bound forced to d* without its region tail, summed as the library sums
+    it, so a gfbt base table of these values replays that bound bit for bit."""
+    terms = truncated_union_bound(spectrum, ch, d_star=d_star).per_d_terms
+    return float(np.sum(list(terms.values())))
 
 
 def optimize_dstar(

@@ -23,7 +23,6 @@ from mlbounds import (
     SnrConvention,
     SpectrumKind,
     ThetaPolicy,
-    UnionBoundProvider,
     ValidationError,
     WeightSpectrum,
     bit_error_bound,
@@ -45,6 +44,7 @@ from oracles import (
     optimize_dstar,
     pairwise_term,
     triplet_term,
+    union_base,
 )
 from test_simulator import fresh_peak_ratio
 
@@ -60,6 +60,24 @@ BCH15 = enumerate_spectrum(bch_15_7()).weight_spectrum()
 
 def rel_close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(abs(a), abs(b), 1e-300)
+
+
+def union_provider(spec):
+    """gfbt base bound: the union mass of spec's weights <= 2d*."""
+    return lambda d_star, point: union_base(spec, point, d_star)
+
+
+def test_package_reexports_every_public_name():
+    # mlbounds.codes and mlbounds.cli are used by module name; the other
+    # submodules' public names all live in the package namespace
+    import mlbounds
+
+    for module in (mlbounds.numerics, mlbounds.spectrum, mlbounds.simulator, bounds):
+        missing = [
+            name for name in module.__all__
+            if getattr(mlbounds, name, None) is not getattr(module, name)
+        ]
+        assert missing == [], module.__name__
 
 
 # --- scalar terms against manual composition --------------------------------
@@ -561,7 +579,7 @@ class TestRadiusScanWork:
         union_bound(self.ENS, self.POINT)
         assert built == []
         truncated_union_bound(self.ENS, self.POINT)
-        gfbt_combine(UnionBoundProvider(), self.ENS, self.POINT)
+        gfbt_combine(lambda d_star, point: 0.0, self.ENS, self.POINT)
         assert built == [100, 100]
         with pytest.raises(AssertionError, match="prefix mass read"):
             word_error_bound(self.ENS, self.POINT)
@@ -621,7 +639,7 @@ class TestBoundResultShape:
             triplet_error_bound(BCH15, point),
             word_error_bound(BCH15, point),
             bit_error_bound(HAMMING_IOWE, point),
-            gfbt_combine(UnionBoundProvider(), BCH15, point),
+            gfbt_combine(union_provider(BCH15), BCH15, point),
         ]
         for res in results:
             total = sum(res.per_d_terms.values()) + res.base_term + res.tail_term
@@ -668,14 +686,14 @@ class TestGfbtCombine:
         for spec in (HAMMING, BCH15, ensemble_average(100, 95)):
             for sigma in (0.5, 0.9, 1.3, 2.0):
                 point = ch(sigma)
-                via_provider = gfbt_combine(UnionBoundProvider(), spec, point)
+                via_provider = gfbt_combine(union_provider(spec), spec, point)
                 direct = truncated_union_bound(spec, point)
                 assert via_provider.value == direct.value
                 assert via_provider.d_star_opt == direct.d_star_opt
 
-    def test_empty_subspectrum_skips_provider(self):
-        def exploding(sub, point):
-            raise AssertionError("provider must not see an empty sub-spectrum")
+    def test_empty_subcode_skips_provider(self):
+        def exploding(d_star, point):
+            raise AssertionError("provider must not be asked for an empty subcode")
 
         res = gfbt_combine(exploding, HAMMING, ch(1.0), d_star=1)
         point = ch(1.0)
@@ -683,7 +701,7 @@ class TestGfbtCombine:
         assert res.base_term == 0.0
 
     def test_provider_error_carries_radius(self):
-        def failing(sub, point):
+        def failing(d_star, point):
             raise ProviderLookupError("table has no such entry")
 
         with pytest.raises(ProviderLookupError, match="d_star=2"):
@@ -694,53 +712,56 @@ class TestGfbtCombine:
         # radius at -30 dB; those radii lose, as in truncated_union_bound
         ens = ensemble_average(2054, 1027)
         point = ChannelPoint.from_snr_db(-30.0, rate=0.5)
-        via_provider = gfbt_combine(UnionBoundProvider(), ens, point)
+        ds = np.array(ens.weights())
+        aq = np.array([ens.counts[d] for d in ds]) * q_function(np.sqrt(ds) / point.sigma)
+        via_provider = gfbt_combine(
+            lambda d_star, point: float(np.sum(aq[ds <= 2 * d_star])), ens, point
+        )
         direct = truncated_union_bound(ens, point)
         assert via_provider.value == direct.value == 0.9999999999997208
         assert via_provider.d_star_opt == direct.d_star_opt == 0
 
     def test_provider_bad_value_rejected(self):
         with pytest.raises(ValidationError, match="d_star=3"):
-            gfbt_combine(lambda sub, point: -0.5, HAMMING, ch(1.0), d_star=3)
+            gfbt_combine(lambda d_star, point: -0.5, HAMMING, ch(1.0), d_star=3)
         with pytest.raises(ValidationError, match="finite"):
-            gfbt_combine(lambda sub, point: float("nan"), HAMMING, ch(1.0), d_star=3)
+            gfbt_combine(lambda d_star, point: float("nan"), HAMMING, ch(1.0), d_star=3)
 
     def test_provider_called_once_per_nonempty_radius(self):
         calls = []
-
-        def counting(sub, point):
-            calls.append(sub.truncation)
-            return UnionBoundProvider()(sub, point)
-
         spec = ensemble_average(100, 50)
         point = ChannelPoint.from_snr_db(2.0, SnrConvention.EBN0_DB, rate=0.5)
-        res = gfbt_combine(counting, spec, point)
-        # radius 0 leaves an empty sub-spectrum; radii 1..100 each call once
-        assert sorted(calls) == [2 * r for r in range(1, 101)]
-        assert res.base_term == UnionBoundProvider()(spec.restrict(2 * res.d_star_opt), point)
 
-    def test_provider_sees_restricted_spectra(self):
-        # every radius hands the provider exactly spectrum.restrict(2d*), and
-        # skips it exactly when that sub-spectrum has no positive weight
+        def counting(d_star, asked):
+            assert asked is point
+            calls.append(d_star)
+            return union_base(spec, asked, d_star)
+
+        res = gfbt_combine(counting, spec, point)
+        # radius 0 leaves an empty subcode; radii 1..100 each call once
+        assert calls == list(range(1, 101))
+        assert res.base_term == union_base(spec, point, res.d_star_opt)
+
+    def test_provider_asked_only_for_nonempty_subcodes(self):
+        # a radius is asked for exactly when some weight d <= 2d* has A_d > 0
         zeros = WeightSpectrum(
             12, 4, {0: 1.0, 2: 0.0, 5: 3.0, 3: 0.0, 9: 12.0}, SpectrumKind.TRUNCATED, 10
         )
         ensemble = ensemble_average(40, 20)
         for spec in (HAMMING, zeros, ensemble, ensemble.restrict(15)):
-            seen = {}
+            asked = []
 
-            def recording(sub, point):
-                seen[sub.truncation // 2] = sub
-                return UnionBoundProvider()(sub, point)
+            def recording(d_star, point):
+                asked.append(d_star)
+                return union_base(spec, point, d_star)
 
             gfbt_combine(recording, spec, ch(1.0))
-            for radius in bounds._probe_range(spec, None, None):
-                want = spec.restrict(2 * radius)
-                assert seen.get(radius) == (want if want.weights() else None)
+            probe = bounds._probe_range(spec, None, None)
+            assert asked == [r for r in probe if spec.restrict(2 * r).weights()]
 
     def test_base_term_recorded(self):
         point = ch(1.0)
-        res = gfbt_combine(UnionBoundProvider(), HAMMING, point, d_star=3)
+        res = gfbt_combine(union_provider(HAMMING), HAMMING, point, d_star=3)
         want = sum(
             HAMMING.count(d) * float(q_function(math.sqrt(d)))
             for d in HAMMING.weights()
@@ -752,15 +773,11 @@ class TestGfbtCombine:
 
 class TestFileProvider:
     def write_table(self, tmp_path, spec, sigmas, radii):
-        provider = UnionBoundProvider()
         lines = ["# base bound table", "# snr_db d_star value"]
         for sigma in sigmas:
             point = ch(sigma)
             for d_star in radii:
-                sub = spec.restrict(2 * d_star)
-                if not sub.weights():
-                    continue
-                lines.append(f"{point.snr_db!r} {d_star} {provider(sub, point)!r}")
+                lines.append(f"{point.snr_db!r} {d_star} {union_base(spec, point, d_star)!r}")
         path = tmp_path / "base_bounds.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return path
@@ -798,10 +815,19 @@ class TestFileProvider:
         with pytest.raises(ProviderLookupError, match="d_star >= 0"):
             FileBoundProvider(path)
 
-    def test_needs_truncated_subspectrum(self, tmp_path):
-        path = self.write_table(tmp_path, HAMMING, (1.0,), range(0, 8))
-        with pytest.raises(ProviderLookupError, match="truncation"):
-            FileBoundProvider(path)(HAMMING, ch(1.0))
+    def test_duplicate_record_rejected(self, tmp_path):
+        # either order of two records for one (snr_db, d*) used to be read,
+        # each giving its own bound; both orders are now refused
+        path = tmp_path / "dup.txt"
+        for text in ("0.0 2 0.5\n0.0 2 0.7\n", "# table\n0.0 2 0.7\n5e-10 2 0.5\n"):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ProviderLookupError, match=r"dup.txt:\d: duplicate record"):
+                FileBoundProvider(path)
+        # another radius or a farther snr_db is a distinct record
+        path.write_text("0.0 2 0.5\n0.0 3 0.7\n1e-8 2 0.6\n", encoding="utf-8")
+        provider = FileBoundProvider(path)
+        point = ChannelPoint.from_snr_db(0.0, rate=4 / 7)
+        assert (provider(2, point), provider(3, point)) == (0.5, 0.7)
 
 
 class TestOptimizeDstar:
@@ -824,8 +850,7 @@ class TestOptimizeDstar:
         point = ch(0.9)
 
         def objective(spec, chp, d_star):
-            sub = spec.restrict(2 * d_star)
-            base = UnionBoundProvider()(sub, chp)
+            base = union_base(spec, chp, d_star)
             return base + binomial_tail(chp.p_b, spec.n, d_star + 1, spec.n)
 
         value, _ = optimize_dstar(objective, HAMMING, point, range(0, 8))
@@ -835,8 +860,7 @@ class TestOptimizeDstar:
         point = ch(0.3)
 
         def objective(spec, chp, d_star):
-            sub = spec.restrict(2 * d_star)
-            base = UnionBoundProvider()(sub, chp)
+            base = union_base(spec, chp, d_star)
             return base + binomial_tail(chp.p_b, spec.n, d_star + 1, spec.n)
 
         _, d_star = optimize_dstar(objective, HAMMING, point, range(0, 8))

@@ -8,12 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mlbounds.bounds import (
-    FileBoundProvider,
-    ThetaPolicy,
-    UnionBoundProvider,
-    truncated_union_bound,
-)
+from mlbounds.bounds import FileBoundProvider, ThetaPolicy, gfbt_combine, truncated_union_bound
 from mlbounds import cli
 from mlbounds.cli import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, main
 from mlbounds.codes import repetition_code
@@ -27,6 +22,7 @@ from mlbounds.spectrum import (
     store_generator,
     store_spectrum,
 )
+from oracles import union_base
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "codes"
 HAMMING_GEN = str(DATA / "hamming_7_4.gen")
@@ -216,23 +212,19 @@ class TestBoundCommand:
         assert "base-bound" in err
 
     def test_gfbt_with_union_table_replays_truncated_union(self, capsys, tmp_path):
-        # build a base table holding the union mass of each restricted
-        # sub-spectrum, then check the CLI reproduces the truncated union
+        # build a base table holding the union mass of the weights <= 2d*
+        # at each radius, then check the CLI reproduces the truncated union
         # bound byte for byte
         spec_path = tmp_path / "h.spec"
         run(capsys, "spectrum", "--enumerate", HAMMING_GEN, "-o", str(spec_path))
         iowe = load_spectrum(spec_path)
         marginal = iowe.weight_spectrum()
-        provider = UnionBoundProvider()
         grid = [1.0, 2.0, 3.0]
         lines = []
         for snr in grid:
             point = ChannelPoint.from_snr_db(snr, rate=marginal.k / marginal.n)
             for d_star in range(0, marginal.n + 1):
-                sub = marginal.restrict(2 * d_star)
-                if not sub.weights():
-                    continue
-                lines.append(f"{snr!r} {d_star} {provider(sub, point)!r}")
+                lines.append(f"{snr!r} {d_star} {union_base(marginal, point, d_star)!r}")
         table = tmp_path / "base.txt"
         table.write_text("\n".join(lines) + "\n")
 
@@ -631,7 +623,8 @@ class TestArgumentFile:
 
 
 # every flag that names an input file, plus an argument file; {bad} is a
-# file that is not UTF-8 text
+# file that is not UTF-8 text.  argparse reads an @file itself, so only its
+# message leaves out the path.
 _FILE_FLAGS = {
     "--macwilliams": ["spectrum", "--macwilliams", "{bad}"],
     "--enumerate": ["spectrum", "--enumerate", "{bad}"],
@@ -650,10 +643,12 @@ def test_non_utf8_input_file_exits_2(capsys, tmp_path, argv):
     bad.write_bytes(b"\xff\xfe")
     curve = tmp_path / "c.csv"
     assert main(["bound", "--enumerate", HAMMING_GEN, "--snr-stop", "1", "-o", str(curve)]) == 0
+    names_path = "@{bad}" not in argv
     argv = [token.format(bad=bad, curve=curve) for token in argv]
     code, out, err = run(capsys, *argv)
     assert code == EXIT_VALIDATION, err
     assert out == "" and "mlbounds: error:" in err
+    assert (str(bad) in err) == names_path, err
 
 
 class TestCompareCommand:
@@ -870,17 +865,9 @@ class TestFileBoundProviderCli:
         # direct computation exactly through the file provider
         spec = WeightSpectrum(7, 4, {0: 1, 3: 7, 4: 7, 7: 1}, SpectrumKind.EXACT)
         point = ChannelPoint.from_sigma(0.8)
-        provider = UnionBoundProvider()
-        lines = []
-        for d_star in range(0, 8):
-            sub = spec.restrict(2 * d_star)
-            if not sub.weights():
-                continue
-            lines.append(f"0.8 {d_star} {provider(sub, point)!r}")
+        lines = [f"0.8 {d_star} {union_base(spec, point, d_star)!r}" for d_star in range(0, 8)]
         table = tmp_path / "t.txt"
         table.write_text("\n".join(lines) + "\n")
-        from mlbounds.bounds import gfbt_combine
-
         direct = truncated_union_bound(spec, point)
         replayed = gfbt_combine(FileBoundProvider(table), spec, point)
         assert replayed.value == direct.value
