@@ -6,7 +6,10 @@ one source x variant x theta-policy on the default grid (Eb/N0 0-10 dB, step
 0.25).  Every source runs every variant it supports; the variants that read
 the theta-policy (triplet, word, bit) run under both policies.  gfbt replays
 a base-bound table this module writes itself, so its digest depends on
-nothing outside the repository.
+nothing outside the repository.  The [500,250] ensemble runs only the
+variants whose radius scan reads binomial prefix masses (plus the
+truncated union it must tie with), and adds one word curve at a fixed d*
+and one under a d* cap, whose first prefix request lands deep in the table.
 
 Each simulate golden is the sha256 of the JSON that ``mlbounds simulate``
 writes for one code at a fixed seed, list radius and SNR pair, run with 1 and
@@ -61,13 +64,20 @@ SOURCES = {
     "bch_15_7": _IOWE_VARIANTS,
     "bch_31_21": _IOWE_VARIANTS,
     "ensemble_100_50": _ENSEMBLE_VARIANTS,
+    "ensemble_500_250": (
+        BoundVariant.TRUNCATED_UNION,
+        BoundVariant.PAIRWISE_IMPROVED,
+        BoundVariant.UNIFIED_WORD,
+    ),
 }
+# (source, radius keyword, value): one word curve per radius restriction
+RADIUS_CASES = (("ensemble_500_250", "d_star", 60), ("ensemble_500_250", "d_star_max", 100))
 
 
 @lru_cache(maxsize=None)
 def _source(name):
-    if name == "ensemble_100_50":
-        return ensemble_average(100, 50)
+    if name.startswith("ensemble_"):
+        return ensemble_average(*map(int, name.split("_")[1:]))
     return enumerate_spectrum(load_generator(ROOT / "data" / "codes" / f"{name}.gen"))
 
 
@@ -76,7 +86,11 @@ def _cases():
         for variant in variants:
             policies = ThetaPolicy if variant in _THETA_VARIANTS else [ThetaPolicy.CLOSED_FORM]
             for policy in policies:
-                yield f"{source}.{variant.value}.{policy.value}", source, variant, policy
+                yield f"{source}.{variant.value}.{policy.value}", source, variant, policy, {}
+    for source, key, value in RADIUS_CASES:
+        word, policy = BoundVariant.UNIFIED_WORD, ThetaPolicy.CLOSED_FORM
+        name = f"{source}.{word.value}.{policy.value}.{key}={value}"
+        yield name, source, word, policy, {key: value}
 
 
 def _write_base_table(path, n):
@@ -89,7 +103,7 @@ def _write_base_table(path, n):
                 handle.write(f"{snr!r} {d_star} {d_star * 10.0 ** (-snr / 5.0)!r}\n")
 
 
-def curve_digest(source, variant, policy, table_dir) -> str:
+def curve_digest(source, variant, policy, table_dir, radius=None) -> str:
     spectrum = _source(source)
     provider = None
     if variant is BoundVariant.GFBT_COMBINED:
@@ -98,7 +112,9 @@ def curve_digest(source, variant, policy, table_dir) -> str:
             _write_base_table(table, spectrum.n)
         provider = FileBoundProvider(table)
     curve = compute_curve(
-        CurveRequest(variant, spectrum, *GRID, theta_policy=policy, provider=provider)
+        CurveRequest(
+            variant, spectrum, *GRID, theta_policy=policy, provider=provider, **(radius or {})
+        )
     )
     return hashlib.sha256(_format_curve(curve).encode("utf-8")).hexdigest()
 
@@ -140,9 +156,9 @@ def table_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("base_tables")
 
 
-@pytest.mark.parametrize("name,source,variant,policy", CASES, ids=[c[0] for c in CASES])
-def test_curve_bytes_match_golden(name, source, variant, policy, table_dir):
-    assert curve_digest(source, variant, policy, table_dir) == _load_goldens()[name]
+@pytest.mark.parametrize("name,source,variant,policy,radius", CASES, ids=[c[0] for c in CASES])
+def test_curve_bytes_match_golden(name, source, variant, policy, radius, table_dir):
+    assert curve_digest(source, variant, policy, table_dir, radius) == _load_goldens()[name]
 
 
 @pytest.mark.parametrize("workers", SIM_WORKERS)
@@ -187,7 +203,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as scratch:
-        lines = [f"{curve_digest(s, v, p, scratch)}  {name}" for name, s, v, p in CASES]
+        lines = [f"{curve_digest(s, v, p, scratch, r)}  {name}" for name, s, v, p, r in CASES]
         sim_lines = []
         for code in SIM_CASES:
             digests = {simulate_digest(code, w, scratch) for w in SIM_WORKERS}
