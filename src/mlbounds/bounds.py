@@ -10,15 +10,18 @@ only the region-exit mass, which is always below 1.
 Cost per channel point: everything that does not depend on the radius (the
 Q values, the per-weight coefficient products and, under the tight
 theta-policy, the Owen's-T factors of all weights above n/2 in one array
-call) is computed once; the scan then only gathers binomial masses and sums.
-Each variant builds only the binomial mass it reads: union builds no table,
-truncated-union and gfbt read only the length-n+2 region-exit tail, and the
-refined variants also stream the prefix masses B(p_b, N, 0, d*-1) one
-column per radius, in ascending d*, so memory stays O(n).
+call) is computed once.  The scan then forms the binomial masses and terms
+of a block of _BLOCK_CELLS / (n+1) ascending radii per numpy pass, so
+memory stays O(n).  Each variant builds only the binomial mass it reads:
+union builds no table, truncated-union and gfbt read only the length-n+2
+region-exit tail, and the refined variants also stream the prefix masses
+B(p_b, N, 0, d*-1).
 
 Numerical layout notes: per-weight terms are assembled in ascending weight
-order into equally sliced arrays for every variant and summed by one
-contiguous np.sum before the tail is added, binomial prefix masses are
+order for every variant.  Each radius's terms are summed by one
+np.add.reduce over its own contiguous row slice before the tail is added
+(numpy's pairwise sum depends on length and contiguity, so padded rows or
+an axis reduction would move the last bits).  Binomial prefix masses are
 clamped to <= 1, and each refinement multiplies a baseline term by factors
 <= 1, so the documented dominance chains (word <= truncated union <= union,
 bit <= word) hold exactly in floating point, not just in exact arithmetic.
@@ -32,9 +35,10 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MlboundsError, ProviderLookupError, ValidationError
 from .numerics import ChannelPoint, angle_upper_bound, q_function, triplet_probability
@@ -104,17 +108,23 @@ class BoundResult:
         return min(self.value, 1.0)
 
 
+# Cells (radii x lengths) per block of the radius scan: 96 KB a block array.
+# 2**14 ran a [500,250] word curve a few percent faster, but its peak RSS
+# rose 0.57 MB over a scan of one radius at a time, against 0.4 MB here.
+_BLOCK_CELLS = 3 * 2**12
+
+
 class _BinomialTable:
     """Binomial(N, p) masses at fixed p for lengths N in [0, n].
 
     suffix[m] = B(p, n, m, n) comes from row N = n alone.  Prefix masses
-    B(p, N, 0, m) stream one column m at a time: the radius scan asks for
-    them in ascending m, so one running vector over N holds the latest
-    column and memory stays O(n).  Pmfs are formed in log space so deep
-    tails keep relative accuracy; prefixes come from forward sums and
-    suffixes from backward sums, never from 1-x subtractions.  Everything
-    is clamped to <= 1 so a product term * mass can never exceed the
-    unrefined term in floating point.
+    B(p, N, 0, m) stream in ascending blocks of columns m: one running
+    vector over N holds the latest column between blocks, and a block is
+    at most _BLOCK_CELLS values, so memory stays O(n).  Pmfs are formed in
+    log space so deep tails keep relative accuracy; prefixes come from
+    forward sums and suffixes from backward sums, never from 1-x
+    subtractions.  Everything is clamped to <= 1 so a product term * mass
+    can never exceed the unrefined term in floating point.
     """
 
     def __init__(self, p: float, n: int):
@@ -124,7 +134,12 @@ class _BinomialTable:
             raise ValidationError(f"table needs p in [0, 1), got {p!r}")
         self.p = p
         self.n = n
+        self.step = max(1, _BLOCK_CELLS // (n + 1))  # radii (prefix columns) per block
         self._lf = lf = special.gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)  # log N!
+        # lf[N-j] and (N-j) log(1-p) at [n+1-j, N]: windows over N-j from
+        # -(n+1); lf[N-j] = inf for N < j puts the log-pmf there at -inf
+        self._lf_gap = sliding_window_view(np.concatenate([np.full(n + 1, math.inf), lf]), n + 1)
+        self._log_q_gap = sliding_window_view(np.arange(-(n + 1), n + 1) * math.log1p(-p), n + 1)
         self._sums = np.zeros(n + 1)  # B(p, N, 0, column) at row N
         self._column = -1
         suffix = np.zeros(n + 2)
@@ -137,30 +152,42 @@ class _BinomialTable:
             suffix[: n + 1] = np.cumsum(np.exp(logpmf)[::-1])[::-1]
         self.suffix = np.minimum(1.0, suffix)
 
-    def mass_upto(self, rows: np.ndarray, m: int) -> np.ndarray:
-        """B(p, N, 0, m) for an array of lengths N >= 0, m never below the
-        previous request.
+    def prefix_columns(self, m0: int, m1: int) -> np.ndarray:
+        """B(p, N, 0, m) for m in [m0, m1), one row each, and N in [0, n].
+        m0 is never below the last column streamed; the columns before it
+        stream first, in blocks, so a deep first request gets a scan's bits."""
+        if m0 < self._column:
+            raise ValidationError(f"prefix column {m0} requested after column {self._column}")
+        if self.p == 0.0:  # no hard errors: every column from 0 on is 1
+            return np.where(np.arange(m0, m1)[:, None] >= 0, 1.0, np.zeros(self.n + 1))
+        while self._column + 1 < m0:
+            self._advance(min(m0, self._column + 1 + self.step))
+        first = self._column
+        columns = self._advance(m1)[m0 - first :]
+        return np.minimum(columns, 1.0, out=columns)
 
-        Column j adds the pmf at j to rows N >= j only; row N is constant
-        from column N on, so m >= N needs no clipping.
-        """
-        if m < 0:
-            return np.zeros(len(rows))
-        if m < self._column:
-            raise ValidationError(f"prefix column {m} requested after column {self._column}")
-        if self.p == 0.0:
-            return np.ones(len(rows))
-        n, lf = self.n, self._lf
-        log_p, log_q = math.log(self.p), math.log1p(-self.p)
-        for j in range(self._column + 1, m + 1):
-            gap = np.arange(n + 1 - j, dtype=np.float64)  # N - j for N in [j, n]
-            self._sums[j:] += np.exp(((lf[j:] - lf[j]) - lf[: n + 1 - j]) + j * log_p + gap * log_q)
-        self._column = m
-        return np.minimum(1.0, self._sums[rows])
-
-    def region_exit(self, d_star: int) -> float:
-        """B(p, n, d*+1, n): hard-decision weight leaves the radius-d* ball."""
-        return float(self.suffix[min(d_star + 1, self.n + 1)])
+    def _advance(self, stop: int) -> np.ndarray:
+        """The unclamped running vector at each column from the current one
+        to stop-1.  The log-pmf keeps the per-column operation order; its
+        exp is skipped at or below -746, where it is exactly +0.0 (and slow).
+        Each row adds the one before (np.cumsum on axis 0: same bits, but 18x
+        slower at n = 8192), so every N sums its columns in ascending j."""
+        n, low = self.n, self._column + 1
+        gap = np.s_[n + 1 - low : n + 1 - stop : -1, low:]  # N-j for N >= low
+        logpmf = self._lf[low:] - self._lf[low:stop, None]
+        logpmf -= self._lf_gap[gap]
+        logpmf += (np.arange(low, stop) * math.log(self.p))[:, None]
+        logpmf += self._log_q_gap[gap]
+        sums = np.zeros((stop - low + 1, n + 1))
+        sums[:, :low] = self._sums[:low]
+        sums[0, low:] = self._sums[low:]
+        np.exp(logpmf, out=sums[1:, low:], where=logpmf > -746.0)
+        block = sums[:, low:]
+        for prev, row in zip(block, block[1:]):
+            np.add(prev, row, out=row)
+        self._sums = sums[-1].copy()
+        self._column = stop - 1
+        return sums
 
 
 def _probe_range(
@@ -207,13 +234,11 @@ class _PointArrays:
     def table(self) -> _BinomialTable:
         return _BinomialTable(self.p_b, self.n)
 
-    def single(self, cut: int, radius: int) -> np.ndarray:
-        """B(p_b, n-d, 0, radius-1) for the first cut weights."""
-        return self.table.mass_upto(self.single_rows[:cut], radius - 1)
-
-    def paired(self, cut: int, radius: int) -> np.ndarray:
-        """B(p_b, n-2d, 0, radius-1) for the first cut weights."""
-        return self.table.mass_upto(self.paired_rows[:cut], radius - 1)
+    def masses(self, cut: int, radii: range) -> tuple[np.ndarray, np.ndarray]:
+        """B(p_b, n-d, 0, r-1) and B(p_b, n-2d, 0, r-1) for the first cut
+        weights, one row per radius r."""
+        columns = self.table.prefix_columns(radii.start - 1, radii.stop - 1)
+        return columns[:, self.single_rows[:cut]], columns[:, self.paired_rows[:cut]]
 
 
 def _triplet_factors(
@@ -234,50 +259,50 @@ def _triplet_factors(
     return factors
 
 
-def _minimize(
-    objective: Callable[[int], tuple[float, Any]], probe: range
-) -> tuple[float, int, Any]:
-    """Scan radii and keep the smallest objective, ties to the smallest d*,
-    together with the detail the objective returned for it.  An objective
-    that overflows to inf loses; NaN, or inf at every radius, is refused."""
-    best: tuple[float, int, Any] = (math.inf, probe.start, None)
-    with np.errstate(over="ignore"):
-        for d_star in probe:
-            value, detail = objective(d_star)
-            if math.isnan(value):
-                raise ValidationError(f"objective at d_star={d_star} is nan")
-            if value < best[0]:
-                best = (value, d_star, detail)
-    if best[0] == math.inf:
-        raise ValidationError(f"objective at d_star={best[1]} is inf")
+def _minimize(values: np.ndarray, probe: range) -> int:
+    """Index of the smallest objective over the scanned radii, ties to the
+    smallest d*.  An objective that overflows to inf loses; NaN, or inf at
+    every radius, is refused."""
+    nan = np.isnan(values)
+    if nan.any():
+        raise ValidationError(f"objective at d_star={probe[int(np.argmax(nan))]} is nan")
+    best = int(np.argmin(values))
+    if values[best] == math.inf:
+        raise ValidationError(f"objective at d_star={probe[best]} is inf")
     return best
 
 
 def _combined_bound(
     arrays: _PointArrays,
     probe: range,
-    terms: Callable[[int, int], np.ndarray],
+    terms: Callable[[int, range], np.ndarray],
     variant: BoundVariant,
 ) -> BoundResult:
     """The radius scan shared by every term-wise variant.
 
-    terms(cut, radius) gives the per-weight terms of the first cut weights,
-    the ones with d <= 2*radius.  The objective is their one contiguous
-    np.sum plus the region-exit tail; the winning radius's terms become
-    per_d_terms.  Radii ascend, as the streamed prefix masses require.
+    terms(cut, radii) gives one row per radius of a block of ascending
+    radii, holding the terms of the first cut weights.  A radius's objective
+    sums the first cuts of its row, the weights d <= 2*radius, plus the
+    region-exit tail; the winning radius's terms become per_d_terms.
     """
-    cuts = np.searchsorted(
-        arrays.ds, 2 * np.arange(probe.start, probe.stop), side="right"
-    ).tolist()
-    table = arrays.table
-
-    def objective(radius: int) -> tuple[float, np.ndarray]:
-        radius_terms = terms(cuts[radius - probe.start], radius)
-        return float(np.sum(radius_terms)) + table.region_exit(radius), radius_terms
-
-    value, d_star, best = _minimize(objective, probe)
-    per_d = dict(zip(arrays.ds[: len(best)].tolist(), best.tolist()))
-    return BoundResult(value, d_star, per_d, table.region_exit(d_star), variant)
+    tails = arrays.table.suffix[probe.start + 1 : probe.stop + 1]  # d* <= n
+    cuts = np.searchsorted(arrays.ds, 2 * np.arange(probe.start, probe.stop), side="right")
+    values = np.empty(len(probe))
+    best: tuple[float, np.ndarray] = (math.inf, arrays.aq[:0])  # the row _minimize picks
+    step = arrays.table.step
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(probe), step):
+            block_cuts = cuts[lo : lo + step].tolist()
+            block = terms(block_cuts[-1], probe[lo : lo + step])
+            sums = [np.add.reduce(row[:cut]) for row, cut in zip(block, block_cuts)]
+            values[lo : lo + step] = tails[lo : lo + step] + sums
+            i = int(np.argmin(values[lo : lo + step]))
+            if values[lo + i] < best[0]:
+                best = (values[lo + i], block[i, : block_cuts[i]].copy())
+            del block  # free it before the next block is built
+    i = _minimize(values, probe)
+    per_d = dict(zip(arrays.ds[: len(best[1])].tolist(), best[1].tolist()))
+    return BoundResult(float(values[i]), probe[i], per_d, float(tails[i]), variant)
 
 
 # --- whole-curve bounds ----------------------------------------------------
@@ -314,8 +339,8 @@ def truncated_union_bound(
     probe = _probe_range(spectrum, d_star, d_star_max)
     arrays = _PointArrays(spectrum, ch)
 
-    def terms(cut: int, radius: int) -> np.ndarray:
-        return arrays.aq[:cut]
+    def terms(cut: int, radii: range) -> np.ndarray:
+        return np.broadcast_to(arrays.aq[:cut], (len(radii), cut))
 
     return _combined_bound(arrays, probe, terms, BoundVariant.TRUNCATED_UNION)
 
@@ -332,8 +357,8 @@ def pairwise_error_bound(
     probe = _probe_range(spectrum, d_star, d_star_max)
     arrays = _PointArrays(spectrum, ch)
 
-    def terms(cut: int, radius: int) -> np.ndarray:
-        return arrays.aq[:cut] * arrays.single(cut, radius)
+    def terms(cut: int, radii: range) -> np.ndarray:
+        return arrays.aq[:cut] * arrays.masses(cut, radii)[0]
 
     return _combined_bound(arrays, probe, terms, BoundVariant.PAIRWISE_IMPROVED)
 
@@ -361,9 +386,8 @@ def triplet_error_bound(
     odd_coef = (counts - 1.0) * tf
     even_coef = counts * tf
 
-    def terms(cut: int, radius: int) -> np.ndarray:
-        paired = arrays.paired(cut, radius)
-        single = arrays.single(cut, radius)
+    def terms(cut: int, radii: range) -> np.ndarray:
+        single, paired = arrays.masses(cut, radii)
         return np.where(
             odd[:cut],
             odd_coef[:cut] * paired + arrays.q[:cut] * single,
@@ -388,11 +412,13 @@ def word_error_bound(
     arrays = _PointArrays(spectrum, ch)
     paired_coef = (arrays.a - 1.0) * _triplet_factors(arrays, ch, theta_policy)
 
-    def terms(cut: int, radius: int) -> np.ndarray:
-        return np.minimum(
-            arrays.aq[:cut] * arrays.single(cut, radius),
-            paired_coef[:cut] * arrays.paired(cut, radius) + arrays.q[:cut],
-        )
+    def terms(cut: int, radii: range) -> np.ndarray:
+        # in place, so a block holds two radii x cut arrays at a time
+        single, paired = arrays.masses(cut, radii)
+        single *= arrays.aq[:cut]
+        paired *= paired_coef[:cut]
+        paired += arrays.q[:cut]
+        return np.minimum(single, paired, out=single)
 
     return _combined_bound(arrays, probe, terms, BoundVariant.UNIFIED_WORD)
 
@@ -435,10 +461,11 @@ def bit_error_bound(
     i_hat_frac = np.array(i_hat)[arrays.ds] / k
     paired_coef = (arrays.a - 1.0) * _triplet_factors(arrays, ch, theta_policy)
 
-    def terms(cut: int, radius: int) -> np.ndarray:
+    def terms(cut: int, radii: range) -> np.ndarray:
+        single, paired = arrays.masses(cut, radii)
         return np.minimum(
-            single_coef[:cut] * arrays.single(cut, radius),
-            i_hat_frac[:cut] * (paired_coef[:cut] * arrays.paired(cut, radius) + arrays.q[:cut]),
+            single_coef[:cut] * single,
+            i_hat_frac[:cut] * (paired_coef[:cut] * paired + arrays.q[:cut]),
         )
 
     return _combined_bound(arrays, probe, terms, BoundVariant.UNIFIED_BIT)
@@ -517,21 +544,22 @@ def gfbt_combine(
     probe = _probe_range(spectrum, d_star, d_star_max)
     table = _BinomialTable(ch.p_b, spectrum.n)
     lightest = min(spectrum.weights(), default=math.inf)
-
-    def objective(radius: int) -> tuple[float, float]:
-        base = 0.0
-        if 2 * radius >= lightest:
+    bases = np.zeros(len(probe))
+    with np.errstate(over="ignore"):
+        for i, radius in enumerate(probe):
+            if 2 * radius < lightest:
+                continue
             try:
-                base = float(provider(radius, ch))
+                bases[i] = base = float(provider(radius, ch))
             except MlboundsError as exc:
                 raise type(exc)(f"base bound failed at d_star={radius}: {exc}") from exc
             if not base >= 0.0:  # NaN fails too; inf lets the radius lose
                 raise ValidationError(
                     f"provider returned {base!r} at d_star={radius}, need finite >= 0 or inf"
                 )
-        return base + table.region_exit(radius), base
-
-    value, best, base_term = _minimize(objective, probe)
+    tails = table.suffix[probe.start + 1 : probe.stop + 1]
+    i = _minimize(bases + tails, probe)
     return BoundResult(
-        value, best, {}, table.region_exit(best), BoundVariant.GFBT_COMBINED, base_term
+        float(bases[i] + tails[i]), probe[i], {}, float(tails[i]), BoundVariant.GFBT_COMBINED,
+        float(bases[i]),
     )

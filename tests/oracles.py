@@ -1,11 +1,13 @@
 """Independent oracles for tests: the log-space binomial tail, the
-two-half-plane probability by quadrature, scalar per-weight bound terms, the
+binomial prefix columns streamed one column at a time, the two-half-plane
+probability by quadrature, scalar per-weight bound terms, the
 union base bound for gfbt tables, the radius scan over them, the Gray-code
 codebook sweep and full-codebook ML counters.
 
-The library evaluates every bound as one vectorized radius scan and walks
-the codebook in numpy chunks.  These are the plain scalar forms of the same
-quantities, one weight, one radius or one message at a time, kept here so
+The library evaluates every bound as one vectorized radius scan over blocks
+of radii and walks the codebook in numpy chunks.  These are the plain forms
+of the same quantities, one weight, one radius, one column or one message at
+a time, kept here so
 tests can compare the two without the library exporting a second API.
 """
 
@@ -57,6 +59,30 @@ def binomial_tail(p: float, n_total: int, n_low: int, n_high: int) -> float:
         + (n_total - m) * math.log1p(-p)
     )
     return min(1.0, float(np.exp(special.logsumexp(log_terms))))
+
+
+def streamed_prefix(p: float, n: int, stop: int) -> np.ndarray:
+    """B(p, N, 0, m) for m in [-1, stop), one row each, and N in [0, n],
+    clamped to <= 1.
+
+    One running vector over N adds column j's pmf, formed in log space as
+    ((log N! - log j!) - log (N-j)!) + j log p + (N-j) log(1-p), to rows
+    N >= j, one column at a time.  The library's blocked prefix table must
+    match it bit for bit, not just within a tolerance.
+    """
+    lf = special.gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
+    sums = np.zeros(n + 1)
+    columns = [sums.copy()]
+    for j in range(stop):
+        if p == 0.0:
+            sums[:] = 1.0
+        else:
+            gap = np.arange(n + 1 - j, dtype=np.float64)  # N - j for N in [j, n]
+            sums[j:] += np.exp(
+                ((lf[j:] - lf[j]) - lf[: n + 1 - j]) + j * math.log(p) + gap * math.log1p(-p)
+            )
+        columns.append(sums.copy())
+    return np.minimum(1.0, np.array(columns))
 
 
 def _check_term_args(a_d: float, d: int, d_star: int, n: int) -> tuple[int, int, int]:

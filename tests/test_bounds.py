@@ -43,6 +43,7 @@ from oracles import (
     h_term,
     optimize_dstar,
     pairwise_term,
+    streamed_prefix,
     triplet_term,
     union_base,
 )
@@ -459,15 +460,15 @@ class TestCompositionAtForcedRadii:
 
 class TestMinimize:
     def test_infinite_objective_loses(self):
-        values = [math.inf, 0.5, math.inf, 0.25, 0.25]
-        assert bounds._minimize(lambda r: (values[r], r), range(5)) == (0.25, 3, 3)
+        # the first of two equal minima wins: the smallest d*
+        values = np.array([math.inf, 0.5, math.inf, 0.25, 0.25])
+        assert bounds._minimize(values, range(5)) == 3
 
     def test_nan_or_all_infinite_is_refused(self):
-        values = [1.0, math.nan, 0.5]
         with pytest.raises(ValidationError, match="d_star=1 is nan"):
-            bounds._minimize(lambda r: (values[r], None), range(3))
+            bounds._minimize(np.array([1.0, math.nan, 0.5]), range(3))
         with pytest.raises(ValidationError, match="d_star=2 is inf"):
-            bounds._minimize(lambda r: (math.inf, None), range(2, 5))
+            bounds._minimize(np.full(3, math.inf), range(2, 5))
 
 
 class TestVariantEdges:
@@ -571,11 +572,11 @@ class TestRadiusScanWork:
             built.append(n)
             init(table, p, n)
 
-        def refuse(table, rows, m):
+        def refuse(table, m0, m1):
             raise AssertionError("prefix mass read")
 
         monkeypatch.setattr(bounds._BinomialTable, "__init__", counting_init)
-        monkeypatch.setattr(bounds._BinomialTable, "mass_upto", refuse)
+        monkeypatch.setattr(bounds._BinomialTable, "prefix_columns", refuse)
         union_bound(self.ENS, self.POINT)
         assert built == []
         truncated_union_bound(self.ENS, self.POINT)
@@ -596,17 +597,39 @@ class TestRadiusScanWork:
         )
         assert rise_mb < 50.0
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_prefix_block_is_sized_in_cells_not_radii(self):
+        # an [8192, 4096] word point gets one radius per block and rose by
+        # 1.3 MB on an x86_64 VM; 24 radii per block, as the cap gives at
+        # n = 500, rose by 4.2 MB there, so 3 MB fails a block sized in radii
+        rise_mb = fresh_peak_ratio(
+            "word_error_bound(spec, ChannelPoint.from_snr_db(2.0, rate=0.5))",
+            "2**20",
+            "from mlbounds import ChannelPoint, ensemble_average, word_error_bound\n"
+            "spec = ensemble_average(8192, 4096)",
+        )
+        assert rise_mb < 3.0
+
 
 class TestBinomialStream:
-    """The streamed prefix columns of _BinomialTable against the scalar
-    log-space oracle, column by column in the order the radius scan asks."""
+    """The blocked prefix columns of _BinomialTable against the scalar
+    log-space oracle and, bit for bit, against the same sums streamed one
+    column at a time."""
+
+    @staticmethod
+    def scan(table, first, stop):
+        """Columns [first, stop) in ascending blocks, as the radius scan
+        asks for them."""
+        step = table.step
+        return np.concatenate(
+            [table.prefix_columns(m, min(m + step, stop)) for m in range(first, stop, step)]
+        )
 
     @pytest.mark.parametrize("n", [1, 7, 31, 100, 500])
     @pytest.mark.parametrize("p", [0.0, 1e-12, 0.1, 0.45])
     def test_columns_match_oracle(self, n, p):
-        table = bounds._BinomialTable(p, n)
+        columns = self.scan(bounds._BinomialTable(p, n), 0, n + 1)
         every = np.arange(n + 1)
-        columns = [table.mass_upto(every, m) for m in range(n + 1)]
         for m, column in enumerate(columns):
             # row m is where the column reaches 1; the sparse rows keep the
             # oracle's scalar calls affordable at n = 500
@@ -615,18 +638,28 @@ class TestBinomialStream:
                 want = binomial_tail(p, int(row), 0, m)
                 if want >= 1e-290:
                     assert abs(column[row] - want) <= 1e-11 * want, (n, p, m, row)
-        # a first request deep into the table (a fixed d*) streams every
-        # column before it and lands on the same bits
-        fresh = bounds._BinomialTable(p, n)
-        assert np.array_equal(fresh.mass_upto(every, n // 2), columns[n // 2])
+
+    @pytest.mark.parametrize("radii", [1, 3, None])
+    @pytest.mark.parametrize("n", [1, 7, 31, 100, 500])
+    @pytest.mark.parametrize("p", [0.0, 1e-12, 0.1, 0.45])
+    def test_blocks_equal_the_column_stream(self, monkeypatch, radii, n, p):
+        # None keeps the library's own block size
+        if radii is not None:
+            monkeypatch.setattr(bounds, "_BLOCK_CELLS", radii * (n + 1))
+            assert bounds._BinomialTable(p, n).step == radii
+        want = streamed_prefix(p, n, n + 1)  # columns -1 .. n
+        # from column -1 (radius 0), from column 0, and from deep in the
+        # table (a fixed d*), which streams every earlier column first
+        for first in (-1, 0, n // 2 + 1):
+            got = self.scan(bounds._BinomialTable(p, n), first, n + 1)
+            assert np.array_equal(got, want[first + 1 :]), (first, radii)
 
     def test_columns_only_ascend(self):
         table = bounds._BinomialTable(0.1, 20)
-        rows = np.arange(21)
-        table.mass_upto(rows, 5)
-        table.mass_upto(rows, 5)  # the same column again is fine
+        table.prefix_columns(3, 6)
+        table.prefix_columns(5, 6)  # the same column again is fine
         with pytest.raises(ValidationError, match="column 4 requested after column 5"):
-            table.mass_upto(rows, 4)
+            table.prefix_columns(4, 6)
 
 
 class TestBoundResultShape:
