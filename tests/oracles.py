@@ -1,14 +1,14 @@
 """Independent oracles for tests: the log-space binomial tail, the
 binomial prefix columns streamed one column at a time, the two-half-plane
-probability by quadrature, scalar per-weight bound terms, the
-union base bound for gfbt tables, the radius scan over them, the Gray-code
-codebook sweep and full-codebook ML counters.
+probability by quadrature, scalar per-weight bound terms, the union base
+bound for gfbt tables, the radius scan over them, the Gray-code codebook
+sweep and full-codebook ML counters.
 
 The library evaluates every bound as one vectorized radius scan over blocks
 of radii and walks the codebook in numpy chunks.  These are the plain forms
 of the same quantities, one weight, one radius, one column or one message at
-a time, kept here so
-tests can compare the two without the library exporting a second API.
+a time, kept here so tests can compare the two without the library
+exporting a second API.
 """
 
 from __future__ import annotations
