@@ -13,6 +13,7 @@ from .numerics import (
     ChannelPoint,
     SnrConvention,
     angle_upper_bound,
+    log_factorials,
     noise_sigma,
     q_function,
     triplet_probability,

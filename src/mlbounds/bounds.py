@@ -41,7 +41,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import MlboundsError, ProviderLookupError, ValidationError
-from .numerics import ChannelPoint, angle_upper_bound, q_function, triplet_probability
+from .numerics import (
+    ChannelPoint,
+    angle_upper_bound,
+    log_factorials,
+    q_function,
+    triplet_probability,
+)
 from .spectrum import InputOutputSpectrum, SpectrumKind, WeightSpectrum, _content_lines, _near_int
 
 __all__ = [
@@ -128,14 +134,12 @@ class _BinomialTable:
     """
 
     def __init__(self, p: float, n: int):
-        from scipy import special
-
         if not 0.0 <= p < 1.0:
             raise ValidationError(f"table needs p in [0, 1), got {p!r}")
         self.p = p
         self.n = n
         self.step = max(1, _BLOCK_CELLS // (n + 1))  # radii (prefix columns) per block
-        self._lf = lf = special.gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)  # log N!
+        self._lf = lf = log_factorials(n)  # log N!
         # lf[N-j] and (N-j) log(1-p) at [n+1-j, N]: windows over N-j from
         # -(n+1); lf[N-j] = inf for N < j puts the log-pmf there at -inf
         self._lf_gap = sliding_window_view(np.concatenate([np.full(n + 1, math.inf), lf]), n + 1)
@@ -234,11 +238,12 @@ class _PointArrays:
     def table(self) -> _BinomialTable:
         return _BinomialTable(self.p_b, self.n)
 
-    def masses(self, cut: int, radii: range) -> tuple[np.ndarray, np.ndarray]:
-        """B(p_b, n-d, 0, r-1) and B(p_b, n-2d, 0, r-1) for the first cut
-        weights, one row per radius r."""
+    def masses(self, cut: int, radii: range, paired: bool = True) -> tuple[np.ndarray, ...]:
+        """B(p_b, n-d, 0, r-1) and, if paired, B(p_b, n-2d, 0, r-1) for the
+        first cut weights, one row per radius r."""
         columns = self.table.prefix_columns(radii.start - 1, radii.stop - 1)
-        return columns[:, self.single_rows[:cut]], columns[:, self.paired_rows[:cut]]
+        rows = (self.single_rows, self.paired_rows) if paired else (self.single_rows,)
+        return tuple(columns[:, r[:cut]] for r in rows)
 
 
 def _triplet_factors(
@@ -358,7 +363,8 @@ def pairwise_error_bound(
     arrays = _PointArrays(spectrum, ch)
 
     def terms(cut: int, radii: range) -> np.ndarray:
-        return arrays.aq[:cut] * arrays.masses(cut, radii)[0]
+        (single,) = arrays.masses(cut, radii, paired=False)
+        return arrays.aq[:cut] * single
 
     return _combined_bound(arrays, probe, terms, BoundVariant.PAIRWISE_IMPROVED)
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FileFormatError, ResourceLimitError, ValidationError
+from .numerics import log_factorials
 
 __all__ = [
     "SpectrumKind",
@@ -385,16 +386,12 @@ def ensemble_average(n: int, k: int) -> WeightSpectrum:
     bounds then probe only d* <= dmax/2, union refuses it, and the bound
     stays valid but may be loose once d* sits at dmax/2.
     """
-    from scipy import special
-
     n = operator.index(n)
     k = operator.index(k)
     if not 1 <= k <= n:
         raise ValidationError(f"need 1 <= k <= n, got k={k}, n={n}")
-    d = np.arange(1, n + 1, dtype=np.float64)
-    log_binom = (
-        special.gammaln(n + 1.0) - special.gammaln(d + 1.0) - special.gammaln(n - d + 1.0)
-    )
+    lf = log_factorials(n)
+    log_binom = lf[n] - lf[1:] - lf[n - 1 :: -1]  # log C(n, d) for d in [1, n]
     log_ratio = (k - n) * _LN2 + math.log1p(-(2.0**-k)) - math.log1p(-(2.0**-n))
     with np.errstate(over="ignore"):
         values = np.exp(log_binom + log_ratio)

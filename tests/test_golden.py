@@ -168,9 +168,10 @@ def test_simulate_bytes_match_golden(code, workers, tmp_path):
 
 
 def test_scipy_loads_only_for_bounds(tmp_path):
-    """In a fresh interpreter, spectrum and simulate commands leave scipy
-    unloaded; a bound curve computed after them, which loads it at its first
-    call site, still matches its golden."""
+    """In a fresh interpreter, spectrum and simulate commands and every
+    closed-form bound (exact and ensemble sources, gfbt included) leave
+    scipy unloaded, and each bound curve matches its golden.  A tight curve
+    after them loads scipy for Owen's T and still matches its golden."""
     primal = tmp_path / "hamming.spec"
     store_spectrum(WeightSpectrum(7, 4, {0: 1, 3: 7, 4: 7, 7: 1}, SpectrumKind.EXACT), primal)
     gen = str(ROOT / "data" / "codes" / "hamming_7_4.gen")
@@ -179,24 +180,42 @@ def test_scipy_loads_only_for_bounds(tmp_path):
         ["spectrum", "--macwilliams", str(primal)],
         ["simulate", "--code", gen, "--snr", "2", "--trials", "300"],
     ]
-    curve = tmp_path / "word.csv"
+    curves = {}  # golden name -> CSV path
+    for source, args, variants in (
+        ("hamming_7_4", ["--enumerate", gen], _IOWE_VARIANTS),
+        ("ensemble_100_50", ["--ensemble", "100", "50"], _ENSEMBLE_VARIANTS),
+    ):
+        for variant in variants:
+            name = f"{source}.{variant.value}.{ThetaPolicy.CLOSED_FORM.value}"
+            curves[name] = tmp_path / f"{name}.csv"
+            argv = ["bound", *args, "--variant", variant.value, "-o", str(curves[name])]
+            if variant is BoundVariant.GFBT_COMBINED:
+                table = tmp_path / f"{source}.base"
+                _write_base_table(table, _source(source).n)
+                argv += ["--base-bound", str(table)]
+            commands.append(argv)
+    tight = "hamming_7_4.word.tight"
+    curves[tight] = tmp_path / "word.tight.csv"
     bound = ["bound", "--enumerate", gen, "--variant", "word", "--theta-policy", "tight"]
     script = f"""
 import sys
 from mlbounds import cli
 
 for argv in {commands!r}:
-    assert cli.main(argv + ["-o", {os.devnull!r}]) == 0, argv
+    argv = argv if "-o" in argv else argv + ["-o", {os.devnull!r}]
+    assert cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert cli.main({bound!r} + ["-o", {str(curves[tight])!r}]) == 0
 print("scipy" in sys.modules)
-assert cli.main({bound!r} + ["-o", {str(curve)!r}]) == 0
 """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout == "False\n"
-    digest = hashlib.sha256(curve.read_bytes()).hexdigest()
-    assert digest == _load_goldens()["hamming_7_4.word.tight"]
+    assert out.stdout == "True\n"
+    goldens = _load_goldens()
+    for name, path in curves.items():
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == goldens[name], name
 
 
 if __name__ == "__main__":

@@ -12,12 +12,15 @@ by hand.
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy import integrate, special
 
 from mlbounds.codes import bch_15_7, bch_31_21, bch_31_26, hamming_7_4, toy_code_10_5
 from mlbounds.errors import ValidationError
@@ -25,6 +28,7 @@ from mlbounds.numerics import (
     ChannelPoint,
     SnrConvention,
     angle_upper_bound,
+    log_factorials,
     q_function,
     triplet_probability,
 )
@@ -84,6 +88,82 @@ class TestQFunction:
         np.testing.assert_allclose(
             q_function(xs), [float(q_function(v)) for v in xs], rtol=1e-15
         )
+
+
+def scipy_q(x):
+    """scipy's Q, the one the Cephes port must reproduce bit for bit."""
+    return 0.5 * special.erfc(x / math.sqrt(2.0))
+
+
+def neighbours(values, steps=40):
+    """Each value and its `steps` nearest floats on either side."""
+    out = []
+    for v in values:
+        lo = hi = np.float64(v)
+        out.append(lo)
+        for _ in range(steps):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+            out += [lo, hi]
+    return np.array(out)
+
+
+class TestCephesPort:
+    """q_function and log_factorials against scipy.special, which runs the
+    same Cephes algorithms in compiled code: equal bits, not closeness."""
+
+    # erfc's branch edges |t| = 1, 8 and sqrt(MAXLOG), where exp(-t^2)
+    # underflows, in Q's argument x = t sqrt(2) and as x itself
+    EDGES = [s * e * f for s in (1.0, -1.0) for e in (1.0, 8.0, math.sqrt(7.09782712893383996843e2))
+             for f in (1.0, math.sqrt(2.0))]
+
+    @pytest.fixture(autouse=True)
+    def _runtime_warnings_fail(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            yield
+
+    def test_q_bits_on_dense_grid_and_branch_edges(self):
+        xs = np.concatenate([
+            np.linspace(-40.0, 40.0, 400_001),
+            neighbours(self.EDGES),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324],
+        ])
+        got, want = q_function(xs), scipy_q(xs)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_scalar_path_bits(self):
+        xs = neighbours(self.EDGES, 5).tolist() + [0.0, -0.0, math.inf, -math.inf, 3.3, -12.0]
+        for x in xs:
+            assert q_function(x) == scipy_q(x), x
+        assert math.isnan(q_function(math.nan))
+
+    @pytest.mark.parametrize(
+        "x",
+        [0.3, -2, np.float64(-1.7), np.array(2.5), np.arange(-3.0, 3.0).reshape(2, 3),
+         np.arange(4).reshape(2, 2), np.zeros((0, 3))],
+        ids=["float", "int", "float64", "0-d", "2-D", "2-D int", "empty"],
+    )
+    def test_return_types_and_shapes(self, x):
+        got, want = q_function(x), scipy_q(x)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_q_bits_property(self, x):
+        assert q_function(x) == scipy_q(x)
+        assert q_function(np.array([x]))[0] == scipy_q(x)
+
+    @pytest.mark.parametrize("n", [0, 1, 11, 12, 13, 999, 1000, 1001, 70000])
+    def test_log_factorial_bits(self, n):
+        got = log_factorials(n)
+        assert got.shape == (n + 1,)
+        assert np.array_equal(got, special.gammaln(np.arange(n + 1) + 1.0))
+
+    def test_log_factorials_refuse_negative_n(self):
+        with pytest.raises(ValidationError, match="n >= 0"):
+            log_factorials(-1)
 
 
 class TestBinomialTail:
