@@ -11,6 +11,13 @@ variants whose radius scan reads binomial prefix masses (plus the
 truncated union it must tie with), and adds one word curve at a fixed d*
 and one under a d* cap, whose first prefix request lands deep in the table.
 
+Each spectrum golden is the sha256 of what ``mlbounds spectrum`` writes for
+one source: the enumerated IOWE of every code under ``data/codes``, the
+MacWilliams transform of every dual and simplex spectrum under
+``perfbench/data``, and three ensemble averages, the last two truncated
+where the average overflows ([4096,2048] prints 160 ``d 0.0`` records,
+weights whose average underflows).
+
 Each simulate golden is the sha256 of the JSON that ``mlbounds simulate``
 writes for one code at a fixed seed, list radius and SNR pair, run with 1 and
 with 3 workers; both worker counts share one digest.
@@ -44,6 +51,7 @@ from mlbounds.spectrum import (
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "bound_curves.sha256"
 SIM_GOLDEN = ROOT / "tests" / "golden" / "simulate.sha256"
+SPECTRUM_GOLDEN = ROOT / "tests" / "golden" / "spectrum.sha256"
 GRID = (0.0, 10.0, 0.25)
 
 _IOWE_VARIANTS = tuple(BoundVariant)
@@ -146,9 +154,33 @@ def simulate_digest(code, workers, out_dir) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+# golden name -> the spectrum command's source flags
+SPECTRUM_CASES = {
+    **{
+        f"enumerate.{code}": ["--enumerate", str(ROOT / "data" / "codes" / f"{code}.gen")]
+        for code in ("hamming_7_4", "toy_10_5", "bch_15_7", "bch_31_21", "bch_31_26")
+    },
+    **{
+        f"macwilliams.{name}": ["--macwilliams", str(ROOT / "perfbench" / "data" / f"{name}.spec")]
+        for name in ("bch_15_7.dual", "bch_31_21.dual", "simplex_15_4", "simplex_127_7")
+    },
+    **{
+        f"ensemble.{n}_{k}": ["--ensemble", str(n), str(k)]
+        for n, k in ((100, 50), (2200, 1100), (4096, 2048))
+    },
+}
+
+
+def spectrum_digest(name, out_dir) -> str:
+    out = Path(out_dir) / f"{name}.spec"
+    assert main(["spectrum", *SPECTRUM_CASES[name], "-o", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def test_goldens_cover_every_case():
     assert sorted(_load_goldens()) == sorted(name for name, *_ in CASES)
     assert sorted(_load_goldens(SIM_GOLDEN)) == sorted(SIM_CASES)
+    assert sorted(_load_goldens(SPECTRUM_GOLDEN)) == sorted(SPECTRUM_CASES)
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +197,11 @@ def test_curve_bytes_match_golden(name, source, variant, policy, radius, table_d
 @pytest.mark.parametrize("code", sorted(SIM_CASES))
 def test_simulate_bytes_match_golden(code, workers, tmp_path):
     assert simulate_digest(code, workers, tmp_path) == _load_goldens(SIM_GOLDEN)[code]
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_CASES))
+def test_spectrum_bytes_match_golden(name, tmp_path):
+    assert spectrum_digest(name, tmp_path) == _load_goldens(SPECTRUM_GOLDEN)[name]
 
 
 def test_scipy_loads_only_for_bounds(tmp_path):
@@ -229,7 +266,10 @@ if __name__ == "__main__":
             if len(digests) != 1:
                 sys.exit(f"{code}: worker counts disagree, nothing written")
             sim_lines.append(f"{digests.pop()}  {code}")
+        spectrum_lines = [f"{spectrum_digest(name, scratch)}  {name}" for name in SPECTRUM_CASES]
     GOLDEN.parent.mkdir(exist_ok=True)
-    for path, rows in ((GOLDEN, lines), (SIM_GOLDEN, sim_lines)):
+    for path, rows in (
+        (GOLDEN, lines), (SIM_GOLDEN, sim_lines), (SPECTRUM_GOLDEN, spectrum_lines)
+    ):
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         print(f"wrote {len(rows)} digests to {path}", file=sys.stderr)
