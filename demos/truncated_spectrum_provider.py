@@ -38,12 +38,9 @@ from mlbounds import (
 
 
 def main():
-    spectrum = WeightSpectrum(
-        63, 39,
-        {10: 1.2e4, 14: 3.4e7, 20: 5.6e11},
-        SpectrumKind.TRUNCATED,
-        truncation=20,
-    )
+    counts = np.zeros(21)  # A_d for d in [0, 20]
+    counts[[10, 14, 20]] = [1.2e4, 3.4e7, 5.6e11]
+    spectrum = WeightSpectrum(63, 39, counts, SpectrumKind.TRUNCATED, truncation=20)
     print("partial [63,39] spectrum, counts known up to weight 20")
     print(f"{'Eb/N0':>6} {'word bound':>12} {'truncated':>12} {'d*':>4}")
     snrs = [2.0, 4.0, 6.0, 8.0]

@@ -48,7 +48,8 @@ from .numerics import (
     q_function,
     triplet_probability,
 )
-from .spectrum import InputOutputSpectrum, SpectrumKind, WeightSpectrum, _content_lines, _near_int
+from .spectrum import InputOutputSpectrum, SpectrumKind, WeightSpectrum, _content_lines
+from .spectrum import _near_int, _refuse_first
 
 __all__ = [
     "BoundVariant",
@@ -225,8 +226,8 @@ class _PointArrays:
     def __init__(self, spectrum: WeightSpectrum, ch: ChannelPoint):
         self.n = spectrum.n
         self.p_b = ch.p_b
-        self.ds = np.array(spectrum.weights(), dtype=np.int64)  # A_d > 0
-        self.a = np.array([spectrum.counts[int(d)] for d in self.ds], dtype=np.float64)
+        self.ds = spectrum.weights()  # A_d > 0
+        self.a = spectrum.counts[self.ds]
         self.q = np.atleast_1d(q_function(np.sqrt(self.ds.astype(np.float64)) / ch.sigma))
         self.aq = self.a * self.q  # plain union term per weight
         # prefix rows n-d and n-2d; lengths <= 0 are degenerate at zero
@@ -379,11 +380,9 @@ def triplet_error_bound(
 ) -> BoundResult:
     """Combined bound with weight classes paired off two at a time (exact
     integer spectra only; parity of each A_d decides the leftover term)."""
-    for d in spectrum.weights():
-        if not _near_int(spectrum.counts[d]):
-            raise ValidationError(
-                f"pairing needs integer multiplicities, got A_{d}={spectrum.counts[d]!r}"
-            )
+    fractional = ~_near_int(spectrum.counts)
+    fractional[0] = False  # A_0 is no competitor
+    _refuse_first(spectrum.counts, fractional, "must be an integer to pair codewords")
     probe = _probe_range(spectrum, d_star, d_star_max)
     arrays = _PointArrays(spectrum, ch)
     counts = np.round(arrays.a)
@@ -451,20 +450,14 @@ def bit_error_bound(
     if k == 0:
         raise ValidationError("bit bound needs k >= 1 message bits, got k=0")
     marginal = iowe.weight_spectrum()
-    # A'_d and i^ of every weight in one pass over the IOWE in (i, d) order:
-    # each A'_d sums in ascending i, and the last i with a positive count is
-    # the largest
-    a_prime = [0.0] * (iowe.n + 1)
-    i_hat = [0] * (iowe.n + 1)
-    for i, d in sorted(iowe.counts):
-        count = iowe.counts[i, d]
-        a_prime[d] += (i / k) * count
-        if count > 0.0:
-            i_hat[d] = i
     probe = _probe_range(marginal, d_star, d_star_max)
     arrays = _PointArrays(marginal, ch)
-    single_coef = np.array(a_prime)[arrays.ds] * arrays.q
-    i_hat_frac = np.array(i_hat)[arrays.ds] / k
+    columns = iowe.counts[:, arrays.ds]
+    # A'_d sums (i/k) A_{i,d} in ascending i (accumulate, unlike a pairwise
+    # sum, adds row by row), and i^ is the last i with A_{i,d} > 0
+    a_prime = np.add.accumulate((np.arange(k + 1) / k)[:, None] * columns, axis=0)[-1]
+    single_coef = a_prime * arrays.q
+    i_hat_frac = (k - np.argmax(columns[::-1] > 0.0, axis=0)) / k
     paired_coef = (arrays.a - 1.0) * _triplet_factors(arrays, ch, theta_policy)
 
     def terms(cut: int, radii: range) -> np.ndarray:

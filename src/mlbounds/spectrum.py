@@ -5,6 +5,11 @@ integer bitmasks (bit t of a mask is column t) so encoding and enumeration
 are single XORs.  Weight spectra come in three kinds: exact multiplicities,
 ensemble averages (real-valued), and truncated prefixes where only weights
 up to some d_max are known.
+
+Counts have one form from file to bound kernel: a read-only float64 array,
+A_d at [d] or, in an input-output spectrum, A_{i,d} at [i, d], for every
+weight up to the largest known one.  An array of more than 2^26 cells
+(512 MiB) is refused with ResourceLimitError before it is allocated.
 """
 
 from __future__ import annotations
@@ -142,14 +147,21 @@ class LinearCode:
         return LinearCode(self.n, self.n - self.k, tuple(dual_rows))
 
 
-def _near_int(value: float, tol: float = 1e-6) -> bool:
+def _near_int(values: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     # beyond 2^52 a double has no fractional resolution left to check
-    return abs(value) >= 2.0**52 or abs(value - round(value)) <= tol
+    return (np.abs(values) >= 2.0**52) | (np.abs(values - np.round(values)) <= tol)
 
 
-def _check_shape(n: int, k: int, kind: SpectrumKind, truncation: int | None) -> int:
-    """Check the k range and the kind/truncation pair of a spectrum; return
-    the largest weight its entries may have."""
+# The largest count array a spectrum may hold: 2^26 float64 cells, 512 MiB.
+# The IOWE of a [8192,4096] code, 4097 x 8193 cells (268 MB), fits.
+_MAX_CELLS = 2**26
+
+
+def _count_shape(
+    n: int, k: int, kind: SpectrumKind, truncation: int | None, iowe: bool
+) -> tuple[int, ...]:
+    """Check the k range, the kind/truncation pair and the array size of a
+    spectrum; return the shape of its count array."""
     n = operator.index(n)
     k = operator.index(k)
     if not 0 <= k <= n:
@@ -159,106 +171,89 @@ def _check_shape(n: int, k: int, kind: SpectrumKind, truncation: int | None) -> 
             raise ValidationError("truncated spectra need a truncation radius >= 0")
     elif truncation is not None:
         raise ValidationError(f"{kind.value} spectra must not set a truncation")
-    return n if truncation is None else min(n, truncation)
+    limit = n if truncation is None else min(n, truncation)
+    shape = (k + 1, limit + 1) if iowe else (limit + 1,)
+    cells = math.prod(shape)
+    if cells > _MAX_CELLS:
+        raise ResourceLimitError(
+            f"a {' x '.join(map(str, shape))} count array holds {cells:,} cells "
+            f"({8 * cells:,} bytes), over the {_MAX_CELLS:,}-cell guard"
+        )
+    return shape
 
 
-@dataclass(frozen=True)
-class WeightSpectrum:
-    """Weight multiplicities {d: A_d} of an [n, k] code.
+def _refuse_first(counts: np.ndarray, bad: np.ndarray, rule: str) -> None:
+    """Raise ValidationError naming the first count flagged in bad."""
+    if bad.any():
+        index = tuple(np.argwhere(bad)[0])
+        raise ValidationError(f"count A{list(map(int, index))}={float(counts[index])!r} {rule}")
 
-    Entries with A_d = 0 may be omitted.  kind=TRUNCATED means only weights
-    d <= truncation are known; the other kinds describe the full range.
-    """
+
+@dataclass(frozen=True, eq=False)
+class _Spectrum:
+    """Fields, checks and equality of both spectrum types: counts is a
+    read-only float64 copy of the array given, covering every weight up to
+    max_known_weight; kind=TRUNCATED means only weights d <= truncation are
+    known, while the other kinds describe the full range."""
 
     n: int
     k: int
-    counts: dict[int, float]
+    counts: np.ndarray
     kind: SpectrumKind
     truncation: int | None = None
 
     def __post_init__(self):
-        limit = _check_shape(self.n, self.k, self.kind, self.truncation)
-        for d, count in self.counts.items():
-            d = operator.index(d)
-            if not 0 <= d <= limit:
-                raise ValidationError(f"weight {d} outside [0, {limit}]")
-            if not (math.isfinite(count) and count >= 0.0):
-                raise ValidationError(f"count A_{d}={count!r} must be finite and >= 0")
-        if self.kind is not SpectrumKind.TRUNCATED:
-            if self.counts.get(0, 0.0) != 1.0:
-                raise ValidationError(f"{self.kind.value} spectrum needs A_0 = 1")
+        iowe = isinstance(self, InputOutputSpectrum)
+        shape = _count_shape(self.n, self.k, self.kind, self.truncation, iowe)
+        counts = np.array(self.counts, dtype=np.float64)
+        if counts.shape != shape:
+            raise ValidationError(f"counts need shape {shape}, got {counts.shape}")
+        _refuse_first(counts, ~(np.isfinite(counts) & (counts >= 0.0)), "must be finite and >= 0")
         if self.kind is SpectrumKind.EXACT:
-            for d, count in self.counts.items():
-                if not _near_int(count):
-                    raise ValidationError(f"exact spectrum has non-integer A_{d}={count!r}")
-            total = sum(self.counts.values())
+            _refuse_first(counts, ~_near_int(counts), "must be an integer in an exact spectrum")
+            total = float(counts.sum())
             if not math.isclose(total, 2.0**self.k, rel_tol=1e-6):
-                raise ValidationError(
-                    f"exact spectrum sums to {total!r}, expected 2^{self.k}"
-                )
+                raise ValidationError(f"exact spectrum sums to {total!r}, expected 2^{self.k}")
+        # A_0, or A_{0,0} in an IOWE: the zero message and its zero codeword
+        if self.kind is not SpectrumKind.TRUNCATED and counts.flat[0] != 1.0:
+            raise ValidationError(f"{self.kind.value} spectrum needs A_0 = 1")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
-    def count(self, d: int) -> float:
-        return self.counts.get(d, 0.0)
-
-    def weights(self) -> list[int]:
-        """Sorted positive weights with A_d > 0."""
-        return sorted(d for d, c in self.counts.items() if d >= 1 and c > 0.0)
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n, self.k, self.kind, self.truncation) == (
+            other.n, other.k, other.kind, other.truncation
+        ) and np.array_equal(self.counts, other.counts)
 
     @property
     def max_known_weight(self) -> int:
         return self.n if self.truncation is None else min(self.n, self.truncation)
 
-    def restrict(self, max_weight: int) -> "WeightSpectrum":
-        """Sub-spectrum keeping only weights d <= max_weight, marked truncated.
 
-        The truncation records the requested cut as given, even when it
-        exceeds n; max_known_weight caps it at n.
-        """
-        max_weight = operator.index(max_weight)
-        if max_weight < 0:
-            raise ValidationError(f"truncation radius must be >= 0, got {max_weight}")
-        kept = {d: c for d, c in self.counts.items() if d <= max_weight}
-        return WeightSpectrum(self.n, self.k, kept, SpectrumKind.TRUNCATED, max_weight)
+class WeightSpectrum(_Spectrum):
+    """Weight multiplicities of an [n, k] code: counts[d] = A_d for d in
+    [0, max_known_weight].  The exact and ensemble kinds need A_0 = 1."""
+
+    def weights(self) -> np.ndarray:
+        """Ascending positive weights with A_d > 0."""
+        return np.flatnonzero(self.counts[1:]) + 1
 
 
-@dataclass(frozen=True)
-class InputOutputSpectrum:
-    """Joint multiplicities {(i, d): A_{i,d}} of message weight i and
-    codeword weight d under a fixed encoder for an [n, k] code."""
-
-    n: int
-    k: int
-    counts: dict[tuple[int, int], float]
-    kind: SpectrumKind
-    truncation: int | None = None
-
-    def __post_init__(self):
-        limit = _check_shape(self.n, self.k, self.kind, self.truncation)
-        for (i, d), count in self.counts.items():
-            if not (0 <= operator.index(i) <= self.k and 0 <= operator.index(d) <= limit):
-                raise ValidationError(f"entry ({i}, {d}) outside [0,{self.k}] x [0,{limit}]")
-            if not (math.isfinite(count) and count >= 0.0):
-                raise ValidationError(f"count A_({i},{d})={count!r} must be finite and >= 0")
-        if self.kind is SpectrumKind.EXACT:
-            if self.counts.get((0, 0), 0.0) != 1.0:
-                raise ValidationError("exact IOWE needs A_{0,0} = 1")
-            for key, count in self.counts.items():
-                if not _near_int(count):
-                    raise ValidationError(f"exact IOWE has non-integer A_{key}={count!r}")
-            total = sum(self.counts.values())
-            if not math.isclose(total, 2.0**self.k, rel_tol=1e-6):
-                raise ValidationError(f"exact IOWE sums to {total!r}, expected 2^{self.k}")
+class InputOutputSpectrum(_Spectrum):
+    """Joint multiplicities of message weight i and codeword weight d under
+    a fixed encoder for an [n, k] code: counts[i, d] = A_{i,d}, of shape
+    (k+1, max_known_weight+1).  The exact and ensemble kinds need
+    A_{0,0} = 1."""
 
     def weight_spectrum(self) -> WeightSpectrum:
-        """Marginal over message weight: A_d = sum_i A_{i,d}."""
-        marginal: dict[int, float] = {}
-        for (i, d) in sorted(self.counts):
-            marginal[d] = marginal.get(d, 0.0) + self.counts[(i, d)]
+        """Marginal over message weight: A_d = sum_i A_{i,d}, summed in
+        ascending i."""
+        marginal = np.zeros(self.counts.shape[1])
+        for row in self.counts:
+            marginal += row
         return WeightSpectrum(self.n, self.k, marginal, self.kind, self.truncation)
-
-    def slice(self, d: int) -> dict[int, float]:
-        """Input-weight profile {i: A_{i,d}} of one codeword weight."""
-        return {i: c for (i, dd), c in self.counts.items() if dd == d}
 
 
 # log2 of the messages per codebook chunk: big enough to amortize the
@@ -327,9 +322,7 @@ def enumerate_spectrum(code: LinearCode, *, max_k: int = 28) -> InputOutputSpect
         cells += low_cells
         cells += t.bit_count() * (n + 1)
         table += np.bincount(cells, minlength=table.size)
-    table = table.reshape(k + 1, n + 1)
-    counts = {(int(i), int(d)): float(table[i, d]) for i, d in zip(*np.nonzero(table))}
-    return InputOutputSpectrum(n, k, counts, SpectrumKind.EXACT)
+    return InputOutputSpectrum(n, k, table.reshape(k + 1, n + 1), SpectrumKind.EXACT)
 
 
 def macwilliams_transform(dual_spectrum: WeightSpectrum) -> WeightSpectrum:
@@ -354,7 +347,7 @@ def macwilliams_transform(dual_spectrum: WeightSpectrum) -> WeightSpectrum:
     if k_dual == n:
         raise ValidationError("dual spectrum with k = n leaves no primal dimensions")
     sums = [0] * (n + 1)
-    for i, c in spec.counts.items():
+    for i, c in enumerate(spec.counts.tolist()):
         a_i = round(c)
         if not a_i:
             continue
@@ -363,14 +356,12 @@ def macwilliams_transform(dual_spectrum: WeightSpectrum) -> WeightSpectrum:
             sums[j] += a_i * cur
             prev, cur = cur, ((n - 2 * i) * cur - (n - j + 1) * prev) // (j + 1)
     order = 1 << k_dual
-    counts: dict[int, float] = {}
     for j, s in enumerate(sums):
         if s < 0 or s % order:
             raise ValidationError(
                 f"transformed count for weight {j} is {s}/{order}: dual spectrum inconsistent"
             )
-        if s:
-            counts[j] = float(s // order)
+    counts = [float(s // order) for s in sums]
     return WeightSpectrum(n, n - k_dual, counts, SpectrumKind.EXACT)
 
 
@@ -397,8 +388,7 @@ def ensemble_average(n: int, k: int) -> WeightSpectrum:
         values = np.exp(log_binom + log_ratio)
     overflow = np.flatnonzero(np.isinf(values))  # index i is weight i + 1
     dmax = int(overflow[0]) if overflow.size else n
-    counts = {0: 1.0}
-    counts.update({int(dd): float(v) for dd, v in zip(range(1, dmax + 1), values)})
+    counts = np.concatenate(([1.0], values[:dmax]))
     if dmax < n:
         return WeightSpectrum(n, k, counts, SpectrumKind.TRUNCATED, dmax)
     return WeightSpectrum(n, k, counts, SpectrumKind.ENSEMBLE_AVERAGE)
@@ -415,7 +405,11 @@ def ensemble_average(n: int, k: int) -> WeightSpectrum:
 #
 # kind is exact|ensemble|truncated; truncated headers carry dmax=<int>.
 # '#' lines and blank lines are ignored.  Counts print via repr() so a
-# store/load round trip is an identity.
+# store/load round trip is an identity.  Records are written in ascending
+# order: an exact weight spectrum and every IOWE list their nonzero counts
+# only, while an ensemble or truncated weight spectrum lists every weight in
+# [0, max_known_weight], zeros included.  The reader takes records in any
+# order and fills the counts a file omits with zeros.
 #
 # Generator files: a "n k" header line, then k rows of n characters in
 # {0, 1}; row j, column t is the coefficient multiplying message bit j into
@@ -472,7 +466,9 @@ def _parse_header(path: Path, lineno: int, line: str):
 
 
 def load_spectrum(path) -> WeightSpectrum | InputOutputSpectrum:
-    """Read a spectrum file; the header tag picks the returned type."""
+    """Read a spectrum file; the header tag picks the returned type.  The
+    count array is sized from the header, and refused with
+    ResourceLimitError before it is allocated if it would pass the cap."""
     path = Path(path)
     lines = _content_lines(path)
     try:
@@ -480,8 +476,14 @@ def load_spectrum(path) -> WeightSpectrum | InputOutputSpectrum:
     except StopIteration:
         raise FileFormatError(f"{path}:1: empty spectrum file") from None
     tag, n, k, kind, truncation = _parse_header(path, lineno, line)
-    arity = 2 if tag == "weight" else 3
-    counts: dict = {}
+    cls = InputOutputSpectrum if tag == "iowe" else WeightSpectrum
+    try:
+        shape = _count_shape(n, k, kind, truncation, tag == "iowe")
+    except ValidationError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    arity = len(shape) + 1
+    counts = np.zeros(shape)
+    seen: set[tuple[int, ...]] = set()
     for lineno, line in lines:
         parts = line.split()
         if len(parts) != arity:
@@ -493,13 +495,15 @@ def load_spectrum(path) -> WeightSpectrum | InputOutputSpectrum:
             value = float(parts[-1])
         except ValueError as exc:
             raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-        key = key[0] if arity == 2 else key
-        if key in counts:
+        if not all(0 <= index < size for index, size in zip(key, shape)):
+            bounds = " x ".join(f"[0,{size - 1}]" for size in shape)
+            raise FileFormatError(f"{path}:{lineno}: entry {key} outside {bounds}")
+        if key in seen:
             raise FileFormatError(f"{path}:{lineno}: duplicate record for {key}")
         if not (math.isfinite(value) and value >= 0.0):
             raise FileFormatError(f"{path}:{lineno}: count must be finite and >= 0")
+        seen.add(key)
         counts[key] = value
-    cls = WeightSpectrum if tag == "weight" else InputOutputSpectrum
     try:
         return cls(n, k, counts, kind, truncation)
     except ValidationError as exc:
@@ -508,15 +512,16 @@ def load_spectrum(path) -> WeightSpectrum | InputOutputSpectrum:
 
 def format_spectrum(spectrum: WeightSpectrum | InputOutputSpectrum) -> str:
     """Render a spectrum in the text format load_spectrum reads back."""
-    if isinstance(spectrum, WeightSpectrum):
-        tag, records = "weight", [(f"{d}", c) for d, c in sorted(spectrum.counts.items())]
-    else:
-        tag = "iowe"
-        records = [(f"{i} {d}", c) for (i, d), c in sorted(spectrum.counts.items())]
+    counts = spectrum.counts
+    tag = "weight" if isinstance(spectrum, WeightSpectrum) else "iowe"
+    dense = tag == "weight" and spectrum.kind is not SpectrumKind.EXACT
+    cells = np.argwhere((counts != 0.0) | dense)
+    records = [" ".join(map(str, cell)) for cell in cells.tolist()]
+    values = counts[tuple(cells.T)].tolist()
     header = f"{tag} n={spectrum.n} k={spectrum.k} kind={spectrum.kind.value}"
     if spectrum.truncation is not None:
         header += f" dmax={spectrum.truncation}"
-    return "\n".join([header, *(f"{key} {count!r}" for key, count in records)]) + "\n"
+    return "\n".join([header, *(f"{key} {count!r}" for key, count in zip(records, values))]) + "\n"
 
 
 def store_spectrum(spectrum: WeightSpectrum | InputOutputSpectrum, path) -> None:

@@ -4,6 +4,10 @@ probability by quadrature, scalar per-weight bound terms, the union base
 bound for gfbt tables, the radius scan over them, the Gray-code codebook
 sweep and full-codebook ML counters.
 
+Spectra are built here from sparse {d: A_d} or {(i, d): A_{i,d}} mappings,
+cut to a radius, or sliced at one codeword weight, so tests can state counts
+sparsely while the library keeps one dense array form.
+
 The library evaluates every bound as one vectorized radius scan over blocks
 of radii and walks the codebook in numpy chunks.  These are the plain forms
 of the same quantities, one weight, one radius, one column or one message at
@@ -24,6 +28,46 @@ from mlbounds.bounds import ThetaPolicy, truncated_union_bound
 from mlbounds.errors import ValidationError
 from mlbounds.numerics import ChannelPoint, angle_upper_bound, q_function
 from mlbounds.spectrum import InputOutputSpectrum, LinearCode, SpectrumKind, WeightSpectrum
+
+
+def spectrum_from(
+    n: int,
+    k: int,
+    counts: Mapping,
+    kind: SpectrumKind,
+    truncation: int | None = None,
+) -> WeightSpectrum | InputOutputSpectrum:
+    """A spectrum from a sparse mapping: {d: A_d} gives a WeightSpectrum and
+    {(i, d): A_{i,d}} an InputOutputSpectrum (an empty mapping, a
+    WeightSpectrum).  Counts it omits are zero."""
+    known = n if truncation is None else min(n, truncation)
+    iowe = any(isinstance(key, tuple) for key in counts)
+    table = np.zeros((k + 1, known + 1) if iowe else known + 1)
+    for key, count in counts.items():
+        table[key] = count
+    cls = InputOutputSpectrum if iowe else WeightSpectrum
+    return cls(n, k, table, kind, truncation)
+
+
+def restrict(spectrum: WeightSpectrum, max_weight: int) -> WeightSpectrum:
+    """Sub-spectrum keeping only weights d <= max_weight, marked truncated.
+
+    The truncation records the requested cut as given, even when it exceeds
+    n; max_known_weight caps it at n.
+    """
+    max_weight = operator.index(max_weight)
+    if max_weight < 0:
+        raise ValidationError(f"truncation radius must be >= 0, got {max_weight}")
+    return WeightSpectrum(
+        spectrum.n, spectrum.k, spectrum.counts[: max_weight + 1], SpectrumKind.TRUNCATED,
+        max_weight,
+    )
+
+
+def iowe_slice(iowe: InputOutputSpectrum, d: int) -> dict[int, float]:
+    """Input-weight profile {i: A_{i,d}} of one codeword weight, nonzero
+    counts only."""
+    return {i: c for i, c in enumerate(iowe.counts[:, d].tolist()) if c}
 
 
 def binomial_tail(p: float, n_total: int, n_low: int, n_high: int) -> float:
@@ -326,13 +370,7 @@ def gray_iowe(code: LinearCode) -> InputOutputSpectrum:
         msg ^= 1 << j
         cw ^= rows[j]
         table[msg.bit_count()][cw.bit_count()] += 1
-    counts = {
-        (i, d): float(table[i][d])
-        for i in range(code.k + 1)
-        for d in range(code.n + 1)
-        if table[i][d]
-    }
-    return InputOutputSpectrum(code.n, code.k, counts, SpectrumKind.EXACT)
+    return InputOutputSpectrum(code.n, code.k, table, SpectrumKind.EXACT)
 
 
 def ml_counters(code: LinearCode, y: np.ndarray, d_star: int) -> dict:

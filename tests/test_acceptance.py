@@ -43,12 +43,11 @@ from mlbounds.simulator import SimConfig, simulate, wilson_interval
 from mlbounds.spectrum import (
     LinearCode,
     SpectrumKind,
-    WeightSpectrum,
     enumerate_spectrum,
     macwilliams_transform,
     store_spectrum,
 )
-from oracles import binomial_tail, pairwise_term, triplet_term
+from oracles import binomial_tail, pairwise_term, spectrum_from, triplet_term
 
 GRID_0_10 = [0.25 * i for i in range(41)]
 GRID_0_8 = [0.25 * i for i in range(33)]
@@ -379,13 +378,13 @@ def test_09_spectrum_engine_cross_validation():
         direct = enumerate_spectrum(code).weight_spectrum().counts
         dual_spectrum = enumerate_spectrum(code.dual()).weight_spectrum()
         transformed = macwilliams_transform(dual_spectrum).counts
-        as_int = lambda counts: {d: round(c) for d, c in counts.items() if round(c) != 0}
+        as_int = lambda counts: [round(c) for c in counts.tolist()]
         if as_int(direct) != as_int(transformed):
             failures.append(
                 f"code {index} [{code.n},{code.k}]: {as_int(direct)} != {as_int(transformed)}"
             )
     hamming = enumerate_spectrum(hamming_7_4()).weight_spectrum().counts
-    profile = tuple(int(hamming.get(d, 0)) for d in range(8))
+    profile = tuple(int(hamming[d]) for d in range(8))
     if profile != (1, 0, 0, 7, 7, 0, 0, 1):
         failures.append(f"[7,4] profile {profile} != (1,0,0,7,7,0,0,1)")
     report(
@@ -397,7 +396,7 @@ def test_09_spectrum_engine_cross_validation():
 
 
 def test_10_truncated_spectrum_workflow(tmp_path, capsys):
-    spectrum = WeightSpectrum(
+    spectrum = spectrum_from(
         63, 39,
         {10: 1.2e4, 14: 3.4e7, 20: 5.6e11},
         SpectrumKind.TRUNCATED,

@@ -22,7 +22,7 @@ from mlbounds.spectrum import (
     store_generator,
     store_spectrum,
 )
-from oracles import union_base
+from oracles import spectrum_from, union_base
 
 DATA = Path(__file__).resolve().parent.parent / "data" / "codes"
 HAMMING_GEN = str(DATA / "hamming_7_4.gen")
@@ -75,7 +75,7 @@ class TestSpectrumCommand:
     def test_macwilliams_of_hamming_gives_simplex_dual(self, capsys, tmp_path):
         primal = tmp_path / "hamming.spec"
         store_spectrum(
-            WeightSpectrum(7, 4, {0: 1, 3: 7, 4: 7, 7: 1}, SpectrumKind.EXACT), primal
+            WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT), primal
         )
         out_path = tmp_path / "dual.spec"
         code, out, err = run(
@@ -167,7 +167,7 @@ class TestBoundCommand:
     def test_bit_variant_needs_iowe_source(self, capsys, tmp_path):
         weights_only = tmp_path / "w.spec"
         store_spectrum(
-            WeightSpectrum(7, 4, {0: 1, 3: 7, 4: 7, 7: 1}, SpectrumKind.EXACT),
+            WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT),
             weights_only,
         )
         code, out, err = run(
@@ -183,7 +183,7 @@ class TestBoundCommand:
 
     def test_bit_variant_refuses_zero_message_bits(self, capsys, tmp_path):
         path = tmp_path / "k0.iowe"
-        store_spectrum(InputOutputSpectrum(7, 0, {(0, 0): 1.0}, SpectrumKind.EXACT), path)
+        store_spectrum(spectrum_from(7, 0, {(0, 0): 1.0}, SpectrumKind.EXACT), path)
         code, out, err = run(
             capsys, "bound", "--spectrum", str(path), "--variant", "bit",
             "--snr-convention", "esn0",
@@ -333,7 +333,7 @@ class TestUnreadFlagsAreRefused:
     )
     def test_refused_before_any_output(self, capsys, tmp_path, argv, flag):
         spec = tmp_path / "w.spec"
-        store_spectrum(WeightSpectrum(7, 4, {0: 1, 3: 7, 4: 7, 7: 1}, SpectrumKind.EXACT), spec)
+        store_spectrum(WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT), spec)
         out_file = tmp_path / "out"
         argv = [token.replace("{spec}", str(spec)) for token in argv]
         code, out, err = run(capsys, *argv, "-o", str(out_file))
@@ -389,7 +389,7 @@ class TestUnreadFlagsAreRefused:
 class TestTruncatedSpectrumWorkflow:
     @pytest.fixture()
     def spec_file(self, tmp_path):
-        spec = WeightSpectrum(
+        spec = spectrum_from(
             63, 39,
             {10: 1.2e4, 14: 3.4e7, 20: 5.6e11},
             SpectrumKind.TRUNCATED,
@@ -513,6 +513,12 @@ class TestSimulateCommand:
             "--trials", "1000000", "--seed", "0", "--work-limit", "1000000",
         )
         assert code == EXIT_RESOURCE
+        # a spectrum file whose header asks for a 40 GB count array
+        huge = tmp_path / "huge.iowe"
+        huge.write_text("iowe n=100000 k=50000 kind=exact\n0 0 1\n1 3 1\n2 5 1\n")
+        code, out, err = run(capsys, "bound", "--spectrum", str(huge))
+        assert code == EXIT_RESOURCE and out == ""
+        assert "cells" in err and "bytes" in err
         assert "resource guard" in err
 
     def test_invalid_counts_exit_two_not_three(self, capsys):
@@ -863,7 +869,7 @@ class TestFileBoundProviderCli:
     def test_bound_table_round_trip_via_files(self, tmp_path):
         # library-level sanity: a table written with repr floats replays the
         # direct computation exactly through the file provider
-        spec = WeightSpectrum(7, 4, {0: 1, 3: 7, 4: 7, 7: 1}, SpectrumKind.EXACT)
+        spec = WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT)
         point = ChannelPoint.from_sigma(0.8)
         lines = [f"0.8 {d_star} {union_base(spec, point, d_star)!r}" for d_star in range(0, 8)]
         table = tmp_path / "t.txt"

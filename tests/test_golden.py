@@ -210,7 +210,7 @@ def test_scipy_loads_only_for_bounds(tmp_path):
     scipy unloaded, and each bound curve matches its golden.  A tight curve
     after them loads scipy for Owen's T and still matches its golden."""
     primal = tmp_path / "hamming.spec"
-    store_spectrum(WeightSpectrum(7, 4, {0: 1, 3: 7, 4: 7, 7: 1}, SpectrumKind.EXACT), primal)
+    store_spectrum(WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT), primal)
     gen = str(ROOT / "data" / "codes" / "hamming_7_4.gen")
     commands = [
         ["spectrum", "--enumerate", gen],

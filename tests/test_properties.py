@@ -1,12 +1,17 @@
 """Property tests: the exact floating-point dominance chains over random
-spectra and channel points, the codebook engine over random codes, and the
-simulator's independence of its worker count.
+spectra and channel points, the byte round trip of canonical spectrum files,
+the codebook engine over random codes, and the simulator's independence of
+its worker count.
 
 Every comparison is a plain float comparison with no tolerance.  The chains
 hold by construction: every variant sums equally sliced term arrays in the
 same order, and each refinement multiplies a term by factors <= 1.
 """
 
+import tempfile
+from pathlib import Path
+
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import gray_iowe
@@ -21,6 +26,8 @@ from mlbounds import (
     ValidationError,
     bit_error_bound,
     enumerate_spectrum,
+    format_spectrum,
+    load_spectrum,
     macwilliams_transform,
     pairwise_error_bound,
     simulate,
@@ -47,11 +54,9 @@ def spectra(draw, counts, truncated=False):
     values = draw(st.lists(counts, min_size=n, max_size=n))
     if truncated:
         cut = draw(st.integers(min_value=0, max_value=n))
-        table = {d: c for d, c in zip(range(1, cut + 1), values)}
-        return WeightSpectrum(n, k, table, SpectrumKind.TRUNCATED, cut)
-    table = {0: 1.0, **dict(zip(range(1, n + 1), values))}
+        return WeightSpectrum(n, k, [0.0, *values[:cut]], SpectrumKind.TRUNCATED, cut)
     # the ensemble kind accepts any finite multiplicities with A_0 = 1
-    return WeightSpectrum(n, k, table, SpectrumKind.ENSEMBLE_AVERAGE)
+    return WeightSpectrum(n, k, [1.0, *values], SpectrumKind.ENSEMBLE_AVERAGE)
 
 
 @st.composite
@@ -63,7 +68,10 @@ def iowes(draw):
             st.tuples(st.integers(1, k), st.integers(1, n)), real_counts, max_size=60
         )
     )
-    return InputOutputSpectrum(n, k, entries, SpectrumKind.TRUNCATED, n)
+    table = np.zeros((k + 1, n + 1))
+    for cell, count in entries.items():
+        table[cell] = count
+    return InputOutputSpectrum(n, k, table, SpectrumKind.TRUNCATED, n)
 
 
 def _chain(spectrum, sigma):
@@ -101,6 +109,57 @@ def test_bit_below_word_on_iowes(iowe, sigma):
     point = ChannelPoint.from_sigma(sigma)
     bit = bit_error_bound(iowe, point).value
     assert bit <= word_error_bound(iowe.weight_spectrum(), point).value
+
+
+file_counts = st.one_of(
+    st.just(0.0), st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+)
+
+
+@st.composite
+def canonical_files(draw):
+    """The text of a spectrum file in canonical form: ascending records,
+    counts printed by repr, nonzero counts only in an exact spectrum and in
+    every IOWE, every known weight in an ensemble or truncated weight
+    spectrum."""
+    tag = draw(st.sampled_from(["weight", "iowe"]))
+    kind = draw(st.sampled_from(SpectrumKind))
+    k = draw(st.integers(0, 6))
+    n = draw(st.integers(max(k, 1), 24))
+    header = f"{tag} n={n} k={k} kind={kind.value}"
+    truncation = None
+    if kind is SpectrumKind.TRUNCATED:
+        truncation = draw(st.integers(0, n + 3))
+        header += f" dmax={truncation}"
+    known = n if truncation is None else min(n, truncation)
+    if tag == "weight":
+        cells = [(d,) for d in range(known + 1)]
+    else:
+        cells = [(i, d) for i in range(k + 1) for d in range(known + 1)]
+    if kind is SpectrumKind.EXACT:
+        # A_0 = 1 and 2^k - 1 codewords spread over the other cells
+        spread = draw(st.lists(st.sampled_from(cells[1:]), min_size=2**k - 1, max_size=2**k - 1))
+        values = [float(cell == cells[0] or spread.count(cell)) for cell in cells]
+    else:
+        values = draw(st.lists(file_counts, min_size=len(cells), max_size=len(cells)))
+        if kind is SpectrumKind.ENSEMBLE_AVERAGE:
+            values[0] = 1.0  # A_0, or A_{0,0} in an IOWE
+    dense = tag == "weight" and kind is not SpectrumKind.EXACT
+    records = [
+        f"{' '.join(map(str, cell))} {value!r}"
+        for cell, value in zip(cells, values)
+        if dense or value != 0.0
+    ]
+    return "\n".join([header, *records]) + "\n"
+
+
+@PROPERTY
+@given(canonical_files())
+def test_canonical_file_round_trips_byte_for_byte(text):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "canonical.spec"
+        path.write_text(text, encoding="utf-8")
+        assert format_spectrum(load_spectrum(path)) == text
 
 
 @st.composite

@@ -6,12 +6,14 @@ The enumeration oracle multiplies every message by the generator matrix mod
 
 import math
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import iowe_slice, restrict, spectrum_from
 
 from mlbounds.codes import (
     bch_15_7,
@@ -22,12 +24,15 @@ from mlbounds.codes import (
     toy_code_10_5,
 )
 from mlbounds.errors import FileFormatError, ResourceLimitError, ValidationError
+from mlbounds import spectrum
 from mlbounds.spectrum import (
+    InputOutputSpectrum,
     LinearCode,
     SpectrumKind,
     WeightSpectrum,
     enumerate_spectrum,
     ensemble_average,
+    format_spectrum,
     load_generator,
     load_spectrum,
     macwilliams_transform,
@@ -38,15 +43,15 @@ from mlbounds.spectrum import (
 DATA = Path(__file__).resolve().parent.parent / "data" / "codes"
 
 
-def brute_force_iowe(code: LinearCode) -> dict:
+def brute_force_iowe(code: LinearCode) -> np.ndarray:
     """All 2^k codewords by dense mod-2 matrix multiplication."""
     gen = code.matrix()
     k = code.k
     msgs = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
     cws = msgs @ gen & 1
-    counts: dict = {}
+    counts = np.zeros((k + 1, code.n + 1), dtype=np.int64)
     for i, d in zip(msgs.sum(axis=1), cws.sum(axis=1)):
-        counts[(int(i), int(d))] = counts.get((int(i), int(d)), 0) + 1
+        counts[i, d] += 1
     return counts
 
 
@@ -112,14 +117,14 @@ class TestEnumerateSpectrum:
     def test_hamming_weight_marginal(self):
         iowe = enumerate_spectrum(hamming_7_4())
         marg = iowe.weight_spectrum()
-        assert [marg.count(d) for d in range(8)] == [1, 0, 0, 7, 7, 0, 0, 1]
+        assert marg.counts.tolist() == [1, 0, 0, 7, 7, 0, 0, 1]
         assert marg.kind is SpectrumKind.EXACT
 
     def test_fixture_spectra(self):
         marg = enumerate_spectrum(toy_code_10_5()).weight_spectrum()
-        assert [marg.count(d) for d in range(11)] == [1, 0, 0, 0, 16, 0, 12, 0, 3, 0, 0]
+        assert marg.counts.tolist() == [1, 0, 0, 0, 16, 0, 12, 0, 3, 0, 0]
         bch = enumerate_spectrum(bch_15_7()).weight_spectrum()
-        assert [bch.count(d) for d in range(16)] == [
+        assert bch.counts.tolist() == [
             1, 0, 0, 0, 0, 18, 30, 15, 15, 30, 18, 0, 0, 0, 0, 1,
         ]
 
@@ -131,11 +136,12 @@ class TestEnumerateSpectrum:
             code = random_full_rank_code(rng, n, k)
             got = enumerate_spectrum(code)
             want = brute_force_iowe(code)
-            assert {key: int(v) for key, v in got.counts.items()} == want
+            assert np.array_equal(got.counts, want)
 
     def test_repetition(self):
         iowe = enumerate_spectrum(repetition_code(9))
-        assert iowe.counts == {(0, 0): 1.0, (1, 9): 1.0}
+        assert np.argwhere(iowe.counts).tolist() == [[0, 0], [1, 9]]
+        assert iowe.counts[0, 0] == iowe.counts[1, 9] == 1.0
 
     def test_enumeration_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -151,9 +157,9 @@ class TestMacwilliams:
         # the [7, 3] simplex (dual of Hamming) has spectrum 1 + 7 z^4
         dual = hamming_7_4().dual()
         dual_spec = enumerate_spectrum(dual).weight_spectrum()
-        assert [dual_spec.count(d) for d in range(8)] == [1, 0, 0, 0, 7, 0, 0, 0]
+        assert dual_spec.counts.tolist() == [1, 0, 0, 0, 7, 0, 0, 0]
         primal = macwilliams_transform(dual_spec)
-        assert [primal.count(d) for d in range(8)] == [1, 0, 0, 7, 7, 0, 0, 1]
+        assert primal.counts.tolist() == [1, 0, 0, 7, 7, 0, 0, 1]
         assert (primal.n, primal.k) == (7, 4)
 
     def test_agrees_with_enumeration_on_random_codes(self):
@@ -173,9 +179,9 @@ class TestMacwilliams:
         spec = macwilliams_transform(
             enumerate_spectrum(bch_31_26().dual()).weight_spectrum()
         )
-        assert spec.count(1) == 0 and spec.count(2) == 0
-        assert spec.count(3) == 155.0
-        assert math.isclose(sum(spec.counts.values()), 2.0**26, rel_tol=1e-12)
+        assert spec.counts[1] == 0 and spec.counts[2] == 0
+        assert spec.counts[3] == 155.0
+        assert math.isclose(sum(spec.counts.tolist()), 2.0**26, rel_tol=1e-12)
 
     def test_involution(self):
         spec = enumerate_spectrum(bch_15_7()).weight_spectrum()
@@ -188,7 +194,7 @@ class TestMacwilliams:
         # Hamming code, has the weight enumerator
         # ((1+x)^n + n (1+x)^((n-1)/2) (1-x)^((n+1)/2)) / (n+1)
         n = (1 << m) - 1
-        simplex = WeightSpectrum(n, m, {0: 1.0, 1 << (m - 1): float(n)}, SpectrumKind.EXACT)
+        simplex = spectrum_from(n, m, {0: 1.0, 1 << (m - 1): float(n)}, SpectrumKind.EXACT)
         half = (n - 1) // 2
         want = []
         for j in range(n + 1):
@@ -201,10 +207,10 @@ class TestMacwilliams:
             want.append(total // (n + 1))
         hamming = macwilliams_transform(simplex)
         assert (hamming.n, hamming.k) == (n, n - m)
-        assert hamming.counts == {j: float(a) for j, a in enumerate(want) if a}
+        assert hamming.counts.tolist() == [float(a) for a in want]
 
     def test_rejects_inconsistent_dual(self):
-        bad = WeightSpectrum(5, 2, {0: 1.0, 1: 3.0}, SpectrumKind.EXACT)
+        bad = spectrum_from(5, 2, {0: 1.0, 1: 3.0}, SpectrumKind.EXACT)
         with pytest.raises(ValidationError):
             macwilliams_transform(bad)
 
@@ -218,78 +224,106 @@ class TestEnsembleAverage:
         spec = ensemble_average(100, 95)
         for d in (1, 2, 50, 99, 100):
             want = Fraction(math.comb(100, d)) * (2**95 - 1) / (2**100 - 1)
-            assert math.isclose(spec.count(d), float(want), rel_tol=1e-12)
-        assert spec.count(0) == 1.0
+            assert math.isclose(spec.counts[d], float(want), rel_tol=1e-12)
+        assert spec.counts[0] == 1.0
         assert spec.kind is SpectrumKind.ENSEMBLE_AVERAGE
 
     def test_nonzero_mass_totals(self):
         for n, k in ((100, 95), (100, 50), (31, 21)):
             spec = ensemble_average(n, k)
-            total = sum(c for d, c in spec.counts.items() if d >= 1)
+            total = sum(spec.counts[1:].tolist())
             assert math.isclose(total, 2.0**k - 1.0, rel_tol=1e-9)
 
     def test_full_rank_limit_is_binomial(self):
         spec = ensemble_average(12, 12)
         for d in range(1, 13):
-            assert math.isclose(spec.count(d), math.comb(12, d), rel_tol=1e-12)
+            assert math.isclose(spec.counts[d], math.comb(12, d), rel_tol=1e-12)
 
     def test_long_ensemble_just_below_overflow_stays_complete(self):
         # the largest average, at d = 1000, is within a factor 10 of float64's limit
         spec = ensemble_average(2000, 1000)
         assert spec.kind is SpectrumKind.ENSEMBLE_AVERAGE and spec.truncation is None
-        assert sorted(spec.counts) == list(range(2001))
+        assert spec.counts.shape == (2001,)
         for d in (1, 500, 1000, 1999, 2000):
             want = Fraction(math.comb(2000, d)) * (2**1000 - 1) / (2**2000 - 1)
-            assert math.isclose(spec.count(d), float(want), rel_tol=1e-10)
+            assert math.isclose(spec.counts[d], float(want), rel_tol=1e-10)
 
     def test_overflowing_ensemble_truncates_at_last_finite_weight(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             spec = ensemble_average(4096, 2048)
         assert spec.kind is SpectrumKind.TRUNCATED and spec.truncation == 881
-        assert sorted(spec.counts) == list(range(882))
+        assert spec.counts.shape == (882,)
         exact = {
             d: Fraction(math.comb(4096, d)) * (2**2048 - 1) / (2**4096 - 1) for d in (881, 882)
         }
         assert exact[882] > sys.float_info.max > exact[881]
-        assert math.isclose(spec.count(881), float(exact[881]), rel_tol=1e-10)
+        assert math.isclose(spec.counts[881], float(exact[881]), rel_tol=1e-10)
 
 
 class TestSpectrumTypes:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            WeightSpectrum(7, 4, {0: 1.0, 3: -1.0}, SpectrumKind.EXACT)
+            spectrum_from(7, 4, {0: 1.0, 3: -1.0}, SpectrumKind.EXACT)
         with pytest.raises(ValidationError):
-            WeightSpectrum(7, 4, {0: 2.0}, SpectrumKind.EXACT)
-        with pytest.raises(ValidationError):
-            WeightSpectrum(7, 4, {0: 1.0, 8: 1.0}, SpectrumKind.EXACT)
+            spectrum_from(7, 4, {0: 2.0}, SpectrumKind.EXACT)
+        with pytest.raises(ValidationError):  # a count for weight 8 > n
+            WeightSpectrum(7, 4, [1.0, 0, 0, 0, 0, 0, 0, 0, 1.0], SpectrumKind.EXACT)
         with pytest.raises(ValidationError):  # sum must be 2^k
-            WeightSpectrum(7, 4, {0: 1.0, 3: 7.0}, SpectrumKind.EXACT)
+            spectrum_from(7, 4, {0: 1.0, 3: 7.0}, SpectrumKind.EXACT)
         with pytest.raises(ValidationError):  # truncated needs a radius
-            WeightSpectrum(7, 4, {0: 1.0}, SpectrumKind.TRUNCATED)
+            spectrum_from(7, 4, {0: 1.0}, SpectrumKind.TRUNCATED)
         with pytest.raises(ValidationError):  # radius only on truncated
-            WeightSpectrum(7, 4, {0: 1.0}, SpectrumKind.EXACT, truncation=3)
+            spectrum_from(7, 4, {0: 1.0}, SpectrumKind.EXACT, truncation=3)
+        with pytest.raises(ValidationError):  # an ensemble IOWE needs A_{0,0} = 1
+            spectrum_from(7, 4, {(0, 0): 0.5, (1, 3): 1.75}, SpectrumKind.ENSEMBLE_AVERAGE)
 
     def test_restrict(self):
         spec = enumerate_spectrum(hamming_7_4()).weight_spectrum()
-        sub = spec.restrict(4)
+        sub = restrict(spec, 4)
         assert sub.kind is SpectrumKind.TRUNCATED
         assert sub.truncation == 4
-        assert sub.weights() == [3, 4]
+        assert sub.weights().tolist() == [3, 4]
         assert sub.max_known_weight == 4
-        wide = spec.restrict(20)  # beyond n: keeps the requested cut
+        wide = restrict(spec, 20)  # beyond n: keeps the requested cut
         assert wide.truncation == 20
         assert wide.max_known_weight == 7
 
     def test_weights_and_dmin(self):
         spec = enumerate_spectrum(toy_code_10_5()).weight_spectrum()
-        assert spec.weights() == [4, 6, 8]
+        assert spec.weights().tolist() == [4, 6, 8]
+
+    def test_counts_are_a_read_only_copy(self):
+        table = np.array([1.0, 0.0, 0.0, 7.0, 7.0, 0.0, 0.0, 1.0])
+        spec = WeightSpectrum(7, 4, table, SpectrumKind.EXACT)
+        table[3] = 5.0
+        assert spec.counts[3] == 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            spec.counts[3] = 5.0
+
+    def test_marginal_sums_in_ascending_message_weight(self):
+        """The marginal A_d = sum_i A_{i,d} must add the rows in ascending i,
+        bit for bit: at 13 rows a pairwise sum regroups them, and the bounds
+        of a truncated IOWE would move in their last bits.  Only weights
+        0..6 are known, and one IOWE knows only weight 0, whose single
+        column a numpy reduction sums pairwise.  The A'_d = sum_i (i/k)
+        A_{i,d} of the bit bound is held to the same order by the
+        bch_15_7.bit goldens, which a pairwise A'_d fails."""
+        rng = np.random.default_rng(16)
+        for dmax in (0, 6):
+            table = rng.random((13, dmax + 1)) * 10.0 ** rng.integers(-8, 9, (13, dmax + 1))
+            for counts in (table, np.asfortranarray(table)):
+                iowe = InputOutputSpectrum(20, 12, counts, SpectrumKind.TRUNCATED, dmax)
+                want = [0.0] * (dmax + 1)
+                for row in table.tolist():
+                    want = [a + c for a, c in zip(want, row)]
+                assert iowe.weight_spectrum().counts.tolist() == want
 
     def test_iowe_marginal_and_slice(self):
         iowe = enumerate_spectrum(hamming_7_4())
-        assert iowe.slice(7) == {4: 1.0}
-        assert sum(iowe.slice(3).values()) == 7.0
-        assert iowe.weight_spectrum().count(3) == 7.0
+        assert iowe_slice(iowe, 7) == {4: 1.0}
+        assert sum(iowe_slice(iowe, 3).values()) == 7.0
+        assert iowe.weight_spectrum().counts[3] == 7.0
 
 
 class TestFiles:
@@ -310,15 +344,38 @@ class TestFiles:
         path = tmp_path / "ens.spec"
         store_spectrum(ens, path)
         assert load_spectrum(path) == ens
-        trunc = ens.restrict(20)
+        trunc = restrict(ens, 20)
         store_spectrum(trunc, path)
         assert load_spectrum(path) == trunc
+
+    def test_non_canonical_records_are_normalized(self, tmp_path):
+        # records in any order load; explicit zeros of an exact spectrum or
+        # an IOWE are dropped on output, and a truncated weight spectrum
+        # lists every known weight
+        path = tmp_path / "s.spec"
+        cases = [
+            (
+                "weight n=7 k=4 kind=exact\n7 1\n3 7.0\n0 1\n5 0.0\n4 7\n",
+                "weight n=7 k=4 kind=exact\n0 1.0\n3 7.0\n4 7.0\n7 1.0\n",
+            ),
+            (
+                "iowe n=3 k=1 kind=exact\n1 3 1\n0 2 0\n0 0 1\n",
+                "iowe n=3 k=1 kind=exact\n0 0 1.0\n1 3 1.0\n",
+            ),
+            (
+                "weight n=9 k=2 kind=truncated dmax=4\n3 2.5\n1 0.5\n",
+                "weight n=9 k=2 kind=truncated dmax=4\n0 0.0\n1 0.5\n2 0.0\n3 2.5\n4 0.0\n",
+            ),
+        ]
+        for body, canonical in cases:
+            path.write_text(body)
+            assert format_spectrum(load_spectrum(path)) == canonical
 
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "s.spec"
         path.write_text("# header comment\n\nweight n=7 k=4 kind=exact\n0 1\n# mid\n3 7\n4 7\n7 1\n")
         spec = load_spectrum(path)
-        assert spec.count(3) == 7.0
+        assert spec.counts[3] == 7.0
 
     @pytest.mark.parametrize(
         "body,fragment",
@@ -341,6 +398,28 @@ class TestFiles:
         with pytest.raises(FileFormatError) as err:
             load_spectrum(path)
         assert fragment in str(err.value)
+
+    def test_guard_refuses_oversized_count_array(self, tmp_path):
+        # three records, but the header asks for a 50,001 x 100,001 array:
+        # refused from the header, before anything is allocated
+        path = tmp_path / "huge.iowe"
+        path.write_text("iowe n=100000 k=50000 kind=exact\n0 0 1\n1 3 1\n2 5 1\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                ResourceLimitError, match=r"5,000,150,001 cells \(40,001,200,008 bytes\)"
+            ):
+                load_spectrum(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        with pytest.raises(ResourceLimitError, match="cells"):
+            InputOutputSpectrum(100000, 50000, np.zeros((1, 1)), SpectrumKind.EXACT)
+        with pytest.raises(ResourceLimitError, match="cells"):
+            WeightSpectrum(2**26, 1, [1.0], SpectrumKind.ENSEMBLE_AVERAGE)
+        # the IOWE of a [8192, 4096] code, 268 MB, is within the guard
+        assert spectrum._count_shape(8192, 4096, SpectrumKind.EXACT, None, True) == (4097, 8193)
 
     def test_line_numbers_in_diagnostics(self, tmp_path):
         path = tmp_path / "bad.spec"
