@@ -227,15 +227,7 @@ def _read_curve(path) -> BoundCurve:
         if len(parts) != 5:
             raise ValidationError(f"{path}:{lineno}: expected 5 columns")
         try:
-            rows.append(
-                CurveRow(
-                    float(parts[0]),
-                    float(parts[1]),
-                    float(parts[2]),
-                    float(parts[3]),
-                    int(parts[4]),
-                )
-            )
+            rows.append(CurveRow(*map(float, parts[:4]), int(parts[4])))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
     if not saw_header or not rows:
@@ -301,14 +293,19 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    variant = BoundVariant(args.variant)
+    # a request cannot tell a given closed-form policy from its default
+    reads_theta = "theta_policy" in inspect.signature(globals()[_BOUNDS[variant]]).parameters
+    if args.theta_policy is not None and not reads_theta:
+        raise ValidationError(f"{variant.value} does not read theta_policy (--theta-policy)")
     request = CurveRequest(
-        variant=BoundVariant(args.variant),
+        variant=variant,
         spectrum=_load_source(args),
         snr_start=args.snr_start,
         snr_stop=args.snr_stop,
         snr_step=args.snr_step,
         convention=SnrConvention(args.snr_convention),
-        theta_policy=ThetaPolicy(args.theta_policy),
+        theta_policy=ThetaPolicy(args.theta_policy or ThetaPolicy.CLOSED_FORM.value),
         d_star=args.dstar,
         d_star_max=args.dstar_max,
         provider=args.base_bound,
@@ -328,17 +325,8 @@ def cmd_simulate(args) -> int:
         raise ValidationError("--snr-convention applies only to --snr, not to --sigma")
     sigmas = [noise_sigma(x, convention, code.rate) for x in grid]
     d_star = args.dstar if args.dstar is not None else code.n
-    reports = []
-    for sigma in sigmas:
-        cfg = SimConfig(
-            code=code,
-            sigma=sigma,
-            d_star=d_star,
-            trials=args.trials,
-            seed=args.seed,
-            work_limit=args.work_limit,
-        )
-        reports.append(simulate(cfg, workers=args.workers))
+    configs = [SimConfig(code, s, d_star, args.trials, args.seed, args.work_limit) for s in sigmas]
+    reports = [simulate(cfg, workers=args.workers) for cfg in configs]
     if args.format == "json":
         payload = [report.to_dict() for report in reports]
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -557,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument(
         "--theta-policy",
         choices=[p.value for p in ThetaPolicy],
-        default=ThetaPolicy.CLOSED_FORM.value,
+        help="with triplet, word or bit: the half-plane angle (default closed-form)",
     )
     bp.add_argument("--dstar", type=int, default=None, help="fix d* instead of optimizing")
     bp.add_argument("--dstar-max", type=int, default=None, help="cap the d* probe range")

@@ -12,8 +12,9 @@ ascending gives prefix sums LB(d) = sum of the d smallest samples, a lower
 bound on every weight-d score, so only weight classes with LB(d) <= 0 can
 contain a winner and only those are scanned (vectorized over the trials
 that need them).  The pruning is exact: skipped classes provably have all
-scores positive.  A scan expands the packed codebook into 0/1 floats one
-small tile at a time, so no score matrix of the whole codebook exists.
+scores positive.  A scan looks up one small tile of codewords at a time in
+the codebook's two XOR tables and expands it into 0/1 floats, so neither a
+copy nor a score matrix of the whole codebook exists.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 import numpy.random  # noqa: F401 - loaded here, not inside the first run's noise block
 
 from .errors import ResourceLimitError, ValidationError
-from .spectrum import _CHUNK_BITS, LinearCode, _codewords, _weights
+from .spectrum import LinearCode, _codebook, _codebook_bytes, _weights
 
 __all__ = [
     "BLOCK",
@@ -176,25 +177,25 @@ class SimReport:
 
 
 class _ClassLayout:
-    """Packed codebook with its weight-sorted order.
+    """The codebook's two XOR tables with its weight-sorted order.
 
-    cw holds the codewords in message order as ceil(n/64) uint64 words.
+    low and high are spectrum._codebook's tables of ceil(n/64) uint64 words.
     msgs lists the message indices sorted by Hamming weight; within a class
     they stay ascending (stable sort), so a first-occurrence argmin over any
     slice of a class is also the smallest-message tie-break within it;
     classes holds (d, start, stop) of each nonempty class d >= 1 in msgs.
-    The scans expand cw rows into 0/1 floats one tile at a time (_tile_bits).
+    The scans look up codewords in the tables and expand them into 0/1
+    floats one tile at a time (_tile_bits).
     """
 
     def __init__(self, code: LinearCode):
-        size, n, step = 1 << code.k, code.n, 1 << _CHUNK_BITS
-        self.cw = np.empty((size, (n + 63) // 64), dtype=np.uint64)
-        weights = np.empty(size, dtype=np.uint16)
-        for lo, chunk in zip(range(0, size, step), _codewords(code)):
-            self.cw[lo : lo + step] = chunk
-            weights[lo : lo + step] = _weights(chunk)
+        self.low, self.high = _codebook(code)
+        step = len(self.low)
+        weights = np.empty(1 << code.k, dtype=np.uint16)
+        for t, row in enumerate(self.high):
+            weights[t * step : (t + 1) * step] = _weights(self.low ^ row)
         self.msgs = np.argsort(weights, kind="stable").astype(np.uint32)
-        ends = np.cumsum(np.bincount(weights, minlength=n + 1)).tolist()
+        ends = np.cumsum(np.bincount(weights, minlength=code.n + 1)).tolist()
         self.classes = [(d, lo, hi) for d, (lo, hi) in enumerate(zip(ends, ends[1:]), 1) if lo < hi]
 
 
@@ -218,21 +219,23 @@ _SCAN_CELLS = 1 << 18
 
 
 def _layout_bytes(code: LinearCode) -> int:
-    """Peak bytes of building _layout(code), per codeword: cw (8 per word),
-    the uint16 weights, and the stable argsort's int64 indices with its
-    equal-size scratch buffer; msgs (4) is made after that buffer is freed."""
-    return (1 << code.k) * (8 * ((code.n + 63) // 64) + 18)
+    """Peak bytes of building _layout(code): the two XOR tables and one
+    chunk XORed from them (8 per word), and per codeword the uint16 weights
+    and the stable argsort's int64 indices with its equal-size scratch
+    buffer; msgs (4) is made after that buffer is freed."""
+    return _codebook_bytes(code) + 18 * (1 << code.k)
 
 
 def _scan_bytes(code: LinearCode, trials: int) -> int:
     """Peak bytes of one superblock scan: the noise with its hard-decision
-    mask and prefix sums (17 per sample), one tile as gathered words,
-    unpacked bytes and floats, and one score block with the copy and mask
-    of its tie rows (17 per cell).  glibc's malloc may keep up to twice the
-    largest freed block mapped, the noise or a score block: 16 more each."""
+    mask and prefix sums (17 per sample), one tile as its two uint32 table
+    indices, two gathers of words and their XOR, unpacked bytes and floats,
+    and one score block with the copy and mask of its tie rows (17 per
+    cell).  glibc's malloc may keep up to twice the largest freed block
+    mapped, the noise or a score block: 16 more each."""
     n, words = code.n, (code.n + 63) // 64
     samples = min(trials, _SUPERBLOCK * BLOCK) * n
-    return 33 * samples + _TILE * (8 * words + 9 * n) + 33 * _SCAN_CELLS
+    return 33 * samples + _TILE * (8 + 24 * words + 9 * n) + 33 * _SCAN_CELLS
 
 
 def _noise_block(seed: int, block_index: int, m: int, n: int, sigma: float) -> np.ndarray:
@@ -276,7 +279,8 @@ def _run_superblock(
         negative = np.zeros(cand.size, dtype=bool)
         for lo in range(start, stop, _TILE):
             tile_msgs = layout.msgs[lo : min(lo + _TILE, stop)]
-            bits_t = _tile_bits(layout.cw[tile_msgs], n).T
+            t, m = np.divmod(tile_msgs, len(layout.low))
+            bits_t = _tile_bits(layout.low[m] ^ layout.high[t], n).T
             step = max(1, _SCAN_CELLS // tile_msgs.size)
             for r in range(0, cand.size, step):
                 rows = cand[r : r + step]

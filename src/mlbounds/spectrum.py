@@ -256,9 +256,9 @@ class InputOutputSpectrum(_Spectrum):
         return WeightSpectrum(self.n, self.k, marginal, self.kind, self.truncation)
 
 
-# log2 of the messages per codebook chunk: big enough to amortize the
-# per-chunk numpy calls, small enough that a chunk's transients stay under a
-# megabyte for n <= 64
+# message bits of the low XOR table: big enough to amortize the per-chunk
+# numpy calls, small enough that a chunk's transients stay under a megabyte
+# for n <= 64
 _CHUNK_BITS = 14
 
 
@@ -267,28 +267,27 @@ def _as_words(mask: int, words: int) -> np.ndarray:
     return np.frombuffer(mask.to_bytes(8 * words, "little"), dtype="<u8")
 
 
-def _codewords(code: LinearCode):
-    """Every codeword in message order, in chunks of 2^min(k, 14) rows of
-    ceil(n/64) uint64 words.  All chunks share one buffer, so a caller
-    copies what it keeps before taking the next.
-
-    Chunk t covers messages t * 2^14 onwards: the XOR table of the low rows
-    XORed with the combination of high rows selected by t.  Stepping t to
-    t+1 flips its trailing ones and the bit above them, so the buffer
-    advances by one XOR with a prefix of the high rows.
-    """
+def _codebook(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+    """The codebook as two XOR tables of ceil(n/64) uint64 words: low over
+    the generator rows of the low min(k, 14) message bits, high over the
+    rows above them.  Message t * len(low) + m encodes to low[m] ^ high[t],
+    so chunk t of the codebook in message order is low ^ high[t]."""
     words = (code.n + 63) // 64
     rows = np.array([_as_words(row, words) for row in code.rows])
-    low = min(code.k, _CHUNK_BITS)
-    chunk = np.zeros((1 << low, words), dtype=np.uint64)
-    for j in range(low):
-        half = 1 << j
-        np.bitwise_xor(chunk[:half], rows[j], out=chunk[half : 2 * half])
-    flips = np.bitwise_xor.accumulate(rows[low:], axis=0)
-    for t in range(1 << (code.k - low)):
-        if t:
-            chunk ^= flips[(t & -t).bit_length() - 1]
-        yield chunk
+    split = min(code.k, _CHUNK_BITS)
+    tables = []
+    for part in (rows[:split], rows[split:]):
+        table = np.zeros((1 << len(part), words), dtype=np.uint64)
+        for j, row in enumerate(part):  # row m XORs the rows the bits of m select
+            np.bitwise_xor(table[: 1 << j], row, out=table[1 << j : 2 << j])
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def _codebook_bytes(code: LinearCode) -> int:
+    """Bytes of the two tables of _codebook(code) and one chunk of them."""
+    split = min(code.k, _CHUNK_BITS)
+    return 8 * ((code.n + 63) // 64) * ((2 << split) + (1 << (code.k - split)))
 
 
 def _weights(chunk: np.ndarray) -> np.ndarray:
@@ -309,16 +308,13 @@ def enumerate_spectrum(code: LinearCode, *, max_k: int = 28) -> InputOutputSpect
             f"enumeration over 2^{code.k} messages exceeds the k <= {max_k} guard"
         )
     n, k = code.n, code.k
-    low = min(k, _CHUNK_BITS)
-    # (n+1) times the message weight within a chunk, by the same doubling
-    low_cells = np.zeros(1 << low, dtype=np.int64)
-    for j in range(low):
-        half = 1 << j
-        np.add(low_cells[:half], n + 1, out=low_cells[half : 2 * half])
+    low, high = _codebook(code)
+    # (n+1) times the message weight of each message within a chunk
+    low_cells = np.bitwise_count(np.arange(len(low))).astype(np.int64) * (n + 1)
     table = np.zeros((k + 1) * (n + 1), dtype=np.int64)
-    for t, chunk in enumerate(_codewords(code)):
-        # cell (message weight, codeword weight) of every message in the chunk
-        cells = _weights(chunk)
+    for t, row in enumerate(high):
+        # cell (message weight, codeword weight) of every message in chunk t
+        cells = _weights(low ^ row)
         cells += low_cells
         cells += t.bit_count() * (n + 1)
         table += np.bincount(cells, minlength=table.size)
@@ -376,11 +372,20 @@ def ensemble_average(n: int, k: int) -> WeightSpectrum:
     TRUNCATED spectrum whose dmax is the last weight with a finite count:
     bounds then probe only d* <= dmax/2, union refuses it, and the bound
     stays valid but may be loose once d* sits at dmax/2.
+
+    The log-factorials, log-binomials and averages peak near 7.3 float64
+    arrays of n + 1 cells; where 8 such arrays would pass the count-array
+    guard, ResourceLimitError is raised before any is allocated.
     """
     n = operator.index(n)
     k = operator.index(k)
     if not 1 <= k <= n:
         raise ValidationError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if (cells := 8 * (n + 1)) > _MAX_CELLS:
+        raise ResourceLimitError(
+            f"an [{n},{k}] ensemble average works through {cells:,} cells "
+            f"({8 * cells:,} bytes), over the {_MAX_CELLS:,}-cell guard"
+        )
     lf = log_factorials(n)
     log_binom = lf[n] - lf[1:] - lf[n - 1 :: -1]  # log C(n, d) for d in [1, n]
     log_ratio = (k - n) * _LN2 + math.log1p(-(2.0**-k)) - math.log1p(-(2.0**-n))

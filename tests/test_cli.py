@@ -107,6 +107,12 @@ class TestSpectrumCommand:
         assert code == EXIT_VALIDATION and out == ""
         assert "max_k must be >= 0" in err
 
+    @pytest.mark.parametrize("command", ["spectrum", "bound"])
+    def test_long_ensemble_exits_three_before_allocating(self, capsys, command):
+        code, out, err = run(capsys, command, "--ensemble", "100000000", "50000000")
+        assert code == EXIT_RESOURCE and out == ""
+        assert "resource guard" in err and "[100000000,50000000] ensemble" in err
+
 
 class TestBoundCommand:
     def test_reruns_are_byte_identical(self, capsys, tmp_path):
@@ -306,9 +312,10 @@ _UNREAD = [
     (["bound", "--enumerate", HAMMING_GEN, "--variant", "union", "--dstar-max", "3"],
      "--dstar-max"),
     *[
-        (["bound", "--enumerate", HAMMING_GEN, "--variant", variant, "--theta-policy", "tight"],
+        (["bound", "--enumerate", HAMMING_GEN, "--variant", variant, "--theta-policy", policy],
          "--theta-policy")
         for variant in ("union", "truncated-union", "pairwise", "gfbt")
+        for policy in ("tight", "closed-form")
     ],
     *[
         (["bound", "--enumerate", HAMMING_GEN, "--variant", variant,
@@ -500,9 +507,9 @@ class TestSimulateCommand:
         assert list(report["joint_errors_by_weight"]) == ["70"]
 
     def test_resource_guards_exit_three(self, capsys, tmp_path):
-        # a [320, 26] codebook needs 2^26 * 58 bytes, over the 3.5 GB limit
+        # a [320, 28] codebook needs 2^28 * 18 bytes, ~4.8 GB, over the 3.5 GB limit
         gen = tmp_path / "long.gen"
-        store_generator(LinearCode(320, 26, tuple(1 << j for j in range(26))), gen)
+        store_generator(LinearCode(320, 28, tuple(1 << j for j in range(28))), gen)
         code, out, err = run(
             capsys, "simulate", "--code", str(gen), "--sigma", "0.8",
             "--trials", "100", "--seed", "0",

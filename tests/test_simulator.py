@@ -153,7 +153,7 @@ class TestSimulateEngine:
                 SimConfig(code=hamming_7_4(), sigma=1.0, d_star=3, trials=10, seed=1, work_limit=limit)
 
     def test_guards(self):
-        # the codebook of a k = 28 code alone counts 2^28 * 26 bytes, ~7 GB
+        # the codebook of a k = 28 code alone counts 2^28 * 18 bytes, ~4.8 GB
         code = LinearCode(28, 28, tuple(1 << j for j in range(28)))
         with pytest.raises(ResourceLimitError, match="GB"):
             simulate(SimConfig(code=code, sigma=1.0, d_star=3, trials=10, seed=1))
@@ -163,12 +163,14 @@ class TestSimulateEngine:
 
     @pytest.mark.parametrize(
         "n,trials,workers,admitted",
-        [(27, 1000, 1, True), (27, 1317, 1, True), (27, 1318, 1, False), (27, 1000, 2, False),
-         (64, 233, 1, True), (64, 234, 1, False)],
+        [(27, 1000, 107, True), (27, 1000, 108, False), (10_000, 2521, 1, True),
+         (10_000, 2522, 1, False), (10_000, 1000, 2, False)],
     )
     def test_footprint_guard_limits_k_27(self, monkeypatch, n, trials, workers, admitted):
-        # a k = 27 codebook counts 2^27 * 26 bytes, ~3.49 GB, which leaves one
-        # worker's scan buffers about 10 MB of the 3.5 GB limit
+        # a k = 27 codebook counts 2^27 * 18 bytes and its tables, ~2.42 GB at
+        # n = 27 and ~2.47 GB at n = 10,000; that leaves 107 workers of about
+        # 10 MB of scan buffers at n = 27, or one worker of up to 2,521 trials
+        # at n = 10,000, within the 3.5 GB limit
         class Built(Exception):
             pass
 

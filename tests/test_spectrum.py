@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import iowe_slice, restrict, spectrum_from
+from oracles import gray_iowe, iowe_slice, restrict, spectrum_from
 
 from mlbounds.codes import (
     bch_15_7,
@@ -151,6 +151,40 @@ class TestEnumerateSpectrum:
         with pytest.raises(ValidationError, match="max_k must be >= 0"):
             enumerate_spectrum(hamming_7_4(), max_k=-1)
 
+    def test_high_table_chunks_match_gray_sweep(self):
+        # k = 15 walks two chunks, the second XORed with the row of bit 14
+        code = random_full_rank_code(np.random.default_rng(15), 33, 15)
+        assert np.array_equal(enumerate_spectrum(code).counts, gray_iowe(code).counts)
+
+
+def codeword_ints(rows: np.ndarray) -> list[int]:
+    """Codeword bitmasks of rows of little-endian uint64 words."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows.astype("<u8")]
+
+
+class TestCodebookTables:
+    @pytest.mark.parametrize("n,k", [(40, 14), (70, 15)])
+    def test_every_message_matches_encode(self, n, k):
+        code = random_full_rank_code(np.random.default_rng(n), n, k)
+        low, high = spectrum._codebook(code)
+        messages = np.arange(1 << k, dtype=np.uint32)
+        want = [code.encode(m) for m in range(1 << k)]
+        t, m = np.divmod(messages, len(low))
+        assert codeword_ints(low[m] ^ high[t]) == want
+        # chunk t of the codebook in message order is low ^ high[t]
+        assert codeword_ints(np.concatenate([low ^ row for row in high])) == want
+
+    def test_three_word_codewords_match_encode(self):
+        code = random_full_rank_code(np.random.default_rng(130), 130, 20)
+        low, high = spectrum._codebook(code)
+        assert low.shape == (1 << 14, 3) and high.shape == (1 << 6, 3)
+        rng = np.random.default_rng(20)
+        edges = [0, 1, (1 << 14) - 1, 1 << 14, (1 << 20) - 1]
+        messages = np.concatenate([edges, rng.integers(0, 1 << 20, 2000)]).astype(np.uint32)
+        t, m = np.divmod(messages, len(low))
+        got = codeword_ints(low[m] ^ high[t])
+        assert got == [code.encode(int(x)) for x in messages]
+
 
 class TestMacwilliams:
     def test_simplex_to_hamming(self):
@@ -259,6 +293,28 @@ class TestEnsembleAverage:
         }
         assert exact[882] > sys.float_info.max > exact[881]
         assert math.isclose(spec.counts[881], float(exact[881]), rel_tol=1e-10)
+
+
+    def test_guard_refuses_long_ensemble_before_allocating(self, monkeypatch):
+        # 8 arrays of 2^23 + 1 cells pass the 2^26-cell guard; 2^23 cells fit
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"67,108,872 cells"):
+                ensemble_average(2**23, 2**22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(n):
+            raise Admitted
+
+        monkeypatch.setattr(spectrum, "log_factorials", admitted)
+        with pytest.raises(Admitted):
+            ensemble_average(2**23 - 1, 2**22)
 
 
 class TestSpectrumTypes:
