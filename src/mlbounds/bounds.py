@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import MlboundsError, ProviderLookupError, ValidationError
+from .errors import MlboundsError, ProviderLookupError, ResourceLimitError, ValidationError
 from .numerics import (
     ChannelPoint,
     angle_upper_bound,
@@ -49,7 +49,7 @@ from .numerics import (
     triplet_probability,
 )
 from .spectrum import InputOutputSpectrum, SpectrumKind, WeightSpectrum, _content_lines
-from .spectrum import _near_int, _refuse_first
+from .spectrum import _MAX_CELLS, _near_int, _refuse_first
 
 __all__ = [
     "BoundVariant",
@@ -120,6 +120,11 @@ class BoundResult:
 # rose 0.57 MB over a scan of one radius at a time, against 0.4 MB here.
 _BLOCK_CELLS = 3 * 2**12
 
+# A binomial table of length n, a radius scan included, peaks near 11 float64
+# arrays of n + 1 cells (tracemalloc, n = 1e5 and 1e6).  Where 12 would pass
+# the count-array guard, the table is refused before any is allocated.
+_TABLE_ARRAYS = 12
+
 
 class _BinomialTable:
     """Binomial(N, p) masses at fixed p for lengths N in [0, n].
@@ -137,6 +142,11 @@ class _BinomialTable:
     def __init__(self, p: float, n: int):
         if not 0.0 <= p < 1.0:
             raise ValidationError(f"table needs p in [0, 1), got {p!r}")
+        if (cells := _TABLE_ARRAYS * (n + 1)) > _MAX_CELLS:
+            raise ResourceLimitError(
+                f"a binomial table of length {n:,} works through {cells:,} cells "
+                f"({8 * cells:,} bytes), over the {_MAX_CELLS:,}-cell guard"
+            )
         self.p = p
         self.n = n
         self.step = max(1, _BLOCK_CELLS // (n + 1))  # radii (prefix columns) per block

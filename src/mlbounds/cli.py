@@ -20,9 +20,8 @@ import math
 import os
 import shlex
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from . import __version__
 from .bounds import (
@@ -52,7 +51,7 @@ from .spectrum import (
     _text_lines,
 )
 
-__all__ = ["CurveRequest", "CurveRow", "BoundCurve", "compute_curve", "main"]
+__all__ = ["CurveRow", "BoundCurve", "compute_curve", "main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,9 +64,9 @@ _MAX_GRID_POINTS = 1_000_000
 # --- curve computation (library surface of the bound subcommand) ------------
 
 
-# The bound of each variant, by its name in this module.  Requests look the
-# name up when they are checked and computed, so a wrapper bound over the
-# name (a tracer, a test double) sees every call.
+# The bound of each variant, by its name in this module.  compute_curve looks
+# the name up once per call, so a wrapper bound over the name (a tracer, a
+# test double) sees every call.
 _BOUNDS = {
     BoundVariant.UNION: "union_bound",
     BoundVariant.TRUNCATED_UNION: "truncated_union_bound",
@@ -78,62 +77,14 @@ _BOUNDS = {
     BoundVariant.GFBT_COMBINED: "gfbt_combine",
 }
 
-# The optional request fields, with the flag that sets each.  A variant reads
-# a field exactly when its bound takes a parameter of the same name.
+# The curve options, with the flag that sets each.  A variant takes an
+# option exactly when its bound takes a parameter of the same name.
 _FIELD_FLAGS = {
     "theta_policy": "--theta-policy",
     "d_star": "--dstar",
     "d_star_max": "--dstar-max",
     "provider": "--base-bound",
 }
-
-
-@dataclass(frozen=True)
-class CurveRequest:
-    """One bound curve: variant x spectrum x SNR grid.  Fields the variant's
-    bound does not read keep their defaults; a provider path is read with
-    FileBoundProvider once the variant is known to read it."""
-
-    variant: BoundVariant
-    spectrum: WeightSpectrum | InputOutputSpectrum
-    snr_start: float
-    snr_stop: float
-    snr_step: float
-    convention: SnrConvention = SnrConvention.EBN0_DB
-    theta_policy: ThetaPolicy = ThetaPolicy.CLOSED_FORM
-    d_star: int | None = None
-    d_star_max: int | None = None
-    provider: Callable[[int, ChannelPoint], float] | str | os.PathLike | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.snr_start) and math.isfinite(self.snr_stop)):
-            raise ValidationError(
-                f"snr start and stop must be finite, got {self.snr_start!r}, {self.snr_stop!r}"
-            )
-        if not (math.isfinite(self.snr_step) and self.snr_step > 0.0):
-            raise ValidationError(f"snr step must be > 0, got {self.snr_step!r}")
-        if not self.snr_start <= self.snr_stop:
-            raise ValidationError(
-                f"snr start must not exceed stop, got {self.snr_start!r} > {self.snr_stop!r}"
-            )
-        if _grid_count(self.snr_start, self.snr_stop, self.snr_step) > _MAX_GRID_POINTS:
-            raise ValidationError(f"snr grid has more than {_MAX_GRID_POINTS:,} points")
-        if self.variant not in _BOUNDS:
-            raise ValidationError(f"unknown variant {self.variant!r}")
-        params = inspect.signature(globals()[_BOUNDS[self.variant]]).parameters
-        defaults = {f.name: f.default for f in fields(self)}
-        for name, flag in _FIELD_FLAGS.items():
-            if name not in params and getattr(self, name) != defaults[name]:
-                raise ValidationError(f"{self.variant.value} does not read {name} ({flag})")
-        if "iowe" in params and not isinstance(self.spectrum, InputOutputSpectrum):
-            raise ValidationError(
-                "the bit bound needs an input-output spectrum (IOWE); "
-                "this source provides only codeword weights"
-            )
-        if "provider" in params and self.provider is None:
-            raise ValidationError("the gfbt variant needs a base bound table (--base-bound)")
-        if isinstance(self.provider, (str, os.PathLike)):
-            object.__setattr__(self, "provider", FileBoundProvider(self.provider))
 
 
 @dataclass(frozen=True)
@@ -160,34 +111,70 @@ def _snr_grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(_grid_count(start, stop, step))]
 
 
-def compute_curve(request: CurveRequest) -> BoundCurve:
-    spectrum = request.spectrum
-    rate = spectrum.k / spectrum.n
-    bound = globals()[_BOUNDS[request.variant]]
+def compute_curve(
+    variant: BoundVariant,
+    spectrum: WeightSpectrum | InputOutputSpectrum,
+    snr_start: float,
+    snr_stop: float,
+    snr_step: float,
+    convention: SnrConvention = SnrConvention.EBN0_DB,
+    **options,
+) -> BoundCurve:
+    """One bound curve: variant x spectrum x SNR grid.  options (theta_policy,
+    d_star, d_star_max, provider) pass straight to the variant's bound, so its
+    defaults fill the rest; one it does not take is refused, whatever its
+    value.  A provider path is read with FileBoundProvider."""
+    if not (math.isfinite(snr_start) and math.isfinite(snr_stop)):
+        raise ValidationError(
+            f"snr start and stop must be finite, got {snr_start!r}, {snr_stop!r}"
+        )
+    if not (math.isfinite(snr_step) and snr_step > 0.0):
+        raise ValidationError(f"snr step must be > 0, got {snr_step!r}")
+    if not snr_start <= snr_stop:
+        raise ValidationError(f"snr start must not exceed stop, got {snr_start!r} > {snr_stop!r}")
+    if _grid_count(snr_start, snr_stop, snr_step) > _MAX_GRID_POINTS:
+        raise ValidationError(f"snr grid has more than {_MAX_GRID_POINTS:,} points")
+    if variant not in _BOUNDS:
+        raise ValidationError(f"unknown variant {variant!r}")
+    bound = globals()[_BOUNDS[variant]]
     params = inspect.signature(bound).parameters
-    reads = {name: getattr(request, name) for name in _FIELD_FLAGS if name in params}
-    source = spectrum
+    for name in options:
+        if name not in _FIELD_FLAGS:
+            raise ValidationError(f"unknown curve option {name!r}, not in {list(_FIELD_FLAGS)}")
+        if name not in params:
+            raise ValidationError(f"{variant.value} does not read {name} ({_FIELD_FLAGS[name]})")
+    if "iowe" in params and not isinstance(spectrum, InputOutputSpectrum):
+        raise ValidationError(
+            "the bit bound needs an input-output spectrum (IOWE); "
+            "this source provides only codeword weights"
+        )
+    if "provider" in params and options.get("provider") is None:
+        raise ValidationError("the gfbt variant needs a base bound table (--base-bound)")
+    if isinstance(options.get("provider"), (str, os.PathLike)):
+        options["provider"] = FileBoundProvider(options["provider"])
     if "iowe" not in params and isinstance(spectrum, InputOutputSpectrum):
-        source = spectrum.weight_spectrum()
-    reads["iowe" if "iowe" in params else "spectrum"] = source
+        spectrum = spectrum.weight_spectrum()
+    reads = {"iowe" if "iowe" in params else "spectrum": spectrum, **options}
+    rate = spectrum.k / spectrum.n
     rows = []
-    for grid_value in _snr_grid(request.snr_start, request.snr_stop, request.snr_step):
-        point = ChannelPoint.from_snr_db(grid_value, request.convention, rate=rate)
+    for grid_value in _snr_grid(snr_start, snr_stop, snr_step):
+        point = ChannelPoint.from_snr_db(grid_value, convention, rate=rate)
         result = bound(ch=point, **reads)
         rows.append(
             CurveRow(grid_value, point.sigma, result.value, result.clamped, result.d_star_opt)
         )
+    d_star = options.get("d_star")
     metadata = (
         ("tool", f"mlbounds {__version__}"),
-        ("variant", request.variant.value),
+        ("variant", variant.value),
         ("code", f"[{spectrum.n},{spectrum.k}]"),
         ("spectrum_kind", spectrum.kind.value),
-        ("snr_convention", request.convention.value),
-        ("theta_policy", request.theta_policy.value),
-        ("d_star", "optimized" if request.d_star is None else str(request.d_star)),
+        ("snr_convention", convention.value),
+        ("theta_policy", (options.get("theta_policy") or ThetaPolicy.CLOSED_FORM).value),
+        ("d_star", "optimized" if d_star is None else str(d_star)),
     )
-    if request.d_star_max is not None:
-        metadata += (("d_star_max", str(request.d_star_max)),)
+    if options.get("d_star_max") is not None:
+        metadata += (("d_star_max", str(options["d_star_max"])),)
     return BoundCurve(metadata, tuple(rows))
 
 
@@ -293,24 +280,15 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    variant = BoundVariant(args.variant)
-    # a request cannot tell a given closed-form policy from its default
-    reads_theta = "theta_policy" in inspect.signature(globals()[_BOUNDS[variant]]).parameters
-    if args.theta_policy is not None and not reads_theta:
-        raise ValidationError(f"{variant.value} does not read theta_policy (--theta-policy)")
-    request = CurveRequest(
-        variant=variant,
-        spectrum=_load_source(args),
-        snr_start=args.snr_start,
-        snr_stop=args.snr_stop,
-        snr_step=args.snr_step,
-        convention=SnrConvention(args.snr_convention),
-        theta_policy=ThetaPolicy(args.theta_policy or ThetaPolicy.CLOSED_FORM.value),
-        d_star=args.dstar,
-        d_star_max=args.dstar_max,
-        provider=args.base_bound,
+    options = {name: getattr(args, name) for name in _FIELD_FLAGS}
+    if options["theta_policy"] is not None:
+        options["theta_policy"] = ThetaPolicy(options["theta_policy"])
+    curve = compute_curve(
+        BoundVariant(args.variant), _load_source(args),
+        args.snr_start, args.snr_stop, args.snr_step, SnrConvention(args.snr_convention),
+        **{name: value for name, value in options.items() if value is not None},
     )
-    _emit(args, _format_curve(compute_curve(request)))
+    _emit(args, _format_curve(curve))
     return EXIT_OK
 
 
@@ -533,7 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[v.value for v in BoundVariant],
         default=BoundVariant.UNIFIED_WORD.value,
     )
-    bp.add_argument("--base-bound", metavar="FILE", help="base bound table for gfbt")
+    bp.add_argument(
+        "--base-bound", dest="provider", metavar="FILE", help="base bound table for gfbt"
+    )
     bp.add_argument("--snr-start", type=float, default=0.0)
     bp.add_argument("--snr-stop", type=float, default=10.0)
     bp.add_argument("--snr-step", type=float, default=0.25)
@@ -547,8 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[p.value for p in ThetaPolicy],
         help="with triplet, word or bit: the half-plane angle (default closed-form)",
     )
-    bp.add_argument("--dstar", type=int, default=None, help="fix d* instead of optimizing")
-    bp.add_argument("--dstar-max", type=int, default=None, help="cap the d* probe range")
+    bp.add_argument("--dstar", dest="d_star", type=int, help="fix d* instead of optimizing")
+    bp.add_argument("--dstar-max", dest="d_star_max", type=int, help="cap the d* probe range")
     _add_common_flags(bp)
     bp.set_defaults(func=cmd_bound)
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
-import numpy.random  # noqa: F401 - loaded here, not inside the first run's noise block
 
 from .errors import ResourceLimitError, ValidationError
 from .spectrum import LinearCode, _codebook, _codebook_bytes, _weights

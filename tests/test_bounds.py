@@ -9,6 +9,7 @@ asserted as plain float comparisons with no tolerance.
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mlbounds import (
     ChannelPoint,
     FileBoundProvider,
     ProviderLookupError,
+    ResourceLimitError,
     SnrConvention,
     SpectrumKind,
     ThetaPolicy,
@@ -653,6 +655,33 @@ class TestBinomialStream:
         table.prefix_columns(5, 6)  # the same column again is fine
         with pytest.raises(ValidationError, match="column 4 requested after column 5"):
             table.prefix_columns(4, 6)
+
+    def test_guard_predicts_the_table_peak(self):
+        n = 2**16
+        tracemalloc.start()
+        try:
+            table = bounds._BinomialTable(0.1, n)
+            for m in range(-1, 3):  # blocks of one column, dropped as a scan drops them
+                table.prefix_columns(m, m + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * bounds._TABLE_ARRAYS * (n + 1)
+
+    def test_guard_refuses_long_table_before_allocating(self, monkeypatch):
+        # 12 arrays of 5,592,405 cells fit the 2^26-cell guard; one more cell
+        # each passes it
+        class Admitted(Exception):
+            pass
+
+        def admitted(n):
+            raise Admitted
+
+        monkeypatch.setattr(bounds, "log_factorials", admitted)
+        with pytest.raises(Admitted):
+            bounds._BinomialTable(0.1, 5_592_404)
+        with pytest.raises(ResourceLimitError, match=r"67,108,872 cells"):
+            bounds._BinomialTable(0.1, 5_592_405)
 
 
 class TestBoundResultShape:

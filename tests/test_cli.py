@@ -4,20 +4,30 @@ and the compare subcommand's alignment and dominance rules."""
 import functools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from mlbounds.bounds import FileBoundProvider, ThetaPolicy, gfbt_combine, truncated_union_bound
+from mlbounds.bounds import (
+    BoundVariant,
+    FileBoundProvider,
+    ThetaPolicy,
+    gfbt_combine,
+    truncated_union_bound,
+)
 from mlbounds import cli
 from mlbounds.cli import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, main
 from mlbounds.codes import repetition_code
+from mlbounds.errors import ValidationError
 from mlbounds.numerics import ChannelPoint
 from mlbounds.spectrum import (
     InputOutputSpectrum,
     LinearCode,
     SpectrumKind,
     WeightSpectrum,
+    enumerate_spectrum,
+    load_generator,
     load_spectrum,
     store_generator,
     store_spectrum,
@@ -112,6 +122,32 @@ class TestSpectrumCommand:
         code, out, err = run(capsys, command, "--ensemble", "100000000", "50000000")
         assert code == EXIT_RESOURCE and out == ""
         assert "resource guard" in err and "[100000000,50000000] ensemble" in err
+
+    def test_long_truncated_file_exits_three_before_the_table(self, capsys, tmp_path):
+        # five counts pass the count-array guard, but a binomial table of
+        # length 10^8 does not: refused before its log-factorials are built
+        path = tmp_path / "long.spec"
+        path.write_text(
+            "weight n=100000000 k=50000000 kind=truncated dmax=4\n0 1.0\n3 2.0\n4 1.0\n"
+        )
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "bound", "--spectrum", str(path), "--variant", "word")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_RESOURCE and out == ""
+        assert "resource guard" in err and "binomial table of length 100,000,000" in err
+        assert peak < 2**20
+
+    def test_long_ensemble_word_curve_still_runs(self, capsys):
+        code, out, err = run(
+            capsys, "bound", "--ensemble", "8192", "4096", "--variant", "word",
+            "--snr-start", "2", "--snr-stop", "2",
+        )
+        assert code == EXIT_OK and err == ""
+        meta, _, (row,) = parse_csv(out)
+        assert meta["spectrum_kind"] == "truncated" and 0.0 < float(row["raw_value"]) < 1.0
 
 
 class TestBoundCommand:
@@ -391,6 +427,61 @@ class TestUnreadFlagsAreRefused:
         )
         assert code == EXIT_OK, err
         assert len(calls) == 9 and set(calls) == {ThetaPolicy.TIGHT}
+
+
+# The curve options each variant's bound takes; compute_curve refuses the rest.
+_RADIUS = {"d_star", "d_star_max"}
+_TAKES = {
+    BoundVariant.UNION: set(),
+    BoundVariant.TRUNCATED_UNION: _RADIUS,
+    BoundVariant.PAIRWISE_IMPROVED: _RADIUS,
+    BoundVariant.TRIPLET_IMPROVED: _RADIUS | {"theta_policy"},
+    BoundVariant.UNIFIED_WORD: _RADIUS | {"theta_policy"},
+    BoundVariant.UNIFIED_BIT: _RADIUS | {"theta_policy"},
+    BoundVariant.GFBT_COMBINED: _RADIUS | {"provider"},
+}
+# a bound's own default for each option, and a value that is not one; the
+# provider path never exists, so a refusal after reading it would be an OSError
+_OPTION_VALUES = {
+    "default": {"theta_policy": ThetaPolicy.CLOSED_FORM, "d_star": None, "d_star_max": None,
+                "provider": None},
+    "set": {"theta_policy": ThetaPolicy.TIGHT, "d_star": 1, "d_star_max": 3,
+            "provider": "/nonexistent/base.txt"},
+}
+_FLAGS = {"theta_policy": "--theta-policy", "d_star": "--dstar", "d_star_max": "--dstar-max",
+          "provider": "--base-bound"}
+_REFUSED = [
+    (variant, name, kind)
+    for variant, takes in _TAKES.items()
+    for name in sorted(set(_FLAGS) - takes)
+    for kind in _OPTION_VALUES
+]
+
+
+class TestComputeCurveOptions:
+    @pytest.fixture(scope="class")
+    def iowe(self):
+        return enumerate_spectrum(load_generator(HAMMING_GEN))
+
+    @pytest.mark.parametrize(
+        "variant,name,kind", _REFUSED, ids=[f"{v.value}-{n}-{k}" for v, n, k in _REFUSED]
+    )
+    def test_option_the_bound_does_not_take_is_refused(self, iowe, variant, name, kind):
+        option = {name: _OPTION_VALUES[kind][name]}
+        with pytest.raises(ValidationError, match=f"does not read {name} \\({_FLAGS[name]}\\)"):
+            cli.compute_curve(variant, iowe, 1.0, 1.0, 1.0, **option)
+
+    @pytest.mark.parametrize("variant", list(BoundVariant), ids=lambda v: v.value)
+    def test_unknown_option_is_refused(self, iowe, variant):
+        with pytest.raises(ValidationError, match="unknown curve option 'dstar'"):
+            cli.compute_curve(variant, iowe, 1.0, 1.0, 1.0, dstar=1)
+
+    def test_given_options_pass_straight_to_the_bound(self, iowe):
+        # an explicit default gives the curve that leaving it out gives
+        word = BoundVariant.UNIFIED_WORD
+        defaults = {name: _OPTION_VALUES["default"][name] for name in _TAKES[word]}
+        plain = cli.compute_curve(word, iowe, 0.0, 2.0, 1.0)
+        assert cli.compute_curve(word, iowe, 0.0, 2.0, 1.0, **defaults) == plain
 
 
 class TestTruncatedSpectrumWorkflow:

@@ -38,7 +38,7 @@ from pathlib import Path
 import pytest
 
 from mlbounds.bounds import BoundVariant, FileBoundProvider, ThetaPolicy
-from mlbounds.cli import CurveRequest, _format_curve, _snr_grid, compute_curve, main
+from mlbounds.cli import _format_curve, _snr_grid, compute_curve, main
 from mlbounds.spectrum import (
     SpectrumKind,
     WeightSpectrum,
@@ -113,17 +113,15 @@ def _write_base_table(path, n):
 
 def curve_digest(source, variant, policy, table_dir, radius=None) -> str:
     spectrum = _source(source)
-    provider = None
+    options = dict(radius or {})
+    if variant in _THETA_VARIANTS:
+        options["theta_policy"] = policy
     if variant is BoundVariant.GFBT_COMBINED:
         table = Path(table_dir) / f"{source}.base"
         if not table.exists():
             _write_base_table(table, spectrum.n)
-        provider = FileBoundProvider(table)
-    curve = compute_curve(
-        CurveRequest(
-            variant, spectrum, *GRID, theta_policy=policy, provider=provider, **(radius or {})
-        )
-    )
+        options["provider"] = FileBoundProvider(table)
+    curve = compute_curve(variant, spectrum, *GRID, **options)
     return hashlib.sha256(_format_curve(curve).encode("utf-8")).hexdigest()
 
 
@@ -253,6 +251,33 @@ print("scipy" in sys.modules)
     goldens = _load_goldens()
     for name, path in curves.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == goldens[name], name
+
+
+def test_cli_import_loads_neither_scipy_nor_numpy_random(tmp_path):
+    """A fresh ``import mlbounds.cli`` leaves scipy and numpy.random
+    unloaded; a first simulate with 3 workers then loads numpy.random from
+    its worker threads and still matches its golden."""
+    code = "bch_15_7"
+    seed, d_star = SIM_CASES[code]
+    out = tmp_path / "sim.json"
+    argv = [
+        "simulate", "--code", str(ROOT / "data" / "codes" / f"{code}.gen"),
+        "--snr", "1", "3", "--trials", "2500", "--seed", str(seed),
+        "--dstar", str(d_star), "--workers", "3", "-o", str(out),
+    ]
+    script = f"""
+import sys
+from mlbounds import cli
+
+print(sorted(name for name in ("scipy", "numpy.random") if name in sys.modules))
+assert cli.main({argv!r}) == 0
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _load_goldens(SIM_GOLDEN)[code]
 
 
 if __name__ == "__main__":

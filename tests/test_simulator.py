@@ -47,8 +47,10 @@ def fresh_peak_ratio(action: str, count: str, imports: str) -> float:
     `count`; `code` there is the [31, 18] subcode of bch_31_21.  VmHWM,
     unlike ru_maxrss, does not inherit the parent's peak across fork and
     exec; BLAS runs one thread so its per-thread workspace does not depend
-    on the core count."""
+    on the core count.  numpy.random loads before the baseline, as the
+    action's other modules do: its 6 MB are an import, not the action's work."""
     script = f"""
+import numpy.random
 {imports}
 from mlbounds.codes import bch_31_21
 from mlbounds.spectrum import LinearCode
