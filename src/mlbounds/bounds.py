@@ -12,10 +12,11 @@ Q values, the per-weight coefficient products and, under the tight
 theta-policy, the Owen's-T factors of all weights above n/2 in one array
 call) is computed once.  The scan then forms the binomial masses and terms
 of a block of _BLOCK_CELLS / (n+1) ascending radii per numpy pass, so
-memory stays O(n).  Each variant builds only the binomial mass it reads:
-union builds no table, truncated-union and gfbt read only the length-n+2
-region-exit tail, and the refined variants also stream the prefix masses
-B(p_b, N, 0, d*-1).
+memory stays O(n); once the prefix masses freeze past every mode, one term
+row serves all later radii, summed once per distinct cut.  Each variant
+builds only the binomial mass it reads: union builds no table,
+truncated-union (one row throughout) and gfbt read only the length-n+2
+region-exit tail, and the refined variants also stream B(p_b, N, 0, d*-1).
 
 Numerical layout notes: per-weight terms are assembled in ascending weight
 order for every variant.  Each radius's terms are summed by one
@@ -125,6 +126,10 @@ _BLOCK_CELLS = 3 * 2**12
 # the count-array guard, the table is refused before any is allocated.
 _TABLE_ARRAYS = 12
 
+# A block freezes the table only if its first column lies this far past
+# (n+1)p, the largest mode of any row; 1 keeps every later pmf falling.
+_FREEZE_PAST_MODE = 1.0
+
 
 class _BinomialTable:
     """Binomial(N, p) masses at fixed p for lengths N in [0, n].
@@ -136,7 +141,9 @@ class _BinomialTable:
     log space so deep tails keep relative accuracy; prefixes come from
     forward sums and suffixes from backward sums, never from 1-x
     subtractions.  Everything is clamped to <= 1 so a product term * mass
-    can never exceed the unrefined term in floating point.
+    can never exceed the unrefined term in floating point.  Past the largest
+    mode (n+1)p pmfs fall in m, so once a block there ends on a column that
+    changed no running sum, no later column can: the table is then frozen.
     """
 
     def __init__(self, p: float, n: int):
@@ -157,10 +164,12 @@ class _BinomialTable:
         self._log_q_gap = sliding_window_view(np.arange(-(n + 1), n + 1) * math.log1p(-p), n + 1)
         self._sums = np.zeros(n + 1)  # B(p, N, 0, column) at row N
         self._column = -1
+        self.frozen = p == 0.0  # every later column is the running vector
         suffix = np.zeros(n + 2)
         if p == 0.0:
             # deep-SNR degenerate case: zero hard errors almost surely
             suffix[0] = 1.0
+            self._sums[:] = 1.0  # every column m >= 0
         else:
             m = np.arange(n + 1, dtype=np.float64)
             logpmf = lf[n] - lf - lf[::-1] + m * math.log(p) + (n - m) * math.log1p(-p)
@@ -173,10 +182,11 @@ class _BinomialTable:
         stream first, in blocks, so a deep first request gets a scan's bits."""
         if m0 < self._column:
             raise ValidationError(f"prefix column {m0} requested after column {self._column}")
-        if self.p == 0.0:  # no hard errors: every column from 0 on is 1
-            return np.where(np.arange(m0, m1)[:, None] >= 0, 1.0, np.zeros(self.n + 1))
-        while self._column + 1 < m0:
+        while not self.frozen and self._column + 1 < m0:
             self._advance(min(m0, self._column + 1 + self.step))
+        if self.frozen:  # column -1 is empty even at p == 0
+            self._column = m1 - 1
+            return np.where(np.arange(m0, m1)[:, None] >= 0, np.minimum(self._sums, 1.0), 0.0)
         first = self._column
         columns = self._advance(m1)[m0 - first :]
         return np.minimum(columns, 1.0, out=columns)
@@ -200,6 +210,8 @@ class _BinomialTable:
         block = sums[:, low:]
         for prev, row in zip(block, block[1:]):
             np.add(prev, row, out=row)
+        if low > (n + 1) * self.p + _FREEZE_PAST_MODE and stop > low:
+            self.frozen = bool(np.array_equal(sums[-1], sums[-2]))
         self._sums = sums[-1].copy()
         self._column = stop - 1
         return sums
@@ -293,29 +305,43 @@ def _combined_bound(
     probe: range,
     terms: Callable[[int, range], np.ndarray],
     variant: BoundVariant,
+    fixed: bool = False,
 ) -> BoundResult:
     """The radius scan shared by every term-wise variant.
 
     terms(cut, radii) gives one row per radius of a block of ascending
     radii, holding the terms of the first cut weights.  A radius's objective
     sums the first cuts of its row, the weights d <= 2*radius, plus the
-    region-exit tail; the winning radius's terms become per_d_terms.
+    region-exit tail; the winning radius's terms become per_d_terms.  From
+    the table's freeze on, or throughout if fixed, rows do not depend on the
+    radius, so the rest of the scan reads one row.
     """
     tails = arrays.table.suffix[probe.start + 1 : probe.stop + 1]  # d* <= n
     cuts = np.searchsorted(arrays.ds, 2 * np.arange(probe.start, probe.stop), side="right")
     values = np.empty(len(probe))
     best: tuple[float, np.ndarray] = (math.inf, arrays.aq[:0])  # the row _minimize picks
-    step = arrays.table.step
+    lo = 0
     with np.errstate(over="ignore"):
-        for lo in range(0, len(probe), step):
-            block_cuts = cuts[lo : lo + step].tolist()
-            block = terms(block_cuts[-1], probe[lo : lo + step])
-            sums = [np.add.reduce(row[:cut]) for row, cut in zip(block, block_cuts)]
-            values[lo : lo + step] = tails[lo : lo + step] + sums
-            i = int(np.argmin(values[lo : lo + step]))
+        while lo < len(probe):
+            # once frozen, every later row is the last radius's row: build it
+            # once and sum it once per distinct cut
+            frozen = fixed or arrays.table.frozen
+            hi = len(probe) if frozen else min(lo + arrays.table.step, len(probe))
+            block_cuts = cuts[lo:hi].tolist()
+            if frozen:
+                row = terms(block_cuts[-1], probe[-1:])[0]
+                per_cut = {cut: np.add.reduce(row[:cut]) for cut in set(block_cuts)}
+                sums = [per_cut[cut] for cut in block_cuts]
+                block = np.broadcast_to(row, (hi - lo, row.size))
+            else:
+                block = terms(block_cuts[-1], probe[lo:hi])
+                sums = [np.add.reduce(row[:cut]) for row, cut in zip(block, block_cuts)]
+            values[lo:hi] = tails[lo:hi] + sums
+            i = int(np.argmin(values[lo:hi]))
             if values[lo + i] < best[0]:
                 best = (values[lo + i], block[i, : block_cuts[i]].copy())
             del block  # free it before the next block is built
+            lo = hi
     i = _minimize(values, probe)
     per_d = dict(zip(arrays.ds[: len(best[1])].tolist(), best[1].tolist()))
     return BoundResult(float(values[i]), probe[i], per_d, float(tails[i]), variant)
@@ -358,7 +384,7 @@ def truncated_union_bound(
     def terms(cut: int, radii: range) -> np.ndarray:
         return np.broadcast_to(arrays.aq[:cut], (len(radii), cut))
 
-    return _combined_bound(arrays, probe, terms, BoundVariant.TRUNCATED_UNION)
+    return _combined_bound(arrays, probe, terms, BoundVariant.TRUNCATED_UNION, fixed=True)
 
 
 def pairwise_error_bound(

@@ -22,6 +22,7 @@ import shlex
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .bounds import (
@@ -113,7 +114,7 @@ def _snr_grid(start: float, stop: float, step: float) -> list[float]:
 
 def compute_curve(
     variant: BoundVariant,
-    spectrum: WeightSpectrum | InputOutputSpectrum,
+    spectrum: WeightSpectrum | InputOutputSpectrum | Callable,
     snr_start: float,
     snr_stop: float,
     snr_step: float,
@@ -123,7 +124,8 @@ def compute_curve(
     """One bound curve: variant x spectrum x SNR grid.  options (theta_policy,
     d_star, d_star_max, provider) pass straight to the variant's bound, so its
     defaults fill the rest; one it does not take is refused, whatever its
-    value.  A provider path is read with FileBoundProvider."""
+    value.  A provider path is read with FileBoundProvider.  A spectrum given
+    as a callable loads only once the grid and the options have passed."""
     if not (math.isfinite(snr_start) and math.isfinite(snr_stop)):
         raise ValidationError(
             f"snr start and stop must be finite, got {snr_start!r}, {snr_stop!r}"
@@ -143,13 +145,15 @@ def compute_curve(
             raise ValidationError(f"unknown curve option {name!r}, not in {list(_FIELD_FLAGS)}")
         if name not in params:
             raise ValidationError(f"{variant.value} does not read {name} ({_FIELD_FLAGS[name]})")
+    if "provider" in params and options.get("provider") is None:
+        raise ValidationError("the gfbt variant needs a base bound table (--base-bound)")
+    if callable(spectrum):
+        spectrum = spectrum()
     if "iowe" in params and not isinstance(spectrum, InputOutputSpectrum):
         raise ValidationError(
             "the bit bound needs an input-output spectrum (IOWE); "
             "this source provides only codeword weights"
         )
-    if "provider" in params and options.get("provider") is None:
-        raise ValidationError("the gfbt variant needs a base bound table (--base-bound)")
     if isinstance(options.get("provider"), (str, os.PathLike)):
         options["provider"] = FileBoundProvider(options["provider"])
     if "iowe" not in params and isinstance(spectrum, InputOutputSpectrum):
@@ -284,7 +288,7 @@ def cmd_bound(args) -> int:
     if options["theta_policy"] is not None:
         options["theta_policy"] = ThetaPolicy(options["theta_policy"])
     curve = compute_curve(
-        BoundVariant(args.variant), _load_source(args),
+        BoundVariant(args.variant), lambda: _load_source(args),
         args.snr_start, args.snr_stop, args.snr_step, SnrConvention(args.snr_convention),
         **{name: value for name, value in options.items() if value is not None},
     )

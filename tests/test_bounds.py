@@ -649,6 +649,41 @@ class TestBinomialStream:
             got = self.scan(bounds._BinomialTable(p, n), first, n + 1)
             assert np.array_equal(got, want[first + 1 :]), (first, radii)
 
+    @pytest.mark.parametrize("p", [0.1, 0.45])
+    def test_freeze_fires_on_the_first_unchanged_column_past_the_mode(self, p):
+        # every column matches the oracle, before the freeze and after it
+        n = 500
+        table = bounds._BinomialTable(p, n)
+        want = streamed_prefix(p, n, n + 1)  # want[m + 1] is column m
+        starts = range(-1, n + 1, table.step)  # block starts, as a scan asks
+        frozen = []
+        for m in starts:
+            got = table.prefix_columns(m, min(m + table.step, n + 1))
+            assert np.array_equal(got, want[m + 1 : m + 1 + len(got)]), m
+            frozen.append(table.frozen)
+        # the oracle's first block past every mode whose last column left
+        # every running sum as the column before it had them
+        last = [min(m + table.step - 1, n) for m in starts]
+        unchanged = [
+            max(m, 0) > (n + 1) * p + 1 and np.array_equal(want[c + 1], want[c])
+            for m, c in zip(starts, last)
+        ]
+        assert frozen.index(True) == unchanged.index(True) < len(starts) - 1
+        assert all(frozen[frozen.index(True) :])
+
+    def test_word_point_streams_fewer_blocks(self, monkeypatch):
+        # without the freeze a [500,250] point streams all 21 blocks of 24
+        advance = bounds._BinomialTable._advance
+        blocks = []
+
+        def counting(table, stop):
+            blocks.append(stop)
+            return advance(table, stop)
+
+        monkeypatch.setattr(bounds._BinomialTable, "_advance", counting)
+        word_error_bound(ensemble_average(500, 250), ChannelPoint.from_snr_db(5.0, rate=0.5))
+        assert 0 < len(blocks) < math.ceil(501 / 24)
+
     def test_columns_only_ascend(self):
         table = bounds._BinomialTable(0.1, 20)
         table.prefix_columns(3, 6)

@@ -385,6 +385,18 @@ class TestUnreadFlagsAreRefused:
         assert "No such file" not in err and "Traceback" not in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("flags", [["--theta-policy", "closed-form"], ["--dstar", "1"]])
+    def test_refused_before_the_source_loads(self, capsys, monkeypatch, flags):
+        # a [4000000, 2000000] average would build a 183 MB spectrum first
+        def refuse(n, k):
+            raise AssertionError("the source loaded")
+
+        monkeypatch.setattr(cli, "ensemble_average", refuse)
+        argv = ["bound", "--ensemble", "4000000", "2000000", "--variant", "union", *flags]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_VALIDATION, err
+        assert flags[0] in err and out == ""
+
     def test_read_flags_still_run(self, capsys, tmp_path):
         table = tmp_path / "base.txt"
         table.write_text("".join(f"1.0 {d} 0.0\n" for d in range(8)))

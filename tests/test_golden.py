@@ -11,6 +11,14 @@ variants whose radius scan reads binomial prefix masses (plus the
 truncated union it must tie with), and adds one word curve at a fixed d*
 and one under a d* cap, whose first prefix request lands deep in the table.
 
+Each result golden is the sha256 of the repr of every BoundResult (value,
+d*, tail and per_d_terms) of one variant on the default grid, called
+directly: truncated union, word and pairwise on the [500,250] ensemble,
+triplet on its counts rounded up to integers, and bit on the enumerated
+[31,21] IOWE, each unrestricted, at a fixed d* and under a d* cap.  The CSV
+pins only value and d*; these also pin the terms and tail that the radius
+scan keeps for its winner.
+
 Each spectrum golden is the sha256 of what ``mlbounds spectrum`` writes for
 one source: the enumerated IOWE of every code under ``data/codes``, the
 MacWilliams transform of every dual and simplex spectrum under
@@ -37,8 +45,20 @@ from pathlib import Path
 
 import pytest
 
-from mlbounds.bounds import BoundVariant, FileBoundProvider, ThetaPolicy
+import numpy as np
+
+from mlbounds.bounds import (
+    BoundVariant,
+    FileBoundProvider,
+    ThetaPolicy,
+    bit_error_bound,
+    pairwise_error_bound,
+    triplet_error_bound,
+    truncated_union_bound,
+    word_error_bound,
+)
 from mlbounds.cli import _format_curve, _snr_grid, compute_curve, main
+from mlbounds.numerics import ChannelPoint
 from mlbounds.spectrum import (
     SpectrumKind,
     WeightSpectrum,
@@ -50,6 +70,7 @@ from mlbounds.spectrum import (
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "bound_curves.sha256"
+RESULT_GOLDEN = ROOT / "tests" / "golden" / "bound_results.sha256"
 SIM_GOLDEN = ROOT / "tests" / "golden" / "simulate.sha256"
 SPECTRUM_GOLDEN = ROOT / "tests" / "golden" / "spectrum.sha256"
 GRID = (0.0, 10.0, 0.25)
@@ -135,6 +156,49 @@ def _load_goldens(path=GOLDEN) -> dict[str, str]:
 
 CASES = list(_cases())
 
+# golden name -> (bound, its source); each runs unrestricted and under each
+# radius restriction of its code
+RESULT_BOUNDS = {
+    "ensemble_500_250.truncated-union": (truncated_union_bound, "ensemble_500_250"),
+    "ensemble_500_250.word": (word_error_bound, "ensemble_500_250"),
+    "ensemble_500_250.pairwise": (pairwise_error_bound, "ensemble_500_250"),
+    "ensemble_500_250.ceil.triplet": (triplet_error_bound, "ensemble_500_250.ceil"),
+    "bch_31_21.bit": (bit_error_bound, "bch_31_21"),
+}
+RESULT_RADII = {
+    "ensemble_500_250": ({}, {"d_star": 60}, {"d_star_max": 100}),
+    "bch_31_21": ({}, {"d_star": 5}, {"d_star_max": 8}),
+}
+RESULT_CASES = {
+    name + "".join(f".{key}={value}" for key, value in radius.items()): (bound, source, radius)
+    for name, (bound, source) in RESULT_BOUNDS.items()
+    for radius in RESULT_RADII[source.split(".")[0]]
+}
+
+
+@lru_cache(maxsize=None)
+def _result_source(name):
+    if name == "bch_31_21":
+        return _source(name)  # the IOWE itself, as the bit bound reads it
+    spectrum = _source(name.split(".")[0])
+    if name.endswith(".ceil"):
+        return WeightSpectrum(
+            spectrum.n, spectrum.k, np.ceil(spectrum.counts), SpectrumKind.TRUNCATED, spectrum.n
+        )
+    return spectrum
+
+
+def result_digest(name) -> str:
+    bound, source, radius = RESULT_CASES[name]
+    spectrum = _result_source(source)
+    rate = spectrum.k / spectrum.n
+    results = [
+        bound(spectrum, ChannelPoint.from_snr_db(snr, rate=rate), **radius)
+        for snr in _snr_grid(*GRID)
+    ]
+    return hashlib.sha256(repr(results).encode("utf-8")).hexdigest()
+
+
 # code -> (seed, list radius d*); 2500 trials end in a partial noise block
 SIM_CASES = {"hamming_7_4": (11, 2), "toy_10_5": (12, 3), "bch_15_7": (13, 4)}
 SIM_WORKERS = (1, 3)
@@ -177,6 +241,7 @@ def spectrum_digest(name, out_dir) -> str:
 
 def test_goldens_cover_every_case():
     assert sorted(_load_goldens()) == sorted(name for name, *_ in CASES)
+    assert sorted(_load_goldens(RESULT_GOLDEN)) == sorted(RESULT_CASES)
     assert sorted(_load_goldens(SIM_GOLDEN)) == sorted(SIM_CASES)
     assert sorted(_load_goldens(SPECTRUM_GOLDEN)) == sorted(SPECTRUM_CASES)
 
@@ -189,6 +254,11 @@ def table_dir(tmp_path_factory):
 @pytest.mark.parametrize("name,source,variant,policy,radius", CASES, ids=[c[0] for c in CASES])
 def test_curve_bytes_match_golden(name, source, variant, policy, radius, table_dir):
     assert curve_digest(source, variant, policy, table_dir, radius) == _load_goldens()[name]
+
+
+@pytest.mark.parametrize("name", sorted(RESULT_CASES))
+def test_bound_results_match_golden(name):
+    assert result_digest(name) == _load_goldens(RESULT_GOLDEN)[name]
 
 
 @pytest.mark.parametrize("workers", SIM_WORKERS)
@@ -285,6 +355,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as scratch:
         lines = [f"{curve_digest(s, v, p, scratch, r)}  {name}" for name, s, v, p, r in CASES]
+        result_lines = [f"{result_digest(name)}  {name}" for name in RESULT_CASES]
         sim_lines = []
         for code in SIM_CASES:
             digests = {simulate_digest(code, w, scratch) for w in SIM_WORKERS}
@@ -294,7 +365,10 @@ if __name__ == "__main__":
         spectrum_lines = [f"{spectrum_digest(name, scratch)}  {name}" for name in SPECTRUM_CASES]
     GOLDEN.parent.mkdir(exist_ok=True)
     for path, rows in (
-        (GOLDEN, lines), (SIM_GOLDEN, sim_lines), (SPECTRUM_GOLDEN, spectrum_lines)
+        (GOLDEN, lines),
+        (RESULT_GOLDEN, result_lines),
+        (SIM_GOLDEN, sim_lines),
+        (SPECTRUM_GOLDEN, spectrum_lines),
     ):
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         print(f"wrote {len(rows)} digests to {path}", file=sys.stderr)

@@ -1,21 +1,27 @@
 """Property tests: the exact floating-point dominance chains over random
-spectra and channel points, the byte round trip of canonical spectrum files,
-the codebook engine over random codes, and the simulator's independence of
-its worker count.
+spectra and channel points, the radius scan's bits with and without its
+binomial freeze, the byte round trip of canonical spectrum files, the
+codebook engine over random codes, and the simulator's independence of its
+worker count.
 
 Every comparison is a plain float comparison with no tolerance.  The chains
 hold by construction: every variant sums equally sliced term arrays in the
 same order, and each refinement multiplies a term by factors <= 1.
 """
 
+import math
+import random
 import tempfile
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import gray_iowe
 
+from mlbounds import bounds
 from mlbounds import (
     ChannelPoint,
     InputOutputSpectrum,
@@ -25,12 +31,14 @@ from mlbounds import (
     SimConfig,
     ValidationError,
     bit_error_bound,
+    ensemble_average,
     enumerate_spectrum,
     format_spectrum,
     load_spectrum,
     macwilliams_transform,
     pairwise_error_bound,
     simulate,
+    triplet_error_bound,
     truncated_union_bound,
     union_bound,
     word_error_bound,
@@ -109,6 +117,56 @@ def test_bit_below_word_on_iowes(iowe, sigma):
     point = ChannelPoint.from_sigma(sigma)
     bit = bit_error_bound(iowe, point).value
     assert bit <= word_error_bound(iowe.weight_spectrum(), point).value
+
+
+@st.composite
+def scans(draw):
+    """A long code, ensemble or integer, a crossover probability in [0, 0.5)
+    and the radius keywords of one scan."""
+    n = draw(st.integers(min_value=1, max_value=600))
+    if draw(st.booleans()):
+        source = ensemble_average(n, draw(st.integers(min_value=1, max_value=n)))
+    else:
+        k = draw(st.integers(min_value=1, max_value=min(n, 12)))
+        entries = draw(
+            st.dictionaries(
+                st.tuples(st.integers(1, k), st.integers(1, n)), integer_counts, max_size=40
+            )
+        )
+        table = np.zeros((k + 1, n + 1))
+        for cell, count in entries.items():
+            table[cell] = count
+        source = InputOutputSpectrum(n, k, table, SpectrumKind.TRUNCATED, n)
+    # log-uniform from 1e-12 to near 1/2, drawn from a seed because a float
+    # strategy piles up at its ends; and 0, where Q(1/sigma) underflows
+    seeds = st.integers(min_value=0, max_value=2**32 - 1)
+    uniform = seeds.map(lambda seed: 10.0 ** -random.Random(seed).uniform(0.302, 12.0))
+    p = draw(st.one_of(uniform, st.sampled_from([0.0, 1e-12])))
+    sigma = 0.02 if p == 0.0 else -1.0 / NormalDist().inv_cdf(p)
+    key = draw(st.sampled_from([None, "d_star", "d_star_max"]))
+    radius = {} if key is None else {key: draw(st.integers(min_value=0, max_value=n))}
+    return source, ChannelPoint.from_sigma(sigma), radius
+
+
+@PROPERTY
+@given(scans())
+def test_freeze_keeps_every_bit(scan):
+    source, point, radius = scan
+    if isinstance(source, InputOutputSpectrum):
+        spectrum = source.weight_spectrum()
+        calls = [(bit_error_bound, source), (triplet_error_bound, spectrum)]
+    else:
+        spectrum, calls = source, []
+    calls += [(b, spectrum) for b in (truncated_union_bound, pairwise_error_bound, word_error_bound)]
+    got = [repr(bound(arg, point, **radius)) for bound, arg in calls]
+    # the reference scans every radius on its own row: no table freezes and
+    # the truncated union takes no shortcut
+    scan_rows = bounds._combined_bound
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bounds, "_FREEZE_PAST_MODE", math.inf)
+        m.setattr(bounds, "_combined_bound", lambda *args, fixed=False: scan_rows(*args))
+        want = [repr(bound(arg, point, **radius)) for bound, arg in calls]
+    assert got == want
 
 
 file_counts = st.one_of(
