@@ -43,9 +43,8 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-import pytest
-
 import numpy as np
+import pytest
 
 from mlbounds.bounds import (
     BoundVariant,
@@ -172,20 +171,19 @@ RESULT_RADII = {
 RESULT_CASES = {
     name + "".join(f".{key}={value}" for key, value in radius.items()): (bound, source, radius)
     for name, (bound, source) in RESULT_BOUNDS.items()
-    for radius in RESULT_RADII[source.split(".")[0]]
+    for radius in RESULT_RADII[source.removesuffix(".ceil")]
 }
 
 
 @lru_cache(maxsize=None)
 def _result_source(name):
-    if name == "bch_31_21":
-        return _source(name)  # the IOWE itself, as the bit bound reads it
-    spectrum = _source(name.split(".")[0])
-    if name.endswith(".ceil"):
-        return WeightSpectrum(
-            spectrum.n, spectrum.k, np.ceil(spectrum.counts), SpectrumKind.TRUNCATED, spectrum.n
-        )
-    return spectrum
+    """A _source, or with '.ceil' its counts rounded up to integers."""
+    if not name.endswith(".ceil"):
+        return _source(name)
+    spectrum = _source(name.removesuffix(".ceil"))
+    return WeightSpectrum(
+        spectrum.n, spectrum.k, np.ceil(spectrum.counts), SpectrumKind.TRUNCATED, spectrum.n
+    )
 
 
 def result_digest(name) -> str:
