@@ -9,28 +9,38 @@ index, i.e. the transmitted word when it participates.
 
 The batch engine does not score all 2^k codewords per trial.  Sorting y
 ascending gives prefix sums LB(d) = sum of the d smallest samples, a lower
-bound on every weight-d score, so only weight classes with LB(d) <= 0 can
-contain a winner and only those are scanned (vectorized over the trials
-that need them).  The pruning is exact: skipped classes provably have all
-scores positive.  A scan looks up one small tile of codewords at a time in
+bound on every weight-d score.  Splitting the n positions into P contiguous
+parts gives a tighter one: a codeword of weight d_i in part i scores at
+least sum_i LB_i(d_i), where LB_i(j) is the sum of the j smallest samples of
+part i and LB_i(0) = 0, and that sum is never below LB(d).  The codebook is
+sorted into subclasses of equal weight and part weights, and a subclass is
+scanned (vectorized over the trials that need it) only where LB(d) <= 0 and
+its part bound <= 0.  The pruning is exact: a skipped codeword scores above
+0, the transmitted word's score, so it cannot be a winner, a tie or an
+error.  P is the largest of 3, 2, 1 whose sort key fits in 16 bits
+(_part_bounds).  A scan looks up one small tile of codewords at a time in
 the codebook's two XOR tables and expands it into 0/1 floats, so neither a
 copy nor a score matrix of the whole codebook exists.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import operator
+import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .spectrum import LinearCode, _codebook, _codebook_bytes, _weights
+from .spectrum import _CHUNK_BITS, LinearCode, _as_words, _codebook, _codebook_bytes
 
 __all__ = [
     "BLOCK",
@@ -74,7 +84,7 @@ class SimConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if operator.index(self.work_limit) < 1:
             raise ValidationError(f"work_limit must be >= 1, got {self.work_limit}")
-        if self.code.n > 65_535:  # the codebook layout keeps weights as uint16
+        if self.code.n > 65_535:  # the codebook layout keeps its sort key as uint16
             raise ValidationError(f"simulation needs n <= 65,535, got n={self.code.n}")
         seed = operator.index(self.seed)
         if not 0 <= seed < 2**64:
@@ -175,27 +185,74 @@ class SimReport:
 # --- weight-sorted codebook layout -------------------------------------------
 
 
+def _part_bounds(n: int) -> tuple[int, ...]:
+    """Start of each of the P contiguous parts of the n positions, then n.
+
+    P is the largest of 3, 2, 1 for which the layout's sort key fits in 16
+    bits: a codeword's weight d and its weights in parts 1..P-1 as digits of
+    base B = ceil(n/P) + 1 stay below (n+1) B^(P-1) <= 2^16.  That gives 3
+    parts up to n = 81 and 2 up to n = 360.  Part sizes differ by at most 1.
+    """
+    parts = next(p for p in (3, 2, 1) if (n + 1) * (-(-n // p) + 1) ** (p - 1) <= 1 << 16)
+    return tuple(i * n // parts for i in range(parts + 1))
+
+
 class _ClassLayout:
-    """The codebook's two XOR tables with its weight-sorted order.
+    """The codebook's two XOR tables, ordered by weight and part weights.
 
     low and high are spectrum._codebook's tables of ceil(n/64) uint64 words.
-    msgs lists the message indices sorted by Hamming weight; within a class
+    bounds splits the n positions into the P parts of _part_bounds.  msgs
+    lists the message indices sorted by the key (d, d_1, ..., d_{P-1}) of
+    codeword weight d and part weights d_i; within a subclass of one key
     they stay ascending (stable sort), so a first-occurrence argmin over any
-    slice of a class is also the smallest-message tie-break within it;
-    classes holds (d, start, stop) of each nonempty class d >= 1 in msgs.
-    The scans look up codewords in the tables and expand them into 0/1
-    floats one tile at a time (_tile_bits).
+    slice of a subclass is also the smallest-message tie-break within it.
+    classes holds (d, weights, offsets) of each nonempty class d >= 1:
+    weights[i] lists the part-i weight of each of its subclasses, which run
+    over msgs[offsets[s] : offsets[s + 1]].  The scans look up codewords in
+    the tables and expand them into 0/1 floats one tile at a time
+    (_tile_bits).
     """
 
     def __init__(self, code: LinearCode):
         self.low, self.high = _codebook(code)
-        step = len(self.low)
-        weights = np.empty(1 << code.k, dtype=np.uint16)
+        self.bounds = _part_bounds(code.n)
+        base = -(-code.n // (len(self.bounds) - 1)) + 1  # ceil(n/P) + 1
+        masks = [  # positions of parts 1..P-1
+            _as_words((1 << hi) - (1 << lo), self.low.shape[1])
+            for lo, hi in zip(self.bounds[1:], self.bounds[2:])
+        ]
+        # key = (d * B + d_1) * B + d_2 ..., built chunk by chunk in place
+        step, scale = len(self.low), base ** len(masks)
+        chunk, masked = np.empty_like(self.low), np.empty_like(self.low)
+        ones = np.empty(self.low.shape, dtype=np.uint8)
+        part = np.empty(step, dtype=np.uint16)
+        key = np.empty(1 << code.k, dtype=np.uint16)
+        sizes = np.zeros((code.n + 1) * scale, dtype=np.int64)
         for t, row in enumerate(self.high):
-            weights[t * step : (t + 1) * step] = _weights(self.low ^ row)
-        self.msgs = np.argsort(weights, kind="stable").astype(np.uint32)
-        ends = np.cumsum(np.bincount(weights, minlength=code.n + 1)).tolist()
-        self.classes = [(d, lo, hi) for d, (lo, hi) in enumerate(zip(ends, ends[1:]), 1) if lo < hi]
+            out = key[t * step : (t + 1) * step]
+            np.bitwise_xor(self.low, row, out=chunk)
+            np.add.reduce(np.bitwise_count(chunk, out=ones), axis=1, out=out)
+            for mask in masks:
+                out *= base
+                np.bitwise_and(chunk, mask, out=masked)
+                np.add.reduce(np.bitwise_count(masked, out=ones), axis=1, out=part)
+                out += part
+            sizes += np.bincount(out, minlength=sizes.size)
+        self.msgs = np.argsort(key, kind="stable").astype(np.uint32)
+
+        keys = np.flatnonzero(sizes[scale:]) + scale  # d >= 1
+        stops = np.cumsum(sizes)[keys]
+        starts = stops - sizes[keys]
+        d, digits = keys, []
+        for _ in masks:
+            d, digit = np.divmod(d, base)
+            digits.insert(0, digit)
+        weights = np.array([d - sum(digits), *digits])
+        ds, firsts = np.unique(d, return_index=True)
+        self.classes = [
+            (int(w), weights[:, lo:hi], np.append(starts[lo:hi], stops[hi - 1]))
+            for w, lo, hi in zip(ds, firsts, [*firsts[1:], len(keys)])
+        ]
 
 
 @lru_cache(maxsize=1)
@@ -219,22 +276,34 @@ _SCAN_CELLS = 1 << 18
 
 def _layout_bytes(code: LinearCode) -> int:
     """Peak bytes of building _layout(code): the two XOR tables and one
-    chunk XORed from them (8 per word), and per codeword the uint16 weights
-    and the stable argsort's int64 indices with its equal-size scratch
+    chunk XORed from them (8 per word), the chunk masked to a part and its
+    bit counts (9 per word and 2 per chunk row), and per codeword the uint16
+    key and the stable argsort's int64 indices with its equal-size scratch
     buffer; msgs (4) is made after that buffer is freed."""
-    return _codebook_bytes(code) + 18 * (1 << code.k)
+    rows, words = 1 << min(code.k, _CHUNK_BITS), (code.n + 63) // 64
+    return _codebook_bytes(code) + rows * (9 * words + 2) + 18 * (1 << code.k)
 
 
 def _scan_bytes(code: LinearCode, trials: int) -> int:
-    """Peak bytes of one superblock scan: the noise with its hard-decision
-    mask and prefix sums (17 per sample), one tile as its two uint32 table
-    indices, two gathers of words and their XOR, unpacked bytes and floats,
-    and one score block with the copy and mask of its tie rows (17 per
-    cell).  glibc's malloc may keep up to twice the largest freed block
-    mapped, the noise or a score block: 16 more each."""
+    """Peak bytes of one superblock scan of m trials.  Per sample: the noise
+    (8), each class's candidate mask (at most 1), and the prefix sums or,
+    once they are freed, the part prefix sums (8).  Per trial: one part's
+    gathered samples (8 per position of the largest part), the part sums'
+    leading zeros (8 per part), the row map, a class's candidate indices and
+    their rows (24), two masks (2) and a class's subclass tests (1 per
+    subclass, at most the product of |part i| + 1 over parts i >= 1).  One
+    tile: its two uint32 table indices, two gathers of words and their XOR,
+    unpacked bytes and floats.  One score block with the copy and mask of
+    its tie rows (17 per cell), or one chunk of subclass bounds with its
+    gathered terms (16 per cell).  glibc's malloc may keep up to twice the
+    largest freed block mapped, the noise or a score block: 16 more each."""
     n, words = code.n, (code.n + 63) // 64
-    samples = min(trials, _SUPERBLOCK * BLOCK) * n
-    return 33 * samples + _TILE * (8 + 24 * words + 9 * n) + 33 * _SCAN_CELLS
+    bounds = _part_bounds(n)
+    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    subclasses = math.prod(size + 1 for size in sizes[1:])
+    m = min(trials, _SUPERBLOCK * BLOCK)
+    per_trial = 33 * n + 8 * (max(sizes) + len(sizes)) + 26 + subclasses
+    return m * per_trial + _TILE * (8 + 24 * words + 9 * n) + 33 * _SCAN_CELLS
 
 
 def _noise_block(seed: int, block_index: int, m: int, n: int, sigma: float) -> np.ndarray:
@@ -246,6 +315,62 @@ def _noise_block(seed: int, block_index: int, m: int, n: int, sigma: float) -> n
 
 
 # --- batch engine ------------------------------------------------------------
+
+
+def _subclass_hits(parts: list[np.ndarray], rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """hits[s, r] tells whether sum_i parts[i][rows[r], weights[i, s]] <= 0,
+    computed for at most _SCAN_CELLS (r, s) cells at a time."""
+    hits = np.empty((weights.shape[1], rows.size), dtype=bool)
+    step = max(1, _SCAN_CELLS // weights.shape[1])
+    for r in range(0, rows.size, step):
+        at = rows[r : r + step, None]
+        bound = parts[0][at, weights[0]]
+        for part, w in zip(parts[1:], weights[1:]):
+            bound += part[at, w]
+        np.less_equal(bound.T, 0.0, out=hits[:, r : r + step])
+    return hits
+
+
+def _scan_class(layout, y, cand, hits, offsets, best, mult, best_msg, negative) -> None:
+    """Score each subclass s of a class against the trials cand[hits[s]]
+    and merge each trial's minimum into best, mult and best_msg; mark the
+    trials where some codeword scores below 0 in negative.  A tile starts at
+    the first codeword still to score and serves every subclass it covers."""
+    scanned = np.flatnonzero(hits.any(axis=1))
+    tile_lo = tile_hi = 0
+    for s in scanned:
+        rows = cand[hits[s]]
+        lo, stop = offsets[s], offsets[s + 1]
+        while lo < stop:
+            if lo >= tile_hi:
+                tile_lo, tile_hi = lo, min(lo + _TILE, offsets[scanned[-1] + 1])
+                tile_msgs = layout.msgs[tile_lo:tile_hi]
+                t, i = np.divmod(tile_msgs, len(layout.low))
+                bits_t = _tile_bits(layout.low[i] ^ layout.high[t], y.shape[1]).T
+            hi = min(stop, tile_hi)
+            cols = slice(lo - tile_lo, hi - tile_lo)
+            _score(y, rows, bits_t[:, cols], tile_msgs[cols], best, mult, best_msg, negative)
+            lo = hi
+
+
+def _score(y, cand, bits_t, msgs, best, mult, best_msg, negative) -> None:
+    """Score the codewords bits_t (messages msgs) against the trials cand."""
+    step = max(1, _SCAN_CELLS // msgs.size)
+    for r in range(0, cand.size, step):
+        rows = cand[r : r + step]
+        scores = y[rows] @ bits_t
+        col = np.argmin(scores, axis=1)
+        tmin = scores[np.arange(rows.size), col]
+        negative[rows] |= tmin < 0.0
+        sel = np.nonzero(tmin <= best[rows])[0]
+        if sel.size == 0:
+            continue
+        idx, tmin, msg = rows[sel], tmin[sel], msgs[col[sel]]
+        count = np.count_nonzero(scores[sel] == tmin[:, None], axis=1)
+        same = tmin == best[idx]
+        mult[idx] = np.where(same, mult[idx] + count, count)
+        best_msg[idx] = np.where(same, np.minimum(best_msg[idx], msg), msg)
+        best[idx] = tmin
 
 
 def _run_superblock(
@@ -260,43 +385,43 @@ def _run_superblock(
     in_region = np.count_nonzero(y <= 0.0, axis=1) <= cfg.d_star
     counters = Counter(region_exits=int(m - np.count_nonzero(in_region)))
 
-    # LB[:, d] = sum of the d smallest samples: lower bound on every
-    # weight-d support score, exact pruning criterion
+    # LB[:, d - 1] = sum of the d smallest samples: a lower bound on every
+    # weight-d support score, so only trials with LB <= 0 can meet a winner
     lb = np.sort(y, axis=1)
     np.cumsum(lb, axis=1, out=lb)
+    candidates = np.empty((len(layout.classes), m), dtype=bool)
+    for mask, (d, _, _) in zip(candidates, layout.classes):
+        np.less_equal(lb[:, d - 1], 0.0, out=mask)
+    del lb
+
+    # the same bound part by part, for the trials some class needs:
+    # parts[i][r, j] = LB_i(j), the sum of the j smallest samples of part i
+    needed = candidates.any(axis=0)
+    row_of = np.cumsum(needed) - 1
+    parts = []
+    for lo, hi in zip(layout.bounds, layout.bounds[1:]):
+        part = np.zeros((int(row_of[-1]) + 1, hi - lo + 1))
+        part[:, 1:] = y[needed, lo:hi]
+        part[:, 1:].sort(axis=1)
+        np.cumsum(part[:, 1:], axis=1, out=part[:, 1:])
+        parts.append(part)
 
     best = np.zeros(m)
     mult = np.ones(m, dtype=np.int64)  # transmitted word scores exactly 0
     best_msg = np.zeros(m, dtype=np.uint32)
 
-    # the minimum, its multiplicity and its smallest message merge the same
-    # way in any order, so each tile of a class merges straight into them
-    for d, start, stop in layout.classes:
-        cand = np.nonzero(lb[:, d - 1] <= 0.0)[0]
+    # a weight-d codeword with part weights d_i scores at least
+    # sum_i LB_i(d_i) >= LB(d); the minimum, its multiplicity and its
+    # smallest message merge the same way in any order, so each tile of a
+    # subclass merges straight into them
+    for mask, (d, weights, offsets) in zip(candidates, layout.classes):
+        cand = np.flatnonzero(mask)
         if cand.size == 0:
             continue
-        negative = np.zeros(cand.size, dtype=bool)
-        for lo in range(start, stop, _TILE):
-            tile_msgs = layout.msgs[lo : min(lo + _TILE, stop)]
-            t, m = np.divmod(tile_msgs, len(layout.low))
-            bits_t = _tile_bits(layout.low[m] ^ layout.high[t], n).T
-            step = max(1, _SCAN_CELLS // tile_msgs.size)
-            for r in range(0, cand.size, step):
-                rows = cand[r : r + step]
-                scores = y[rows] @ bits_t
-                col = np.argmin(scores, axis=1)
-                tmin = scores[np.arange(rows.size), col]
-                negative[r : r + step] |= tmin < 0.0
-                sel = np.nonzero(tmin <= best[rows])[0]
-                if sel.size == 0:
-                    continue
-                idx, tmin, msg = rows[sel], tmin[sel], tile_msgs[col[sel]]
-                count = np.count_nonzero(scores[sel] == tmin[:, None], axis=1)
-                same = tmin == best[idx]
-                mult[idx] = np.where(same, mult[idx] + count, count)
-                best_msg[idx] = np.where(same, np.minimum(best_msg[idx], msg), msg)
-                best[idx] = tmin
-        errors_in_region = int(np.count_nonzero(negative & in_region[cand]))
+        hits = _subclass_hits(parts, row_of[cand], weights)
+        negative = np.zeros(m, dtype=bool)
+        _scan_class(layout, y, cand, hits, offsets, best, mult, best_msg, negative)
+        errors_in_region = int(np.count_nonzero(negative & in_region))
         if errors_in_region:
             counters[d] = errors_in_region
 
@@ -305,6 +430,37 @@ def _run_superblock(
     counters["bit_errors"] = int(np.bitwise_count(best_msg[errors].astype(np.uint64)).sum())
     counters["ties"] = int(np.count_nonzero(mult >= 2))
     return counters
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    numpy, or None where numpy carries no such library."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def _blas_threads_at_most(limit: int):
+    """Lower OpenBLAS's thread count to limit inside the block, restoring it
+    after; a lower count, or no bundled OpenBLAS, is left as it is."""
+    funcs = _openblas_threads()
+    old = funcs[0]() if funcs else limit
+    if old <= limit:
+        yield
+        return
+    funcs[1](limit)
+    try:
+        yield
+    finally:
+        funcs[1](old)
 
 
 def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
@@ -336,7 +492,9 @@ def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
     blocks = [(lo // BLOCK, min(BLOCK, cfg.trials - lo)) for lo in starts]
     superblocks = [blocks[lo : lo + _SUPERBLOCK] for lo in range(0, len(blocks), _SUPERBLOCK)]
     total = Counter()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # each worker's matmuls get an equal share of the cores
+    threads = max(1, (os.cpu_count() or 1) // workers)
+    with _blas_threads_at_most(threads), ThreadPoolExecutor(max_workers=workers) as pool:
         for counters in pool.map(lambda sb: _run_superblock(layout, cfg, sb), superblocks):
             total.update(counters)
 

@@ -1,8 +1,9 @@
 """Simulator tests.
 
-The batch engine prunes weight classes and scans them in tiles; the oracle
-(oracles.ml_counters) scores the public encoder's whole codebook against
-every trial, and the two must agree counter by counter on the same noise.
+The batch engine prunes weight classes, then their part-weight subclasses,
+and scans them in tiles; the oracle (oracles.ml_counters) scores the public
+encoder's whole codebook against every trial, and the two must agree counter
+by counter on the same noise.
 """
 
 import json
@@ -13,6 +14,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import binomial_tail, ml_counters
 
 from mlbounds import (
@@ -26,12 +29,37 @@ from mlbounds import (
 )
 from mlbounds import simulator
 from mlbounds.codes import bch_15_7, bch_31_21, hamming_7_4, repetition_code, toy_code_10_5
-from mlbounds.simulator import BLOCK, _layout, _noise_block
+from mlbounds.simulator import BLOCK, _layout, _noise_block, _openblas_threads
 
 # a [72, 5] code whose nonzero codewords all have bits in both 64-bit words
 CODE_72_5 = LinearCode(
     72, 5, tuple((1 << j) | (0b1011 << (62 + j)) | (0xF0F0F << (20 + 3 * j)) for j in range(5))
 )
+
+
+def sparse_code(n: int, k: int, seed: int) -> LinearCode:
+    """A systematic [n, k] code whose rows add 2 to 5 random positions, so
+    that codeword weights stay small at any n."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for j in range(k):
+        extra = rng.choice(np.arange(k, n), size=rng.integers(2, 6), replace=False)
+        rows.append((1 << j) | sum(1 << int(t) for t in extra))
+    return LinearCode(n, k, tuple(rows))
+
+
+@st.composite
+def small_codes(draw):
+    """Random [n, k] codes, n <= 20 and k <= 7, in systematic form with
+    their positions permuted."""
+    n = draw(st.integers(3, 20))
+    k = draw(st.integers(1, min(n, 7)))
+    perm = draw(st.permutations(range(n)))
+    rows = []
+    for j in range(k):
+        word = (1 << j) | (draw(st.integers(0, 2 ** (n - k) - 1)) << k)
+        rows.append(sum(1 << perm[t] for t in range(n) if word >> t & 1))
+    return LinearCode(n, k, tuple(rows))
 
 
 def assert_counters(report, want):
@@ -146,7 +174,7 @@ class TestSimulateEngine:
         assert total_joint > 0
 
     def test_config_refuses_long_codes_and_bad_work_limit(self):
-        # the layout keeps weights as uint16; a config alone builds no layout
+        # the layout keeps its sort key as uint16; a config alone builds no layout
         with pytest.raises(ValidationError, match="n <= 65,535"):
             SimConfig(code=repetition_code(70_000), sigma=300.0, d_star=70_000, trials=200, seed=1)
         SimConfig(code=repetition_code(65_535), sigma=300.0, d_star=65_535, trials=200, seed=1)
@@ -165,14 +193,14 @@ class TestSimulateEngine:
 
     @pytest.mark.parametrize(
         "n,trials,workers,admitted",
-        [(27, 1000, 107, True), (27, 1000, 108, False), (10_000, 2521, 1, True),
-         (10_000, 2522, 1, False), (10_000, 1000, 2, False)],
+        [(27, 1000, 104, True), (27, 1000, 105, False), (10_000, 1972, 1, True),
+         (10_000, 1973, 1, False), (10_000, 1000, 2, False)],
     )
     def test_footprint_guard_limits_k_27(self, monkeypatch, n, trials, workers, admitted):
         # a k = 27 codebook counts 2^27 * 18 bytes and its tables, ~2.42 GB at
-        # n = 27 and ~2.47 GB at n = 10,000; that leaves 107 workers of about
-        # 10 MB of scan buffers at n = 27, or one worker of up to 2,521 trials
-        # at n = 10,000, within the 3.5 GB limit
+        # n = 27 and ~2.49 GB at n = 10,000; that leaves 104 workers of about
+        # 10.3 MB of scan buffers at n = 27, or one worker of up to 1,972
+        # trials at n = 10,000, within the 3.5 GB limit
         class Built(Exception):
             pass
 
@@ -203,24 +231,80 @@ class TestSimulateEngine:
             simulate(SimConfig(code=code, sigma=1.0, d_star=2, trials=10, seed=1), workers=0)
 
     def test_long_code_matches_naive_oracle(self):
+        # the third of its three parts, positions 48 to 71, crosses the
+        # 64-bit word boundary
         code = CODE_72_5
+        assert _layout(code).bounds == (0, 24, 48, 72)
         cfg = SimConfig(code=code, sigma=2.6, d_star=28, trials=300, seed=99)
         y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
         want = ml_counters(code, y, cfg.d_star)
         assert want["word_errors"] and want["region_exits"] and want["joint"]
         assert_counters(simulate(cfg), want)
 
-    def test_class_tiles_match_full_codebook_oracle(self):
-        # at low SNR the scan reaches the big middle classes of [31, 18],
-        # each spread over many tiles
+    def test_class_tiles_match_full_codebook_oracle(self, monkeypatch):
+        # at low SNR the scan reaches the big middle classes of [31, 18];
+        # with 256-codeword tiles their largest subclasses span many tiles
+        monkeypatch.setattr(simulator, "_TILE", 256)
         code = LinearCode(31, 18, bch_31_21().rows[:18])
-        sizes = [stop - start for _, start, stop in _layout(code).classes]
-        assert max(sizes) > 8 * simulator._TILE
+        sizes = np.concatenate([np.diff(offsets) for _, _, offsets in _layout(code).classes])
+        assert sizes.max() > 8 * simulator._TILE
         cfg = SimConfig(code=code, sigma=1.0, d_star=9, trials=300, seed=17)
         y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
         want = ml_counters(code, y, cfg.d_star)
         assert want["word_errors"] and want["region_exits"] and len(want["joint"]) > 3
         assert_counters(simulate(cfg), want)
+
+    @pytest.mark.parametrize(
+        "code",
+        [CODE_72_5, hamming_7_4(), bch_15_7(), sparse_code(100, 6, 3), sparse_code(400, 6, 4)],
+        ids=["72_5", "7_4", "15_7", "100_6", "400_6"],
+    )
+    def test_layout_orders_messages_by_weight_and_part_weights(self, code):
+        # every message sits in the subclass of its codeword's weight and
+        # part weights; within a subclass messages ascend
+        layout = _layout(code)
+        bounds = layout.bounds
+        seen = []
+        for d, weights, offsets in layout.classes:
+            for s in range(weights.shape[1]):
+                msgs = layout.msgs[offsets[s] : offsets[s + 1]].tolist()
+                assert msgs == sorted(msgs) and msgs
+                for msg in msgs:
+                    word = code.encode(msg)
+                    parts = [(word >> lo & ((1 << (hi - lo)) - 1)).bit_count()
+                             for lo, hi in zip(bounds, bounds[1:])]
+                    assert word.bit_count() == d and parts == weights[:, s].tolist()
+                seen += msgs
+        assert sorted(seen) == list(range(1, 1 << code.k))
+
+    @pytest.mark.parametrize(
+        "code,parts,sigma",
+        [(sparse_code(40, 7, 1), 3, 0.9), (sparse_code(100, 7, 2), 2, 0.9),
+         (sparse_code(400, 7, 5), 1, 0.9)],
+        ids=["P3", "P2", "P1"],
+    )
+    def test_each_part_count_matches_oracle(self, monkeypatch, code, parts, sigma):
+        # P follows from n: 3 parts up to n = 81, 2 up to n = 360, then 1
+        assert len(_layout(code).bounds) - 1 == parts
+        monkeypatch.setattr(simulator, "_TILE", 5)
+        monkeypatch.setattr(simulator, "_SCAN_CELLS", 50)
+        cfg = SimConfig(code=code, sigma=sigma, d_star=code.n // 4, trials=400, seed=23)
+        y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
+        want = ml_counters(code, y, cfg.d_star)
+        assert want["word_errors"] and want["joint"]
+        assert_counters(simulate(cfg), want)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(code=small_codes(), sigma=st.floats(0.6, 1.6), seed=st.integers(0, 2**32 - 1))
+    def test_split_pruning_matches_oracle(self, code, sigma, seed):
+        # tiny tiles and test chunks split every subclass and every class test
+        cfg = SimConfig(code=code, sigma=sigma, d_star=code.n // 2, trials=200, seed=seed)
+        y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_TILE", 3)
+            mp.setattr(simulator, "_SCAN_CELLS", 40)
+            report = simulate(cfg)
+        assert_counters(report, ml_counters(code, y, cfg.d_star))
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_exact_ties_merge_across_tiles(self, monkeypatch, workers):
@@ -268,3 +352,29 @@ class TestSimulateEngine:
         a = simulate(SimConfig(seed=1, **base))
         b = simulate(SimConfig(seed=2, **base))
         assert a.word_errors != b.word_errors or a.bit_errors != b.bit_errors
+
+
+@pytest.mark.skipif(_openblas_threads() is None, reason="needs numpy's bundled OpenBLAS")
+class TestBlasThreads:
+    def test_workers_share_the_cores_and_restore_the_count(self, monkeypatch):
+        get, put = _openblas_threads()
+        old = get()
+        seen = []
+        run = simulator._run_superblock
+
+        def recording(*args):
+            seen.append(get())
+            return run(*args)
+
+        monkeypatch.setattr(simulator, "_run_superblock", recording)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
+        put(8)
+        try:
+            cfg = SimConfig(code=hamming_7_4(), sigma=1.0, d_star=2, trials=10, seed=1)
+            simulate(cfg, workers=2)
+            assert seen == [4] and get() == 8
+            put(3)  # a lower count is never raised
+            simulate(cfg, workers=2)
+            assert seen == [4, 3] and get() == 3
+        finally:
+            put(old)

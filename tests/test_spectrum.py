@@ -296,11 +296,11 @@ class TestEnsembleAverage:
 
 
     def test_guard_refuses_long_ensemble_before_allocating(self, monkeypatch):
-        # 8 arrays of 2^23 + 1 cells pass the 2^26-cell guard; 2^23 cells fit
+        # 6 arrays of 11,184,811 cells pass the 2^26-cell guard; 11,184,810 fit
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimitError, match=r"67,108,872 cells"):
-                ensemble_average(2**23, 2**22)
+            with pytest.raises(ResourceLimitError, match=r"67,108,866 cells"):
+                ensemble_average(11_184_810, 5_592_405)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -314,7 +314,7 @@ class TestEnsembleAverage:
 
         monkeypatch.setattr(spectrum, "log_factorials", admitted)
         with pytest.raises(Admitted):
-            ensemble_average(2**23 - 1, 2**22)
+            ensemble_average(11_184_809, 5_592_404)
 
 
 class TestSpectrumTypes:
