@@ -185,16 +185,17 @@ class SimReport:
 # --- weight-sorted codebook layout -------------------------------------------
 
 
-def _part_bounds(n: int) -> tuple[int, ...]:
-    """Start of each of the P contiguous parts of the n positions, then n.
+def _part_bounds(n: int) -> tuple[tuple[int, ...], int]:
+    """The start of each of the P contiguous parts of the n positions, then
+    n; and the base B = ceil(n/P) + 1 of the layout's sort key.
 
-    P is the largest of 3, 2, 1 for which the layout's sort key fits in 16
-    bits: a codeword's weight d and its weights in parts 1..P-1 as digits of
-    base B = ceil(n/P) + 1 stay below (n+1) B^(P-1) <= 2^16.  That gives 3
-    parts up to n = 81 and 2 up to n = 360.  Part sizes differ by at most 1.
+    P is the largest of 3, 2, 1 for which that key fits in 16 bits: a
+    codeword's weight d and its weights in parts 1..P-1 as digits of base B
+    stay below (n+1) B^(P-1) <= 2^16.  That gives 3 parts up to n = 81 and
+    2 up to n = 360.  Part sizes differ by at most 1.
     """
     parts = next(p for p in (3, 2, 1) if (n + 1) * (-(-n // p) + 1) ** (p - 1) <= 1 << 16)
-    return tuple(i * n // parts for i in range(parts + 1))
+    return tuple(i * n // parts for i in range(parts + 1)), -(-n // parts) + 1
 
 
 class _ClassLayout:
@@ -215,8 +216,7 @@ class _ClassLayout:
 
     def __init__(self, code: LinearCode):
         self.low, self.high = _codebook(code)
-        self.bounds = _part_bounds(code.n)
-        base = -(-code.n // (len(self.bounds) - 1)) + 1  # ceil(n/P) + 1
+        self.bounds, base = _part_bounds(code.n)
         masks = [  # positions of parts 1..P-1
             _as_words((1 << hi) - (1 << lo), self.low.shape[1])
             for lo, hi in zip(self.bounds[1:], self.bounds[2:])
@@ -248,10 +248,10 @@ class _ClassLayout:
             d, digit = np.divmod(d, base)
             digits.insert(0, digit)
         weights = np.array([d - sum(digits), *digits])
-        ds, firsts = np.unique(d, return_index=True)
+        firsts = np.flatnonzero(np.diff(d, prepend=0)).tolist()  # d ascends from 1
         self.classes = [
-            (int(w), weights[:, lo:hi], np.append(starts[lo:hi], stops[hi - 1]))
-            for w, lo, hi in zip(ds, firsts, [*firsts[1:], len(keys)])
+            (int(d[lo]), weights[:, lo:hi], np.append(starts[lo:hi], stops[hi - 1]))
+            for lo, hi in zip(firsts, [*firsts[1:], len(keys)])
         ]
 
 
@@ -276,12 +276,15 @@ _SCAN_CELLS = 1 << 18
 
 def _layout_bytes(code: LinearCode) -> int:
     """Peak bytes of building _layout(code): the two XOR tables and one
-    chunk XORed from them (8 per word), the chunk masked to a part and its
-    bit counts (9 per word and 2 per chunk row), and per codeword the uint16
-    key and the stable argsort's int64 indices with its equal-size scratch
-    buffer; msgs (4) is made after that buffer is freed."""
-    rows, words = 1 << min(code.k, _CHUNK_BITS), (code.n + 63) // 64
-    return _codebook_bytes(code) + rows * (9 * words + 2) + 18 * (1 << code.k)
+    chunk XORed from them (8 per word), the chunk masked to a part, its bit
+    counts and a part's weights (9 per word and 2 per chunk row), the int64
+    copy that bincount makes of the chunk's keys (8 per chunk row), the
+    subclass sizes with one chunk's counts (16 per possible key), and per
+    codeword the uint16 key and the stable argsort's int64 indices with its
+    equal-size scratch buffer; msgs (4) is made after that buffer is freed."""
+    (bounds, base), words = _part_bounds(code.n), (code.n + 63) // 64
+    rows, keys = 1 << min(code.k, _CHUNK_BITS), (code.n + 1) * base ** (len(bounds) - 2)
+    return _codebook_bytes(code) + rows * (9 * words + 10) + 16 * keys + 18 * (1 << code.k)
 
 
 def _scan_bytes(code: LinearCode, trials: int) -> int:
@@ -298,7 +301,7 @@ def _scan_bytes(code: LinearCode, trials: int) -> int:
     gathered terms (16 per cell).  glibc's malloc may keep up to twice the
     largest freed block mapped, the noise or a score block: 16 more each."""
     n, words = code.n, (code.n + 63) // 64
-    bounds = _part_bounds(n)
+    bounds, _ = _part_bounds(n)
     sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
     subclasses = math.prod(size + 1 for size in sizes[1:])
     m = min(trials, _SUPERBLOCK * BLOCK)

@@ -193,13 +193,13 @@ class TestSimulateEngine:
 
     @pytest.mark.parametrize(
         "n,trials,workers,admitted",
-        [(27, 1000, 104, True), (27, 1000, 105, False), (10_000, 1972, 1, True),
-         (10_000, 1973, 1, False), (10_000, 1000, 2, False)],
+        [(27, 1000, 104, True), (27, 1000, 105, False), (10_000, 1971, 1, True),
+         (10_000, 1972, 1, False), (10_000, 1000, 2, False)],
     )
     def test_footprint_guard_limits_k_27(self, monkeypatch, n, trials, workers, admitted):
         # a k = 27 codebook counts 2^27 * 18 bytes and its tables, ~2.42 GB at
         # n = 27 and ~2.49 GB at n = 10,000; that leaves 104 workers of about
-        # 10.3 MB of scan buffers at n = 27, or one worker of up to 1,972
+        # 10.3 MB of scan buffers at n = 27, or one worker of up to 1,971
         # trials at n = 10,000, within the 3.5 GB limit
         class Built(Exception):
             pass
