@@ -17,10 +17,12 @@ sorted into subclasses of equal weight and part weights, and a subclass is
 scanned (vectorized over the trials that need it) only where LB(d) <= 0 and
 its part bound <= 0.  The pruning is exact: a skipped codeword scores above
 0, the transmitted word's score, so it cannot be a winner, a tie or an
-error.  P is the largest of 3, 2, 1 whose sort key fits in 16 bits
-(_part_bounds).  A scan looks up one small tile of codewords at a time in
-the codebook's two XOR tables and expands it into 0/1 floats, so neither a
-copy nor a score matrix of the whole codebook exists.
+error.  P is 3 where the sort key fits in 16 bits and the codebook fills
+its subclasses densely enough for the tighter bound to repay their tests,
+else 1, the plain weight classes (_part_bounds).  A scan looks up one small
+tile of codewords at a time in the codebook's two XOR tables and expands it
+into 0/1 floats, so neither a copy nor a score matrix of the whole codebook
+exists.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import json
 import math
 import operator
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -185,17 +188,51 @@ class SimReport:
 # --- weight-sorted codebook layout -------------------------------------------
 
 
-def _part_bounds(n: int) -> tuple[tuple[int, ...], int]:
+# the part split pays only where a subclass holds many codewords: below this
+# many codewords per possible key, scanning whole weight classes was faster
+# in timing runs on random codes of n = 24 to 200 and k = 7 to 22
+_CODEWORDS_PER_KEY = 48
+
+
+def _part_bounds(n: int, k: int) -> tuple[tuple[int, ...], int]:
     """The start of each of the P contiguous parts of the n positions, then
     n; and the base B = ceil(n/P) + 1 of the layout's sort key.
 
-    P is the largest of 3, 2, 1 for which that key fits in 16 bits: a
-    codeword's weight d and its weights in parts 1..P-1 as digits of base B
-    stay below (n+1) B^(P-1) <= 2^16.  That gives 3 parts up to n = 81 and
-    2 up to n = 360.  Part sizes differ by at most 1.
+    A codeword's weight d and its weights in parts 1..P-1, as digits of base
+    B, make a key below (n+1) B^(P-1).  P is 3 where that key fits in 16
+    bits (n <= 81) and the 2^k codewords fill at least _CODEWORDS_PER_KEY
+    per possible key; otherwise P is 1 and the key is the weight alone.
+    Part sizes differ by at most 1.
     """
-    parts = next(p for p in (3, 2, 1) if (n + 1) * (-(-n // p) + 1) ** (p - 1) <= 1 << 16)
-    return tuple(i * n // parts for i in range(parts + 1)), -(-n // parts) + 1
+    base = -(-n // 3) + 1
+    keys = (n + 1) * base * base
+    if keys > 1 << 16 or keys * _CODEWORDS_PER_KEY > 1 << k:
+        return (0, n), n + 1
+    return tuple(i * n // 3 for i in range(4)), base
+
+
+def _sort_keys(low: np.ndarray, high: np.ndarray, bounds: tuple[int, ...], base: int) -> np.ndarray:
+    """The uint16 key (d * B + d_1) * B + d_2 ... of every codeword of the
+    XOR tables, built chunk by chunk in place; d_i is its weight in part i
+    of bounds."""
+    masks = [  # positions of parts 1..P-1
+        _as_words((1 << hi) - (1 << lo), low.shape[1]) for lo, hi in zip(bounds[1:], bounds[2:])
+    ]
+    step = len(low)
+    key = np.empty(step * len(high), dtype=np.uint16)
+    chunk, ones = np.empty_like(low), np.empty(low.shape, dtype=np.uint8)
+    if masks:
+        masked, part = np.empty_like(low), np.empty(step, dtype=np.uint16)
+    for t, row in enumerate(high):
+        out = key[t * step : (t + 1) * step]
+        np.bitwise_xor(low, row, out=chunk)
+        np.add.reduce(np.bitwise_count(chunk, out=ones), axis=1, out=out)
+        for mask in masks:
+            out *= base
+            np.bitwise_and(chunk, mask, out=masked)
+            np.add.reduce(np.bitwise_count(masked, out=ones), axis=1, out=part)
+            out += part
+    return key
 
 
 class _ClassLayout:
@@ -209,42 +246,26 @@ class _ClassLayout:
     slice of a subclass is also the smallest-message tie-break within it.
     classes holds (d, weights, offsets) of each nonempty class d >= 1:
     weights[i] lists the part-i weight of each of its subclasses, which run
-    over msgs[offsets[s] : offsets[s + 1]].  The scans look up codewords in
-    the tables and expand them into 0/1 floats one tile at a time
-    (_tile_bits).
+    over msgs[offsets[s] : offsets[s + 1]]; with P = 1 each class is one
+    subclass.  The scans look up codewords in the tables and expand them
+    into 0/1 floats one tile at a time (_tile_bits).
     """
 
     def __init__(self, code: LinearCode):
         self.low, self.high = _codebook(code)
-        self.bounds, base = _part_bounds(code.n)
-        masks = [  # positions of parts 1..P-1
-            _as_words((1 << hi) - (1 << lo), self.low.shape[1])
-            for lo, hi in zip(self.bounds[1:], self.bounds[2:])
-        ]
-        # key = (d * B + d_1) * B + d_2 ..., built chunk by chunk in place
-        step, scale = len(self.low), base ** len(masks)
-        chunk, masked = np.empty_like(self.low), np.empty_like(self.low)
-        ones = np.empty(self.low.shape, dtype=np.uint8)
-        part = np.empty(step, dtype=np.uint16)
-        key = np.empty(1 << code.k, dtype=np.uint16)
-        sizes = np.zeros((code.n + 1) * scale, dtype=np.int64)
-        for t, row in enumerate(self.high):
-            out = key[t * step : (t + 1) * step]
-            np.bitwise_xor(self.low, row, out=chunk)
-            np.add.reduce(np.bitwise_count(chunk, out=ones), axis=1, out=out)
-            for mask in masks:
-                out *= base
-                np.bitwise_and(chunk, mask, out=masked)
-                np.add.reduce(np.bitwise_count(masked, out=ones), axis=1, out=part)
-                out += part
-            sizes += np.bincount(out, minlength=sizes.size)
+        self.bounds, base = _part_bounds(code.n, code.k)
+        key = _sort_keys(self.low, self.high, self.bounds, base)
         self.msgs = np.argsort(key, kind="stable").astype(np.uint32)
+        splits = len(self.bounds) - 2
+        scale = base**splits
+        sizes = np.bincount(key, minlength=(code.n + 1) * scale)
+        del key
 
         keys = np.flatnonzero(sizes[scale:]) + scale  # d >= 1
         stops = np.cumsum(sizes)[keys]
         starts = stops - sizes[keys]
         d, digits = keys, []
-        for _ in masks:
+        for _ in range(splits):
             d, digit = np.divmod(d, base)
             digits.insert(0, digit)
         weights = np.array([d - sum(digits), *digits])
@@ -276,36 +297,45 @@ _SCAN_CELLS = 1 << 18
 
 def _layout_bytes(code: LinearCode) -> int:
     """Peak bytes of building _layout(code): the two XOR tables and one
-    chunk XORed from them (8 per word), the chunk masked to a part, its bit
-    counts and a part's weights (9 per word and 2 per chunk row), the int64
-    copy that bincount makes of the chunk's keys (8 per chunk row), the
-    subclass sizes with one chunk's counts (16 per possible key), and per
-    codeword the uint16 key and the stable argsort's int64 indices with its
-    equal-size scratch buffer; msgs (4) is made after that buffer is freed."""
-    (bounds, base), words = _part_bounds(code.n), (code.n + 63) // 64
-    rows, keys = 1 << min(code.k, _CHUNK_BITS), (code.n + 1) * base ** (len(bounds) - 2)
-    return _codebook_bytes(code) + rows * (9 * words + 10) + 16 * keys + 18 * (1 << code.k)
+    chunk XORed from them (8 per word), plus the largest of three phases.
+    The key build holds the uint16 key (2 per codeword) and per chunk row
+    the bit counts (1 per word) and, with P = 3, the chunk masked to a part
+    (8 per word) and a part's weights (2).  The sort holds the key and the
+    stable argsort's int64 indices with its equal-size scratch buffer (18
+    per codeword).  After it come msgs (4), the key, bincount's int64 copy
+    of it and the subclass sizes, then the class list made from them: at
+    most 11 int64 arrays over the possible keys."""
+    (bounds, base), words = _part_bounds(code.n, code.k), (code.n + 63) // 64
+    rows, codewords = 1 << min(code.k, _CHUNK_BITS), 1 << code.k
+    keys = (code.n + 1) * base ** (len(bounds) - 2)
+    per_row = words + (8 * words + 2 if len(bounds) > 2 else 0)
+    phases = (2 * codewords + rows * per_row, 18 * codewords, 14 * codewords + 88 * keys)
+    return _codebook_bytes(code) + max(phases)
 
 
 def _scan_bytes(code: LinearCode, trials: int) -> int:
     """Peak bytes of one superblock scan of m trials.  Per sample: the noise
     (8), each class's candidate mask (at most 1), and the prefix sums or,
-    once they are freed, the part prefix sums (8).  Per trial: one part's
-    gathered samples (8 per position of the largest part), the part sums'
-    leading zeros (8 per part), the row map, a class's candidate indices and
-    their rows (24), two masks (2) and a class's subclass tests (1 per
-    subclass, at most the product of |part i| + 1 over parts i >= 1).  One
-    tile: its two uint32 table indices, two gathers of words and their XOR,
-    unpacked bytes and floats.  One score block with the copy and mask of
-    its tie rows (17 per cell), or one chunk of subclass bounds with its
-    gathered terms (16 per cell).  glibc's malloc may keep up to twice the
-    largest freed block mapped, the noise or a score block: 16 more each."""
+    once they are freed, the part prefix sums (8).  With P = 3, per trial:
+    one part's gathered samples (8 per position of the largest part), the
+    part sums' leading zeros (8 per part), the row map, a class's candidate
+    indices and their rows (24), two masks (2) and a class's subclass tests
+    (1 per subclass, at most the product of |part i| + 1 over parts i >= 1).
+    With P = 1 there are no part sums, and a class's scan buffers (under 40
+    per trial) fit in the room the freed prefix sums leave.  One tile: its
+    two uint32 table indices, two gathers of words and their XOR, unpacked
+    bytes and floats.  One score block with the copy and mask of its tie
+    rows (17 per cell), or one chunk of subclass bounds with its gathered
+    terms (16 per cell).  glibc's malloc may keep up to twice the largest
+    freed block mapped, the noise or a score block: 16 more each."""
     n, words = code.n, (code.n + 63) // 64
-    bounds, _ = _part_bounds(n)
-    sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-    subclasses = math.prod(size + 1 for size in sizes[1:])
+    bounds, _ = _part_bounds(n, code.k)
+    per_trial = 33 * n
+    if len(bounds) > 2:
+        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        subclasses = math.prod(size + 1 for size in sizes[1:])
+        per_trial += 8 * (max(sizes) + len(sizes)) + 26 + subclasses
     m = min(trials, _SUPERBLOCK * BLOCK)
-    per_trial = 33 * n + 8 * (max(sizes) + len(sizes)) + 26 + subclasses
     return m * per_trial + _TILE * (8 + 24 * words + 9 * n) + 33 * _SCAN_CELLS
 
 
@@ -398,16 +428,18 @@ def _run_superblock(
     del lb
 
     # the same bound part by part, for the trials some class needs:
-    # parts[i][r, j] = LB_i(j), the sum of the j smallest samples of part i
-    needed = candidates.any(axis=0)
-    row_of = np.cumsum(needed) - 1
+    # parts[i][r, j] = LB_i(j), the sum of the j smallest samples of part i;
+    # with one part that is LB itself, so there is nothing to add
     parts = []
-    for lo, hi in zip(layout.bounds, layout.bounds[1:]):
-        part = np.zeros((int(row_of[-1]) + 1, hi - lo + 1))
-        part[:, 1:] = y[needed, lo:hi]
-        part[:, 1:].sort(axis=1)
-        np.cumsum(part[:, 1:], axis=1, out=part[:, 1:])
-        parts.append(part)
+    if len(layout.bounds) > 2:
+        needed = candidates.any(axis=0)
+        row_of = np.cumsum(needed) - 1
+        for lo, hi in zip(layout.bounds, layout.bounds[1:]):
+            part = np.zeros((int(row_of[-1]) + 1, hi - lo + 1))
+            part[:, 1:] = y[needed, lo:hi]
+            part[:, 1:].sort(axis=1)
+            np.cumsum(part[:, 1:], axis=1, out=part[:, 1:])
+            parts.append(part)
 
     best = np.zeros(m)
     mult = np.ones(m, dtype=np.int64)  # transmitted word scores exactly 0
@@ -421,7 +453,10 @@ def _run_superblock(
         cand = np.flatnonzero(mask)
         if cand.size == 0:
             continue
-        hits = _subclass_hits(parts, row_of[cand], weights)
+        if parts:
+            hits = _subclass_hits(parts, row_of[cand], weights)
+        else:  # the class is one subclass, whose bound LB(d) is <= 0
+            hits = np.ones((1, cand.size), dtype=bool)
         negative = np.zeros(m, dtype=bool)
         _scan_class(layout, y, cand, hits, offsets, best, mult, best_msg, negative)
         errors_in_region = int(np.count_nonzero(negative & in_region))
@@ -450,20 +485,45 @@ def _openblas_threads():
     return get, put
 
 
+# OpenBLAS's thread count belongs to the process: overlapping simulate calls
+# share one saved count, restored when the last of them ends
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 0
+
+
 @contextmanager
 def _blas_threads_at_most(limit: int):
-    """Lower OpenBLAS's thread count to limit inside the block, restoring it
-    after; a lower count, or no bundled OpenBLAS, is left as it is."""
+    """Lower OpenBLAS's thread count to at most limit inside the block.  A
+    lower count, or no bundled OpenBLAS, is left as it is; the count found
+    by the first of overlapping blocks is restored when the last ends."""
+    global _blas_users, _blas_saved
     funcs = _openblas_threads()
-    old = funcs[0]() if funcs else limit
-    if old <= limit:
+    if funcs is None:
         yield
         return
-    funcs[1](limit)
+    get, put = funcs
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+        _blas_users += 1
+        if get() > limit:
+            put(limit)
     try:
         yield
     finally:
-        funcs[1](old)
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0 and get() != _blas_saved:
+                put(_blas_saved)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on (its affinity mask), else the
+    host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
@@ -474,6 +534,8 @@ def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
     split fixed superblocks of 16 blocks, so their count changes no matmul; a
     shorter final superblock changes matmul shapes, so equal counters across
     trial counts assume the BLAS rounds a score cell alike for every shape.
+    OpenBLAS runs each worker's matmuls on at most its share of the usable
+    cores; that thread count is the process's, so overlapping calls share it.
     """
     workers = operator.index(workers)
     if workers < 1:
@@ -496,7 +558,7 @@ def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
     superblocks = [blocks[lo : lo + _SUPERBLOCK] for lo in range(0, len(blocks), _SUPERBLOCK)]
     total = Counter()
     # each worker's matmuls get an equal share of the cores
-    threads = max(1, (os.cpu_count() or 1) // workers)
+    threads = max(1, _usable_cores() // workers)
     with _blas_threads_at_most(threads), ThreadPoolExecutor(max_workers=workers) as pool:
         for counters in pool.map(lambda sb: _run_superblock(layout, cfg, sb), superblocks):
             total.update(counters)

@@ -1,11 +1,13 @@
 """Simulator tests.
 
-The batch engine prunes weight classes, then their part-weight subclasses,
-and scans them in tiles; the oracle (oracles.ml_counters) scores the public
-encoder's whole codebook against every trial, and the two must agree counter
-by counter on the same noise.
+The batch engine prunes weight classes, then, where the codebook fills
+them densely, their part-weight subclasses, and scans them in tiles; the
+oracle (oracles.ml_counters) scores the public encoder's whole codebook
+against every trial, and the two must agree counter by counter on the same
+noise.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -29,7 +31,14 @@ from mlbounds import (
 )
 from mlbounds import simulator
 from mlbounds.codes import bch_15_7, bch_31_21, hamming_7_4, repetition_code, toy_code_10_5
-from mlbounds.simulator import BLOCK, _layout, _noise_block, _openblas_threads
+from mlbounds.simulator import (
+    BLOCK,
+    _blas_threads_at_most,
+    _layout,
+    _noise_block,
+    _openblas_threads,
+    _part_bounds,
+)
 
 # a [72, 5] code whose nonzero codewords all have bits in both 64-bit words
 CODE_72_5 = LinearCode(
@@ -60,6 +69,26 @@ def small_codes(draw):
         word = (1 << j) | (draw(st.integers(0, 2 ** (n - k) - 1)) << k)
         rows.append(sum(1 << perm[t] for t in range(n) if word >> t & 1))
     return LinearCode(n, k, tuple(rows))
+
+
+@contextlib.contextmanager
+def split_small_codes():
+    """Split every code whose key fits in 16 bits into 3 parts, however few
+    codewords it has, so that small codes reach the part-weight pruning;
+    the layout cache is cleared on the way in and out."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "_CODEWORDS_PER_KEY", 0)
+        _layout.cache_clear()
+        try:
+            yield
+        finally:
+            _layout.cache_clear()
+
+
+@pytest.fixture
+def split_layout():
+    with split_small_codes():
+        yield
 
 
 def assert_counters(report, want):
@@ -193,14 +222,15 @@ class TestSimulateEngine:
 
     @pytest.mark.parametrize(
         "n,trials,workers,admitted",
-        [(27, 1000, 104, True), (27, 1000, 105, False), (10_000, 1971, 1, True),
-         (10_000, 1972, 1, False), (10_000, 1000, 2, False)],
+        [(27, 1000, 104, True), (27, 1000, 105, False), (10_000, 2521, 1, True),
+         (10_000, 2522, 1, False), (10_000, 1000, 2, False)],
     )
     def test_footprint_guard_limits_k_27(self, monkeypatch, n, trials, workers, admitted):
         # a k = 27 codebook counts 2^27 * 18 bytes and its tables, ~2.42 GB at
-        # n = 27 and ~2.49 GB at n = 10,000; that leaves 104 workers of about
-        # 10.3 MB of scan buffers at n = 27, or one worker of up to 1,971
-        # trials at n = 10,000, within the 3.5 GB limit
+        # n = 27 and ~2.47 GB at n = 10,000; that leaves 104 workers of about
+        # 10.3 MB of scan buffers (with part sums) at n = 27, or one worker of
+        # up to 2,521 trials (one part, no part sums) at n = 10,000, within
+        # the 3.5 GB limit
         class Built(Exception):
             pass
 
@@ -230,22 +260,26 @@ class TestSimulateEngine:
         with pytest.raises(ValidationError):
             simulate(SimConfig(code=code, sigma=1.0, d_star=2, trials=10, seed=1), workers=0)
 
-    def test_long_code_matches_naive_oracle(self):
-        # the third of its three parts, positions 48 to 71, crosses the
+    @pytest.mark.parametrize("split", [False, True], ids=["one_part", "three_parts"])
+    def test_long_code_matches_naive_oracle(self, split):
+        # split into three parts, the third, positions 48 to 71, crosses the
         # 64-bit word boundary
         code = CODE_72_5
-        assert _layout(code).bounds == (0, 24, 48, 72)
         cfg = SimConfig(code=code, sigma=2.6, d_star=28, trials=300, seed=99)
         y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
         want = ml_counters(code, y, cfg.d_star)
         assert want["word_errors"] and want["region_exits"] and want["joint"]
-        assert_counters(simulate(cfg), want)
+        with split_small_codes() if split else contextlib.nullcontext():
+            assert _layout(code).bounds == ((0, 24, 48, 72) if split else (0, 72))
+            assert_counters(simulate(cfg), want)
 
     def test_class_tiles_match_full_codebook_oracle(self, monkeypatch):
-        # at low SNR the scan reaches the big middle classes of [31, 18];
-        # with 256-codeword tiles their largest subclasses span many tiles
+        # at low SNR the scan reaches the big middle classes of [31, 18],
+        # split into three parts; with 256-codeword tiles their largest
+        # subclasses span many tiles
         monkeypatch.setattr(simulator, "_TILE", 256)
         code = LinearCode(31, 18, bch_31_21().rows[:18])
+        assert _layout(code).bounds == (0, 10, 20, 31)
         sizes = np.concatenate([np.diff(offsets) for _, _, offsets in _layout(code).classes])
         assert sizes.max() > 8 * simulator._TILE
         cfg = SimConfig(code=code, sigma=1.0, d_star=9, trials=300, seed=17)
@@ -254,16 +288,19 @@ class TestSimulateEngine:
         assert want["word_errors"] and want["region_exits"] and len(want["joint"]) > 3
         assert_counters(simulate(cfg), want)
 
+    @pytest.mark.parametrize("split", [False, True], ids=["natural", "split"])
     @pytest.mark.parametrize(
         "code",
         [CODE_72_5, hamming_7_4(), bch_15_7(), sparse_code(100, 6, 3), sparse_code(400, 6, 4)],
         ids=["72_5", "7_4", "15_7", "100_6", "400_6"],
     )
-    def test_layout_orders_messages_by_weight_and_part_weights(self, code):
+    def test_layout_orders_messages_by_weight_and_part_weights(self, code, split):
         # every message sits in the subclass of its codeword's weight and
         # part weights; within a subclass messages ascend
-        layout = _layout(code)
+        with split_small_codes() if split else contextlib.nullcontext():
+            layout = _layout(code)
         bounds = layout.bounds
+        assert len(bounds) - 1 == (3 if split and code.n <= 81 else 1)
         seen = []
         for d, weights, offsets in layout.classes:
             for s in range(weights.shape[1]):
@@ -278,29 +315,47 @@ class TestSimulateEngine:
         assert sorted(seen) == list(range(1, 1 << code.k))
 
     @pytest.mark.parametrize(
-        "code,parts,sigma",
-        [(sparse_code(40, 7, 1), 3, 0.9), (sparse_code(100, 7, 2), 2, 0.9),
-         (sparse_code(400, 7, 5), 1, 0.9)],
-        ids=["P3", "P2", "P1"],
+        "n,k,parts",
+        [(31, 21, 3), (31, 18, 3), (31, 17, 1), (24, 17, 3), (24, 16, 1), (81, 22, 3),
+         (81, 21, 1), (82, 27, 1), (7, 4, 1), (65_535, 1, 1)],
     )
-    def test_each_part_count_matches_oracle(self, monkeypatch, code, parts, sigma):
-        # P follows from n: 3 parts up to n = 81, 2 up to n = 360, then 1
-        assert len(_layout(code).bounds) - 1 == parts
+    def test_part_count_follows_n_and_k(self, n, k, parts):
+        # 3 parts where (n+1) B^2 fits in 16 bits and 2^k fills it 48 times
+        bounds, base = _part_bounds(n, k)
+        assert len(bounds) - 1 == parts and bounds[0] == 0 and bounds[-1] == n
+        assert base == (-(-n // 3) + 1 if parts == 3 else n + 1)
+        assert max(hi - lo for lo, hi in zip(bounds, bounds[1:])) == -(-n // parts)
+
+    @pytest.mark.parametrize(
+        "code,split,parts,sigma",
+        [(sparse_code(40, 7, 1), True, 3, 0.9), (sparse_code(100, 7, 2), True, 1, 0.9),
+         (sparse_code(40, 7, 1), False, 1, 0.9), (sparse_code(400, 7, 5), False, 1, 0.9)],
+        ids=["P3", "P1_long", "P1_sparse", "P1"],
+    )
+    def test_each_part_count_matches_oracle(self, monkeypatch, code, split, parts, sigma):
+        # P = 3 only where the key fits (n <= 81), and by default only
+        # where the codebook is dense; a split forced on a small code must
+        # still match the oracle
+        context = split_small_codes() if split else contextlib.nullcontext()
         monkeypatch.setattr(simulator, "_TILE", 5)
         monkeypatch.setattr(simulator, "_SCAN_CELLS", 50)
         cfg = SimConfig(code=code, sigma=sigma, d_star=code.n // 4, trials=400, seed=23)
         y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
         want = ml_counters(code, y, cfg.d_star)
         assert want["word_errors"] and want["joint"]
-        assert_counters(simulate(cfg), want)
+        with context:
+            assert len(_layout(code).bounds) - 1 == parts
+            assert_counters(simulate(cfg), want)
 
     @settings(derandomize=True, max_examples=40, deadline=None, database=None)
     @given(code=small_codes(), sigma=st.floats(0.6, 1.6), seed=st.integers(0, 2**32 - 1))
     def test_split_pruning_matches_oracle(self, code, sigma, seed):
-        # tiny tiles and test chunks split every subclass and every class test
+        # three parts forced on every code; tiny tiles and test chunks split
+        # every subclass and every class test
         cfg = SimConfig(code=code, sigma=sigma, d_star=code.n // 2, trials=200, seed=seed)
         y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
-        with pytest.MonkeyPatch.context() as mp:
+        with split_small_codes(), pytest.MonkeyPatch.context() as mp:
+            assert len(_layout(code).bounds) == 4
             mp.setattr(simulator, "_TILE", 3)
             mp.setattr(simulator, "_SCAN_CELLS", 40)
             report = simulate(cfg)
@@ -325,6 +380,13 @@ class TestSimulateEngine:
         want = ml_counters(code, y, cfg.d_star)
         assert want["ties"] > 100 and want["word_errors"] > 100 and want["joint"]
         assert_counters(simulate(cfg, workers=workers), want)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_exact_ties_merge_across_subclasses(self, monkeypatch, split_layout, workers):
+        # the same ties with bch_15_7 split into three parts: tied codewords
+        # also sit in different subclasses of one class
+        assert len(_layout(bch_15_7()).bounds) == 4
+        self.test_exact_ties_merge_across_tiles(monkeypatch, workers)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_layout_rss_matches_guard_estimate(self):
@@ -367,7 +429,7 @@ class TestBlasThreads:
             return run(*args)
 
         monkeypatch.setattr(simulator, "_run_superblock", recording)
-        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(simulator, "_usable_cores", lambda: 8)
         put(8)
         try:
             cfg = SimConfig(code=hamming_7_4(), sigma=1.0, d_star=2, trials=10, seed=1)
@@ -376,5 +438,48 @@ class TestBlasThreads:
             put(3)  # a lower count is never raised
             simulate(cfg, workers=2)
             assert seen == [4, 3] and get() == 3
+        finally:
+            put(old)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs an affinity mask")
+    def test_share_counts_the_allowed_cores_not_the_host(self, monkeypatch):
+        # 2 cores allowed on a 64-core host: 2 workers run one thread each
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert simulator._usable_cores() == 2
+        get, put = _openblas_threads()
+        old = get()
+        seen = []
+        run = simulator._run_superblock
+
+        def recording(*args):
+            seen.append(get())
+            return run(*args)
+
+        monkeypatch.setattr(simulator, "_run_superblock", recording)
+        put(2)
+        try:
+            cfg = SimConfig(code=hamming_7_4(), sigma=1.0, d_star=2, trials=10, seed=1)
+            simulate(cfg, workers=2)
+            assert seen == [1] and get() == 2
+        finally:
+            put(old)
+
+    def test_overlapping_runs_restore_the_first_count(self):
+        # A lowers 8 to 4, B lowers 4 to 2, A ends while B runs: the count
+        # stays at B's 2 until B ends, then returns to 8
+        get, put = _openblas_threads()
+        old = get()
+        put(8)
+        try:
+            a, b = _blas_threads_at_most(4), _blas_threads_at_most(2)
+            a.__enter__()
+            assert get() == 4
+            b.__enter__()
+            assert get() == 2
+            a.__exit__(None, None, None)
+            assert get() == 2
+            b.__exit__(None, None, None)
+            assert get() == 8
         finally:
             put(old)
