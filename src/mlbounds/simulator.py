@@ -258,7 +258,9 @@ class _ClassLayout:
         self.msgs = np.argsort(key, kind="stable").astype(np.uint32)
         splits = len(self.bounds) - 2
         scale = base**splits
-        sizes = np.bincount(key, minlength=(code.n + 1) * scale)
+        sizes = np.zeros((code.n + 1) * scale, dtype=np.int64)
+        for lo in range(0, key.size, len(self.low)):  # bincount copies one chunk as int64
+            sizes += np.bincount(key[lo : lo + len(self.low)], minlength=sizes.size)
         del key
 
         keys = np.flatnonzero(sizes[scale:]) + scale  # d >= 1
@@ -303,8 +305,9 @@ def _layout_bytes(code: LinearCode) -> int:
     (8 per word) and a part's weights (2).  The sort holds the key and the
     stable argsort's int64 indices with its equal-size scratch buffer (18
     per codeword).  After it come msgs (4), the key, bincount's int64 copy
-    of it and the subclass sizes, then the class list made from them: at
-    most 11 int64 arrays over the possible keys."""
+    of one chunk of keys at a time and the subclass sizes, then the
+    class list made from them: at most 11 int64 arrays over the possible
+    keys."""
     (bounds, base), words = _part_bounds(code.n, code.k), (code.n + 63) // 64
     rows, codewords = 1 << min(code.k, _CHUNK_BITS), 1 << code.k
     keys = (code.n + 1) * base ** (len(bounds) - 2)
