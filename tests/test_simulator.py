@@ -260,17 +260,18 @@ class TestSimulateEngine:
         with pytest.raises(ValidationError):
             simulate(SimConfig(code=code, sigma=1.0, d_star=2, trials=10, seed=1), workers=0)
 
-    @pytest.mark.parametrize("split", [False, True], ids=["one_part", "three_parts"])
-    def test_long_code_matches_naive_oracle(self, split):
-        # split into three parts, the third, positions 48 to 71, crosses the
-        # 64-bit word boundary
+    def test_long_code_matches_naive_oracle(self):
+        # as one part, and split into three, whose third, positions 48 to 71,
+        # crosses the 64-bit word boundary
         code = CODE_72_5
         cfg = SimConfig(code=code, sigma=2.6, d_star=28, trials=300, seed=99)
         y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
         want = ml_counters(code, y, cfg.d_star)
         assert want["word_errors"] and want["region_exits"] and want["joint"]
-        with split_small_codes() if split else contextlib.nullcontext():
-            assert _layout(code).bounds == ((0, 24, 48, 72) if split else (0, 72))
+        assert _layout(code).bounds == (0, 72)
+        assert_counters(simulate(cfg), want)
+        with split_small_codes():
+            assert _layout(code).bounds == (0, 24, 48, 72)
             assert_counters(simulate(cfg), want)
 
     def test_class_tiles_match_full_codebook_oracle(self, monkeypatch):
