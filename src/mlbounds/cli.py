@@ -3,7 +3,8 @@
 Subcommands: spectrum (compute/transform weight enumerators), bound
 (evaluate a bound variant over an SNR grid to CSV), simulate (Monte Carlo
 ML decoding runs), compare (merge bound curves and simulation points into
-one table, optionally asserting dominance).
+one table, optionally asserting dominance).  bound and simulate read their
+grid values under one --snr-convention (ebn0, esn0 or sigma).
 
 Exit codes: 0 success, 2 validation/input errors, 3 resource-guard refusals.
 Outputs are deterministic for fixed inputs; metadata lives in '#' comments,
@@ -218,9 +219,20 @@ def _read_curve(path) -> BoundCurve:
         if len(parts) != 5:
             raise ValidationError(f"{path}:{lineno}: expected 5 columns")
         try:
-            rows.append(CurveRow(*map(float, parts[:4]), int(parts[4])))
+            row = CurveRow(*map(float, parts[:4]), int(parts[4]))
         except ValueError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        # a NaN would pass every dominance comparison, so refuse it here
+        for name, need, ok in (
+            ("snr_db", "finite", True),
+            ("sigma", "finite and > 0", row.sigma > 0.0),
+            ("raw_value", "finite and >= 0", row.raw_value >= 0.0),
+            ("clamped_value", "finite and >= 0", row.clamped_value >= 0.0),
+        ):
+            value = getattr(row, name)
+            if not (ok and math.isfinite(value)):
+                raise ValidationError(f"{path}:{lineno}: {name} must be {need}, got {value!r}")
+        rows.append(row)
     if not saw_header or not rows:
         raise ValidationError(f"{path}: no curve rows found")
     return BoundCurve(tuple(metadata), tuple(rows))
@@ -266,6 +278,13 @@ def _add_source_flags(parser: argparse.ArgumentParser, file_flag: str, file_help
     parser.add_argument("--max-k", type=int, help="with --enumerate: the largest k (default 28)")
 
 
+def _add_convention_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--snr-convention", choices=[c.value for c in SnrConvention], default="ebn0",
+        help="grid values as Eb/N0 or Es/N0 in dB, or as sigma itself (default ebn0)",
+    )
+
+
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-o", "--output", metavar="FILE", help="output path (default stdout)")
 
@@ -298,14 +317,8 @@ def cmd_bound(args) -> int:
 
 def cmd_simulate(args) -> int:
     code = load_generator(args.code)
-    if args.sigma is None:
-        grid = args.snr
-        convention = SnrConvention(args.snr_convention or SnrConvention.EBN0_DB.value)
-    elif args.snr_convention is None:
-        grid, convention = args.sigma, SnrConvention.SIGMA
-    else:
-        raise ValidationError("--snr-convention applies only to --snr, not to --sigma")
-    sigmas = [noise_sigma(x, convention, code.rate) for x in grid]
+    convention = SnrConvention(args.snr_convention)
+    sigmas = [noise_sigma(x, convention, code.rate) for x in args.snr]
     d_star = args.dstar if args.dstar is not None else code.n
     configs = [SimConfig(code, s, d_star, args.trials, args.seed, args.work_limit) for s in sigmas]
     reports = [simulate(cfg, workers=args.workers) for cfg in configs]
@@ -315,7 +328,7 @@ def cmd_simulate(args) -> int:
     else:
         blocks = [
             f"# grid point {convention.value}={value!r}\n{report.to_text()}"
-            for value, report in zip(grid, reports)
+            for value, report in zip(args.snr, reports)
         ]
         _emit(args, "\n\n".join(blocks) + "\n")
     return EXIT_OK
@@ -396,17 +409,22 @@ def cmd_compare(args) -> int:
         for point in _load_sim_points(path):
             # sigma is the channel parameter proper; the report's snr_db is an
             # Eb/N0 annotation that need not match non-Eb/N0 curve grids.
-            matches = [
-                i
-                for i, row in enumerate(reference.rows)
-                if math.isclose(row.sigma, point["sigma"], rel_tol=1e-9, abs_tol=0.0)
-            ]
-            if not matches:
+            i = next(
+                (i for i, row in enumerate(reference.rows)
+                 if math.isclose(row.sigma, point["sigma"], rel_tol=1e-9, abs_tol=0.0)),
+                None,
+            )
+            if i is None:
                 raise ValidationError(
                     f"{path}: simulation point sigma={point['sigma']!r} "
                     "does not lie on the curve grid"
                 )
-            by_row[matches[0]] = point
+            if i in by_row:
+                raise ValidationError(
+                    f"{path}: two simulation points at sigma={point['sigma']!r} "
+                    "fall on one grid row"
+                )
+            by_row[i] = point
         sim_columns.append(by_row)
 
     # a bit-level curve bounds the bit-error rate, everything else the
@@ -521,11 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--snr-start", type=float, default=0.0)
     bp.add_argument("--snr-stop", type=float, default=10.0)
     bp.add_argument("--snr-step", type=float, default=0.25)
-    bp.add_argument(
-        "--snr-convention",
-        choices=[c.value for c in SnrConvention],
-        default=SnrConvention.EBN0_DB.value,
-    )
+    _add_convention_flag(bp)
     bp.add_argument(
         "--theta-policy",
         choices=[p.value for p in ThetaPolicy],
@@ -538,14 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     mp = sub.add_parser("simulate", help="Monte Carlo ML decoding runs")
     mp.add_argument("--code", required=True, metavar="GENFILE")
-    grid = mp.add_mutually_exclusive_group(required=True)
-    grid.add_argument("--snr", nargs="+", type=float, help="SNR grid points in dB")
-    grid.add_argument("--sigma", nargs="+", type=float, help="noise sigmas directly")
-    mp.add_argument(
-        "--snr-convention",
-        choices=[SnrConvention.EBN0_DB.value, SnrConvention.ESN0_DB.value],
-        help="with --snr: the dB convention (default ebn0)",
-    )
+    mp.add_argument("--snr", nargs="+", type=float, required=True, help="grid values")
+    _add_convention_flag(mp)
     mp.add_argument("--dstar", type=int, default=None, help="list radius (default n)")
     mp.add_argument("--trials", type=int, default=10000)
     mp.add_argument("--seed", type=int, default=0)

@@ -176,10 +176,6 @@ class ChannelPoint:
         object.__setattr__(self, "p_b", float(q_function(1.0 / self.sigma)))
 
     @classmethod
-    def from_sigma(cls, sigma: float) -> "ChannelPoint":
-        return cls.from_snr_db(sigma, SnrConvention.SIGMA)
-
-    @classmethod
     def from_snr_db(
         cls,
         snr_db: float,

@@ -28,7 +28,6 @@ exists.
 from __future__ import annotations
 
 import ctypes
-import json
 import math
 import operator
 import os
@@ -164,9 +163,6 @@ class SimReport:
             str(d): c for d, c in sorted(self.joint_errors_by_weight.items())
         }
         return payload
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
         lines = [

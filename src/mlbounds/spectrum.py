@@ -110,24 +110,7 @@ class LinearCode:
         return cls(n, k, rows)
 
     def matrix(self) -> np.ndarray:
-        out = np.zeros((self.k, self.n), dtype=np.uint8)
-        for j, row in enumerate(self.rows):
-            for t in range(self.n):
-                out[j, t] = (row >> t) & 1
-        return out
-
-    def encode(self, message: int) -> int:
-        """Codeword bitmask for a message given as a k-bit mask."""
-        message = operator.index(message)
-        if message < 0 or message >> self.k:
-            raise ValidationError(f"message must be a {self.k}-bit mask")
-        cw = 0
-        m = message
-        while m:
-            j = (m & -m).bit_length() - 1
-            cw ^= self.rows[j]
-            m &= m - 1
-        return cw
+        return np.array([[(row >> t) & 1 for t in range(self.n)] for row in self.rows], np.uint8)
 
     def dual(self) -> "LinearCode":
         """Generator of the [n, n-k] dual code (standard null-space basis)."""

@@ -2,7 +2,7 @@
 binomial prefix columns streamed one column at a time, the two-half-plane
 probability by quadrature, scalar per-weight bound terms, the union base
 bound for gfbt tables, the radius scan over them, the Gray-code codebook
-sweep and full-codebook ML counters.
+sweep, the per-message encoder and full-codebook ML counters.
 
 Spectra are built here from sparse {d: A_d} or {(i, d): A_{i,d}} mappings,
 cut to a radius, or sliced at one codeword weight, so tests can state counts
@@ -354,6 +354,19 @@ def optimize_dstar(
     return best
 
 
+def encode(code: LinearCode, message: int) -> int:
+    """Codeword bitmask for a message given as a k-bit mask: the XOR of the
+    generator rows its bits select."""
+    message = operator.index(message)
+    if message < 0 or message >> code.k:
+        raise ValidationError(f"message must be a {code.k}-bit mask")
+    cw = 0
+    for j, row in enumerate(code.rows):
+        if message >> j & 1:
+            cw ^= row
+    return cw
+
+
 def gray_iowe(code: LinearCode) -> InputOutputSpectrum:
     """Exact IOWE by a message sweep in Gray-code order.
 
@@ -375,10 +388,10 @@ def gray_iowe(code: LinearCode) -> InputOutputSpectrum:
 
 def ml_counters(code: LinearCode, y: np.ndarray, d_star: int) -> dict:
     """simulate() counters for the received rows y, by scoring every codeword
-    of the public encoder against every row: no weight classes, pruning or
+    of encode() against every row: no weight classes, pruning or
     tiles.  The winner is the smallest message among the minimal scores."""
     size = (code.n + 7) // 8
-    packed = b"".join(code.encode(msg).to_bytes(size, "little") for msg in range(1 << code.k))
+    packed = b"".join(encode(code, msg).to_bytes(size, "little") for msg in range(1 << code.k))
     rows = np.frombuffer(packed, dtype=np.uint8).reshape(-1, size)
     bits = np.unpackbits(rows, axis=1, count=code.n, bitorder="little").astype(np.float64)
     weights = bits.sum(axis=1).astype(int)

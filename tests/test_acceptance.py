@@ -36,6 +36,7 @@ from mlbounds.codes import bch_15_7, bch_31_21, hamming_7_4, toy_code_10_5
 from mlbounds.errors import ValidationError
 from mlbounds.numerics import (
     ChannelPoint,
+    SnrConvention,
     q_function,
     triplet_probability,
 )
@@ -243,7 +244,7 @@ def test_05_joint_error_bounds_hold_in_simulation(toy_setup):
     failures = []
     cells = 0
     for (sigma, d_star), rep in runs.items():
-        ch = ChannelPoint.from_sigma(sigma)
+        ch = ChannelPoint.from_snr_db(sigma, SnrConvention.SIGMA)
         for d in spectrum.weights():
             count = rep.joint_errors_by_weight.get(d, 0)
             emp = count / rep.trials
@@ -274,7 +275,7 @@ def test_06_region_exit_matches_binomial_tail(toy_setup):
     failures = []
     worst = 0.0
     for (sigma, d_star), rep in runs.items():
-        ch = ChannelPoint.from_sigma(sigma)
+        ch = ChannelPoint.from_snr_db(sigma, SnrConvention.SIGMA)
         expected = binomial_tail(ch.p_b, code.n, d_star + 1, code.n)
         emp = rep.region_exit_rate
         slack = 3.0 * wilson_se(rep.region_exits, rep.trials)

@@ -55,7 +55,7 @@ from test_simulator import fresh_peak_ratio
 
 
 def ch(sigma):
-    return ChannelPoint.from_sigma(sigma)
+    return ChannelPoint.from_snr_db(sigma, SnrConvention.SIGMA)
 
 
 HAMMING = WeightSpectrum(7, 4, [1.0, 0.0, 0.0, 7.0, 7.0, 0.0, 0.0, 1.0], SpectrumKind.EXACT)

@@ -20,7 +20,7 @@ from mlbounds import cli
 from mlbounds.cli import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, main
 from mlbounds.codes import repetition_code
 from mlbounds.errors import ValidationError
-from mlbounds.numerics import ChannelPoint
+from mlbounds.numerics import ChannelPoint, SnrConvention
 from mlbounds.spectrum import (
     InputOutputSpectrum,
     LinearCode,
@@ -362,11 +362,6 @@ _UNREAD = [
     (["bound", "--ensemble", "16", "8", "--max-k", "5"], "--max-k"),
     (["spectrum", "--macwilliams", "{spec}", "--max-k", "5"], "--max-k"),
     (["spectrum", "--ensemble", "16", "8", "--max-k", "5"], "--max-k"),
-    *[
-        (["simulate", "--code", HAMMING_GEN, "--sigma", "0.8", "--trials", "10",
-          "--snr-convention", convention], "--snr-convention")
-        for convention in ("ebn0", "esn0")
-    ],
 ]
 
 
@@ -555,13 +550,16 @@ class TestSimulateCommand:
     def test_extreme_sigma_is_refused(self, capsys):
         # sigma^2 underflows to 0 or overflows, so the report has no Eb/N0
         for sigma in ("1e-200", "1e200"):
-            code, out, err = run(capsys, "simulate", "--code", HAMMING_GEN, "--sigma", sigma)
+            code, out, err = run(
+                capsys, "simulate", "--code", HAMMING_GEN, "--snr", sigma,
+                "--snr-convention", "sigma",
+            )
             assert code == EXIT_VALIDATION, sigma
             assert "no finite Eb/N0" in err and out == "" and "Traceback" not in err
 
     def test_json_reruns_are_byte_identical_and_worker_invariant(self, tmp_path):
         argv = [
-            "simulate", "--code", HAMMING_GEN, "--sigma", "0.9",
+            "simulate", "--code", HAMMING_GEN, "--snr", "0.9", "--snr-convention", "sigma",
             "--trials", "1500", "--seed", "11",
         ]
         paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
@@ -588,8 +586,8 @@ class TestSimulateCommand:
 
     def test_text_format_marks_grid_points(self, capsys):
         code, out, err = run(
-            capsys, "simulate", "--code", HAMMING_GEN, "--sigma", "0.7",
-            "--trials", "200", "--seed", "1", "--format", "text",
+            capsys, "simulate", "--code", HAMMING_GEN, "--snr", "0.7",
+            "--snr-convention", "sigma", "--trials", "200", "--seed", "1", "--format", "text",
         )
         assert code == EXIT_OK
         assert "# grid point sigma=0.7" in out
@@ -614,12 +612,12 @@ class TestSimulateCommand:
         gen = tmp_path / "long.gen"
         store_generator(LinearCode(320, 28, tuple(1 << j for j in range(28))), gen)
         code, out, err = run(
-            capsys, "simulate", "--code", str(gen), "--sigma", "0.8",
+            capsys, "simulate", "--code", str(gen), "--snr", "0.8", "--snr-convention", "sigma",
             "--trials", "100", "--seed", "0",
         )
         assert code == EXIT_RESOURCE
         code, out, err = run(
-            capsys, "simulate", "--code", HAMMING_GEN, "--sigma", "0.8",
+            capsys, "simulate", "--code", HAMMING_GEN, "--snr", "0.8", "--snr-convention", "sigma",
             "--trials", "1000000", "--seed", "0", "--work-limit", "1000000",
         )
         assert code == EXIT_RESOURCE
@@ -632,7 +630,10 @@ class TestSimulateCommand:
         assert "resource guard" in err
 
     def test_invalid_counts_exit_two_not_three(self, capsys):
-        argv = ["simulate", "--code", HAMMING_GEN, "--sigma", "0.8", "--trials", "10"]
+        argv = [
+            "simulate", "--code", HAMMING_GEN, "--snr", "0.8", "--snr-convention", "sigma",
+            "--trials", "10",
+        ]
         code, out, err = run(capsys, *argv, "--work-limit", "-5")
         assert code == EXIT_VALIDATION and out == ""
         assert "work_limit must be >= 1" in err
@@ -640,12 +641,15 @@ class TestSimulateCommand:
         assert code == EXIT_VALIDATION and "workers must be >= 1" in err
 
     def test_validation_exit_codes(self, capsys):
+        sigma = ["simulate", "--code", HAMMING_GEN, "--snr-convention", "sigma", "--snr"]
         cases = [
-            ["simulate", "--code", HAMMING_GEN, "--sigma", "-1", "--trials", "10"],
-            ["simulate", "--code", HAMMING_GEN, "--sigma", "0.8", "--trials", "0"],
-            ["simulate", "--code", HAMMING_GEN, "--sigma", "0.8", "--snr", "2"],
-            ["simulate", "--sigma", "0.8"],
-            ["simulate", "--code", HAMMING_GEN, "--sigma", "0.8", "--dstar", "9"],
+            [*sigma, "-1", "--trials", "10"],
+            [*sigma, "0.8", "--trials", "0"],
+            [*sigma, "0.8", "--dstar", "9"],
+            [*sigma, "0.8", "--snr-convention", "bogus"],
+            ["simulate", "--snr", "0.8", "--snr-convention", "sigma"],
+            # --sigma is gone: --snr with --snr-convention sigma took its place
+            ["simulate", "--code", HAMMING_GEN, "--sigma", "0.8"],
         ]
         for argv in cases:
             code, out, err = run(capsys, *argv)
@@ -653,7 +657,8 @@ class TestSimulateCommand:
 
     def test_seed_changes_output(self, capsys):
         argv = [
-            "simulate", "--code", HAMMING_GEN, "--sigma", "0.9", "--trials", "800",
+            "simulate", "--code", HAMMING_GEN, "--snr", "0.9", "--snr-convention", "sigma",
+            "--trials", "800",
         ]
         _, out_a, _ = run(capsys, *argv, "--seed", "1")
         _, out_b, _ = run(capsys, *argv, "--seed", "2")
@@ -726,7 +731,7 @@ class TestArgumentFile:
 
     def test_workers_environment_variable_is_ignored(self, tmp_path, monkeypatch):
         argv = [
-            "simulate", "--code", HAMMING_GEN, "--sigma", "0.9",
+            "simulate", "--code", HAMMING_GEN, "--snr", "0.9", "--snr-convention", "sigma",
             "--trials", "900", "--seed", "4",
         ]
         monkeypatch.delenv("MLBOUNDS_WORKERS", raising=False)
@@ -746,7 +751,7 @@ _FILE_FLAGS = {
     "--enumerate": ["spectrum", "--enumerate", "{bad}"],
     "--spectrum": ["bound", "--spectrum", "{bad}"],
     "--base-bound": ["bound", "--enumerate", HAMMING_GEN, "--variant", "gfbt", "--base-bound", "{bad}"],
-    "simulate --code": ["simulate", "--code", "{bad}", "--sigma", "0.8"],
+    "simulate --code": ["simulate", "--code", "{bad}", "--snr", "0.8"],
     "--curve": ["compare", "--curve", "{bad}"],
     "--sim": ["compare", "--curve", "{curve}", "--sim", "{bad}"],
     "@file": ["bound", "--enumerate", HAMMING_GEN, "@{bad}"],
@@ -849,8 +854,8 @@ class TestCompareCommand:
         union, _ = curves
         sim = tmp_path / "sim.json"
         assert main([
-            "simulate", "--code", HAMMING_GEN, "--sigma", "0.5", "--trials", "100",
-            "--seed", "2", "-o", str(sim),
+            "simulate", "--code", HAMMING_GEN, "--snr", "0.5", "--snr-convention", "sigma",
+            "--trials", "100", "--seed", "2", "-o", str(sim),
         ]) == EXIT_OK
         code, out, err = run(capsys, "compare", "--curve", str(union), "--sim", str(sim))
         assert code == EXIT_VALIDATION
@@ -913,6 +918,61 @@ class TestCompareCommand:
         code, out, err = run(capsys, "compare", "--curve", str(union), "--sim", str(sim))
         assert code == EXIT_VALIDATION
         assert f"{sim}: not a JSON simulation report" in err
+
+    def test_two_sim_points_on_one_grid_row_exit_2(self, capsys, curves, tmp_path):
+        # a second report at the same sigma would replace the first unseen
+        _, word = curves
+        reports = []
+        for seed in ("3", "4"):
+            code, out, err = run(
+                capsys, "simulate", "--code", HAMMING_GEN, "--snr", "1", "--trials", "2000",
+                "--seed", seed,
+            )
+            assert code == EXIT_OK
+            reports += json.loads(out)
+        assert reports[0]["word_error_rate"] != reports[1]["word_error_rate"]
+        sim = tmp_path / "both.json"
+        sim.write_text(json.dumps(reports))
+        code, out, err = run(
+            capsys, "compare", "--curve", str(word), "--sim", str(sim), "--assert-dominance"
+        )
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"{sim}: two simulation points at sigma={reports[0]['sigma']!r}" in err
+
+    @pytest.mark.parametrize("column,value", [
+        ("raw_value", "nan"), ("raw_value", "inf"), ("raw_value", "-1e-300"),
+        ("clamped_value", "nan"), ("clamped_value", "-0.5"),
+        ("snr_db", "nan"), ("snr_db", "-inf"),
+        ("sigma", "nan"), ("sigma", "inf"), ("sigma", "0.0"), ("sigma", "-0.8"),
+    ])
+    @pytest.mark.parametrize("place", ["first", "second", "with-sim"])
+    def test_curve_value_out_of_range_exits_2(
+        self, capsys, curves, tmp_path, column, value, place
+    ):
+        # every comparison with NaN is false, so a NaN bound would pass
+        # --assert-dominance in any position; refuse it, and its kin, on read
+        union, word = curves
+        lines = word.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines) if line[:1].isdigit()) + 1
+        header = lines[lineno - 2].split(",")
+        cells = lines[lineno - 1].split(",")
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps([{
+            "snr_db": 1.0, "sigma": float(cells[1]),
+            "word_error_rate": 0.5, "word_error_ci": [0.45, 0.55],
+        }]))
+        cells[header.index(column)] = value
+        lines[lineno - 1] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        argv = {
+            "first": ["--curve", str(bad), "--curve", str(union)],
+            "second": ["--curve", str(union), "--curve", str(bad)],
+            "with-sim": ["--curve", str(bad), "--sim", str(sim)],
+        }[place]
+        code, out, err = run(capsys, "compare", *argv, "--assert-dominance")
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"{bad}:{lineno}: {column} must be" in err
 
     def test_bit_curves_check_bit_rates_not_word_rates(self, capsys, curves, tmp_path):
         # the simulated word rate may exceed a bit bound; that must not be
@@ -980,7 +1040,7 @@ class TestFileBoundProviderCli:
         # library-level sanity: a table written with repr floats replays the
         # direct computation exactly through the file provider
         spec = WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT)
-        point = ChannelPoint.from_sigma(0.8)
+        point = ChannelPoint.from_snr_db(0.8, SnrConvention.SIGMA)
         lines = [f"0.8 {d_star} {union_base(spec, point, d_star)!r}" for d_star in range(0, 8)]
         table = tmp_path / "t.txt"
         table.write_text("\n".join(lines) + "\n")

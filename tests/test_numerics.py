@@ -34,7 +34,7 @@ from mlbounds.numerics import (
     q_function,
     triplet_probability,
 )
-from oracles import binomial_tail, triplet_probability_quadrature
+from oracles import binomial_tail, encode, triplet_probability_quadrature
 
 
 def q_oracle(x: float) -> float:
@@ -271,7 +271,7 @@ class TestAngleUpperBound:
         # arccos(|a & b| / d), and the cap must cover the widest such pair
         classes: dict[int, list[int]] = {}
         for msg in range(1, 1 << code.k):
-            word = code.encode(msg)
+            word = encode(code, msg)
             classes.setdefault(word.bit_count(), []).append(word)
         checked = 0
         for d, words in classes.items():
@@ -418,7 +418,7 @@ class TestTripletProbabilityMpmath:
 
 class TestChannelPoint:
     def test_crossover_consistency(self):
-        pt = ChannelPoint.from_sigma(0.8)
+        pt = ChannelPoint.from_snr_db(0.8, SnrConvention.SIGMA)
         assert pt.p_b == pytest.approx(float(q_function(1.25)), rel=1e-15)
         assert 0.0 < pt.p_b < 0.5
         assert pt.snr_convention is SnrConvention.SIGMA
@@ -437,7 +437,7 @@ class TestChannelPoint:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            ChannelPoint.from_sigma(0.0)
+            ChannelPoint.from_snr_db(0.0, SnrConvention.SIGMA)
         with pytest.raises(ValidationError):
             ChannelPoint.from_snr_db(1.0, SnrConvention.EBN0_DB, rate=None)
         with pytest.raises(ValidationError):

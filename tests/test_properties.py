@@ -25,6 +25,7 @@ from mlbounds import bounds
 from mlbounds import (
     ChannelPoint,
     InputOutputSpectrum,
+    SnrConvention,
     SpectrumKind,
     WeightSpectrum,
     LinearCode,
@@ -83,7 +84,7 @@ def iowes(draw):
 
 
 def _chain(spectrum, sigma):
-    point = ChannelPoint.from_sigma(sigma)
+    point = ChannelPoint.from_snr_db(sigma, SnrConvention.SIGMA)
     word = word_error_bound(spectrum, point).value
     truncated = truncated_union_bound(spectrum, point).value
     assert word <= truncated
@@ -114,7 +115,7 @@ def test_chain_on_truncated_spectra(spectrum, sigma):
 @PROPERTY
 @given(iowes(), sigmas)
 def test_bit_below_word_on_iowes(iowe, sigma):
-    point = ChannelPoint.from_sigma(sigma)
+    point = ChannelPoint.from_snr_db(sigma, SnrConvention.SIGMA)
     bit = bit_error_bound(iowe, point).value
     assert bit <= word_error_bound(iowe.weight_spectrum(), point).value
 
@@ -145,7 +146,7 @@ def scans(draw):
     sigma = 0.02 if p == 0.0 else -1.0 / NormalDist().inv_cdf(p)
     key = draw(st.sampled_from([None, "d_star", "d_star_max"]))
     radius = {} if key is None else {key: draw(st.integers(min_value=0, max_value=n))}
-    return source, ChannelPoint.from_sigma(sigma), radius
+    return source, ChannelPoint.from_snr_db(sigma, SnrConvention.SIGMA), radius
 
 
 @PROPERTY
@@ -260,6 +261,6 @@ def test_simulation_does_not_depend_on_workers(code, sigma, trials, seed, data):
     # superblocks, one worker into full 16-block ones plus a remainder
     d_star = data.draw(st.integers(0, code.n))
     cfg = SimConfig(code=code, sigma=sigma, d_star=d_star, trials=trials, seed=seed)
-    report = simulate(cfg).to_json()
-    assert simulate(cfg, workers=2).to_json() == report
-    assert simulate(cfg, workers=3).to_json() == report
+    report = simulate(cfg).to_dict()
+    assert simulate(cfg, workers=2).to_dict() == report
+    assert simulate(cfg, workers=3).to_dict() == report

@@ -2,7 +2,7 @@
 
 The batch engine prunes weight classes, then, where the codebook fills
 them densely, their part-weight subclasses, and scans them in tiles; the
-oracle (oracles.ml_counters) scores the public encoder's whole codebook
+oracle (oracles.ml_counters) scores the whole codebook of oracles.encode
 against every trial, and the two must agree counter by counter on the same
 noise.
 """
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import binomial_tail, ml_counters
+from oracles import binomial_tail, encode, ml_counters
 
 from mlbounds import (
     LinearCode,
@@ -164,7 +164,7 @@ class TestSimulateEngine:
         a = simulate(cfg)
         b = simulate(cfg)
         c = simulate(cfg, workers=3)
-        assert a.to_json() == b.to_json() == c.to_json()
+        assert a.to_dict() == b.to_dict() == c.to_dict()
 
     def test_trial_accounting_and_report_shape(self):
         cfg = SimConfig(code=hamming_7_4(), sigma=1.2, d_star=3, trials=1500, seed=11)
@@ -173,7 +173,7 @@ class TestSimulateEngine:
         assert 0 <= report.word_errors <= report.trials
         lo, hi = report.word_error_ci
         assert lo <= report.word_error_rate <= hi
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload["word_errors"] == report.word_errors
         assert "joint_errors_by_weight" in payload
         assert "word errors" in report.to_text()
@@ -308,7 +308,7 @@ class TestSimulateEngine:
                 msgs = layout.msgs[offsets[s] : offsets[s + 1]].tolist()
                 assert msgs == sorted(msgs) and msgs
                 for msg in msgs:
-                    word = code.encode(msg)
+                    word = encode(code, msg)
                     parts = [(word >> lo & ((1 << (hi - lo)) - 1)).bit_count()
                              for lo, hi in zip(bounds, bounds[1:])]
                     assert word.bit_count() == d and parts == weights[:, s].tolist()

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import gray_iowe, iowe_slice, restrict, spectrum_from
+from oracles import encode, gray_iowe, iowe_slice, restrict, spectrum_from
 
 from mlbounds.codes import (
     bch_15_7,
@@ -67,12 +67,12 @@ def random_full_rank_code(rng, n: int, k: int) -> LinearCode:
 class TestLinearCode:
     def test_encode_matches_rows(self):
         code = hamming_7_4()
-        assert code.encode(0) == 0
+        assert encode(code, 0) == 0
         for j in range(code.k):
-            assert code.encode(1 << j) == code.rows[j]
+            assert encode(code, 1 << j) == code.rows[j]
         # systematic: message bits appear verbatim in the low positions
         for m in range(16):
-            assert code.encode(m) & 0b1111 == m
+            assert encode(code, m) & 0b1111 == m
 
     @pytest.mark.parametrize(
         "name,build",
@@ -168,7 +168,7 @@ class TestCodebookTables:
         code = random_full_rank_code(np.random.default_rng(n), n, k)
         low, high = spectrum._codebook(code)
         messages = np.arange(1 << k, dtype=np.uint32)
-        want = [code.encode(m) for m in range(1 << k)]
+        want = [encode(code, m) for m in range(1 << k)]
         t, m = np.divmod(messages, len(low))
         assert codeword_ints(low[m] ^ high[t]) == want
         # chunk t of the codebook in message order is low ^ high[t]
@@ -183,7 +183,7 @@ class TestCodebookTables:
         messages = np.concatenate([edges, rng.integers(0, 1 << 20, 2000)]).astype(np.uint32)
         t, m = np.divmod(messages, len(low))
         got = codeword_ints(low[m] ^ high[t])
-        assert got == [code.encode(int(x)) for x in messages]
+        assert got == [encode(code, int(x)) for x in messages]
 
 
 class TestMacwilliams:
