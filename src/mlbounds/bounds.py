@@ -86,7 +86,9 @@ class ThetaPolicy(enum.Enum):
     exactly 2Q - Q^2.  TIGHT substitutes the angle cap 2*arccos(sqrt(d/n))
     whenever that is below pi/2 (only possible for d > n/2), where the
     probability is Q + 2 T(sqrt(d)/sigma, tan(theta/2)) with T Owen's T
-    function; it is never larger, and equals 2Q - Q^2 again at pi/2.
+    function; it is never larger, and equals 2Q - Q^2 again at pi/2.  T is
+    a fixed 64-node Gauss-Legendre rule on numpy alone (triplet_probability),
+    within 1e-13 relative of its 60-digit value.
     """
 
     CLOSED_FORM = "closed-form"

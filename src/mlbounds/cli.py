@@ -40,7 +40,6 @@ from .bounds import (
 )
 from .errors import MlboundsError, ResourceLimitError, ValidationError
 from .numerics import ChannelPoint, SnrConvention, noise_sigma
-from .simulator import SimConfig, simulate
 from .spectrum import (
     InputOutputSpectrum,
     WeightSpectrum,
@@ -54,6 +53,17 @@ from .spectrum import (
 )
 
 __all__ = ["CurveRow", "BoundCurve", "compute_curve", "main"]
+
+
+def __getattr__(name):
+    """simulate and SimConfig load with the simulator on first use (PEP 562),
+    so bound, spectrum and compare never import it."""
+    if name not in ("SimConfig", "simulate"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulator
+
+    return getattr(simulator, name)
+
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -316,12 +326,13 @@ def cmd_bound(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    cli = sys.modules[__name__]  # attribute lookups, so a wrapped cli.simulate is the one run
     code = load_generator(args.code)
     convention = SnrConvention(args.snr_convention)
     sigmas = [noise_sigma(x, convention, code.rate) for x in args.snr]
     d_star = args.dstar if args.dstar is not None else code.n
-    configs = [SimConfig(code, s, d_star, args.trials, args.seed, args.work_limit) for s in sigmas]
-    reports = [simulate(cfg, workers=args.workers) for cfg in configs]
+    configs = [cli.SimConfig(code, s, d_star, args.trials, args.seed, args.work_limit) for s in sigmas]
+    reports = [cli.simulate(cfg, workers=args.workers) for cfg in configs]
     if args.format == "json":
         payload = [report.to_dict() for report in reports]
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")

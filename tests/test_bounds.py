@@ -9,6 +9,8 @@ asserted as plain float comparisons with no tolerance.
 
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -83,6 +85,23 @@ def test_package_reexports_every_public_name():
             if getattr(mlbounds, name, None) is not getattr(module, name)
         ]
         assert missing == [], module.__name__
+
+
+def test_package_loads_the_simulator_on_first_use():
+    # dir() lists the simulator's names before the module loads, and the
+    # first lookup of one of them loads it
+    script = """
+import sys
+import mlbounds
+
+before = dir(mlbounds)
+assert "mlbounds.simulator" not in sys.modules
+assert mlbounds.SimConfig is mlbounds.simulator.SimConfig
+assert dir(mlbounds) == before
+assert {"simulator", *mlbounds.simulator.__all__} <= set(before)
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bounds.__file__)))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 # --- scalar terms against manual composition --------------------------------

@@ -270,18 +270,18 @@ def test_spectrum_bytes_match_golden(name, tmp_path):
     assert spectrum_digest(name, tmp_path) == _load_goldens(SPECTRUM_GOLDEN)[name]
 
 
-def test_scipy_loads_only_for_bounds(tmp_path):
-    """In a fresh interpreter, spectrum and simulate commands and every
-    closed-form bound (exact and ensemble sources, gfbt included) leave
-    scipy unloaded, and each bound curve matches its golden.  A tight curve
-    after them loads scipy for Owen's T and still matches its golden."""
+def test_no_command_needs_scipy(tmp_path):
+    """In a fresh interpreter where scipy cannot be imported, spectrum and
+    simulate commands and every bound curve (exact and ensemble sources,
+    gfbt and the tight theta-policy included) run, and each curve matches
+    its golden."""
     primal = tmp_path / "hamming.spec"
     store_spectrum(WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT), primal)
     gen = str(ROOT / "data" / "codes" / "hamming_7_4.gen")
     commands = [
-        ["spectrum", "--enumerate", gen],
-        ["spectrum", "--macwilliams", str(primal)],
-        ["simulate", "--code", gen, "--snr", "2", "--trials", "300"],
+        ["spectrum", "--enumerate", gen, "-o", os.devnull],
+        ["spectrum", "--macwilliams", str(primal), "-o", os.devnull],
+        ["simulate", "--code", gen, "--snr", "2", "--trials", "300", "-o", os.devnull],
     ]
     curves = {}  # golden name -> CSV path
     for source, args, variants in (
@@ -289,42 +289,38 @@ def test_scipy_loads_only_for_bounds(tmp_path):
         ("ensemble_100_50", ["--ensemble", "100", "50"], _ENSEMBLE_VARIANTS),
     ):
         for variant in variants:
-            name = f"{source}.{variant.value}.{ThetaPolicy.CLOSED_FORM.value}"
-            curves[name] = tmp_path / f"{name}.csv"
-            argv = ["bound", *args, "--variant", variant.value, "-o", str(curves[name])]
-            if variant is BoundVariant.GFBT_COMBINED:
-                table = tmp_path / f"{source}.base"
-                _write_base_table(table, _source(source).n)
-                argv += ["--base-bound", str(table)]
-            commands.append(argv)
-    tight = "hamming_7_4.word.tight"
-    curves[tight] = tmp_path / "word.tight.csv"
-    bound = ["bound", "--enumerate", gen, "--variant", "word", "--theta-policy", "tight"]
+            policies = ThetaPolicy if variant in _THETA_VARIANTS else [ThetaPolicy.CLOSED_FORM]
+            for policy in policies:
+                name = f"{source}.{variant.value}.{policy.value}"
+                curves[name] = tmp_path / f"{name}.csv"
+                argv = ["bound", *args, "--variant", variant.value, "-o", str(curves[name])]
+                if policy is ThetaPolicy.TIGHT:
+                    argv += ["--theta-policy", policy.value]
+                if variant is BoundVariant.GFBT_COMBINED:
+                    table = tmp_path / f"{source}.base"
+                    _write_base_table(table, _source(source).n)
+                    argv += ["--base-bound", str(table)]
+                commands.append(argv)
     script = f"""
 import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 from mlbounds import cli
 
 for argv in {commands!r}:
-    argv = argv if "-o" in argv else argv + ["-o", {os.devnull!r}]
     assert cli.main(argv) == 0, argv
-    assert "scipy" not in sys.modules, argv
-assert cli.main({bound!r} + ["-o", {str(curves[tight])!r}]) == 0
-print("scipy" in sys.modules)
 """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout == "True\n"
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
     goldens = _load_goldens()
     for name, path in curves.items():
         assert hashlib.sha256(path.read_bytes()).hexdigest() == goldens[name], name
 
 
-def test_cli_import_loads_neither_scipy_nor_numpy_random(tmp_path):
-    """A fresh ``import mlbounds.cli`` leaves scipy and numpy.random
-    unloaded; a first simulate with 3 workers then loads numpy.random from
-    its worker threads and still matches its golden."""
+def test_cli_import_loads_neither_simulator_scipy_nor_numpy_random(tmp_path):
+    """A fresh ``import mlbounds.cli`` leaves the simulator, scipy and
+    numpy.random unloaded; a first simulate with 3 workers then loads the
+    simulator, and numpy.random from its worker threads, and still matches
+    its golden."""
     code = "bch_15_7"
     seed, d_star = SIM_CASES[code]
     out = tmp_path / "sim.json"
@@ -337,8 +333,9 @@ def test_cli_import_loads_neither_scipy_nor_numpy_random(tmp_path):
 import sys
 from mlbounds import cli
 
-print(sorted(name for name in ("scipy", "numpy.random") if name in sys.modules))
+print(sorted(name for name in ("mlbounds.simulator", "scipy", "numpy.random") if name in sys.modules))
 assert cli.main({argv!r}) == 0
+assert "mlbounds.simulator" in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(

@@ -29,6 +29,7 @@ from mlbounds.errors import ValidationError
 from mlbounds.numerics import (
     ChannelPoint,
     SnrConvention,
+    _owens_t,
     angle_upper_bound,
     log_factorials,
     q_function,
@@ -333,6 +334,11 @@ class TestTripletProbability:
         with pytest.raises(ValidationError):
             triplet_probability(2, 1.0, 0.0)
 
+    def test_extreme_sigma(self):
+        # h*h overflows: the mass is 0; h near 0: Q(0) + 2 T(0, a) = 1/2 + theta/(2 pi)
+        assert triplet_probability(4, 1.0, 1e-200) == 0.0
+        assert abs(triplet_probability(4, 1.0, 1e300) - (0.5 + 1.0 / (2.0 * math.pi))) <= 1e-15
+
     def test_vectorized_matches_elementwise(self):
         ds = np.array([3, 7, 40, 999])
         thetas = np.array([0.2, 1.0, math.pi / 2, 0.06])
@@ -349,32 +355,35 @@ class TestTripletProbability:
             assert abs(got - want) <= 1e-11 * want
 
 
-def mass_mpmath(d: int, theta: float, sigma: float) -> float:
-    """Two-half-plane mass at 60 digits: with H = sqrt(d)/sigma and
-    t = tan(theta/2),
+def owens_t_mp(h: mpmath.mpf, a: mpmath.mpf) -> mpmath.mpf:
+    """Owen's T at the working precision,
 
-        erfc(H/sqrt2)/2 + 2 int_0^t exp(-H^2 (1+x^2)/2) / (2 pi (1+x^2)) dx.
+        T(h, a) = exp(-h^2/2) / (2 pi) int_0^a exp(-h^2 x^2/2) / (1+x^2) dx.
 
-    exp(-H^2/2) is taken out of the integral, whose integrand then falls
-    off on the scale 1/H, so the interval is split at 4/H and 16/H before
+    With exp(-h^2/2) taken out of the integral, its integrand falls off on
+    the scale 1/h, so the interval is split at 4/h and 16/h before
     Gauss-Legendre quadrature.
     """
+    cuts = sorted({mpmath.mpf(0), a, min(a, 4 / h), min(a, 16 / h)})
+    integral = mpmath.quad(
+        lambda x: mpmath.exp(-h * h * x * x / 2) / (1 + x * x), cuts, method="gauss-legendre"
+    )
+    return integral * mpmath.exp(-h * h / 2) / (2 * mpmath.pi)
+
+
+def mass_mpmath(d: int, theta: float, sigma: float) -> float:
+    """Two-half-plane mass at 60 digits: erfc(H/sqrt2)/2 + 2 T(H, tan(theta/2))
+    with H = sqrt(d)/sigma."""
     with mpmath.workdps(60):
         h = mpmath.sqrt(d) / mpmath.mpf(sigma)
-        t = mpmath.tan(mpmath.mpf(theta) / 2)
-        cuts = sorted({mpmath.mpf(0), t, min(t, 4 / h), min(t, 16 / h)})
-        wedge = mpmath.quad(
-            lambda x: mpmath.exp(-h * h * x * x / 2) / (1 + x * x), cuts,
-            method="gauss-legendre",
-        )
         half_plane = mpmath.erfc(h / mpmath.sqrt(2)) / 2
-        return float(half_plane + wedge * mpmath.exp(-h * h / 2) / mpmath.pi)
+        return float(half_plane + 2 * owens_t_mp(h, mpmath.tan(mpmath.mpf(theta) / 2)))
 
 
 class TestTripletProbabilityMpmath:
     """Owen's-T mass against a 60-digit reference at the tight angle cap
-    2 arccos(sqrt(d/n)), d > n/2: relative error within 1e-13 above 1e-30
-    and 1e-10 down to 1e-250, and never below the reference by more."""
+    2 arccos(sqrt(d/n)), d > n/2, and on an (h, a) grid: relative error
+    within 1e-13 down to 1e-250 (h up to 30)."""
 
     # (n, d, sigma) deep in the tail; (1000, 999, 2.5) is where the former
     # adaptive quadrature fell 6.8e-4 relative below the true value
@@ -382,30 +391,30 @@ class TestTripletProbabilityMpmath:
             (500, 499, 0.9), (64, 63, 0.5), (31, 17, 0.4), (15, 8, 0.3)]
 
     @staticmethod
-    def check(n, d, sigma, tol=None):
+    def check(n, d, sigma):
         theta = float(angle_upper_bound(d, d, n))
         assert 0.0 < theta < math.pi / 2
         got = float(triplet_probability(d, theta, sigma))
         want = mass_mpmath(d, theta, sigma)
         assert want >= 1e-250
-        if tol is None:
-            tol = 1e-13 if want > 1e-30 else 1e-10
-        assert abs(got - want) <= tol * want, (n, d, sigma, got, want)
+        assert abs(got - want) <= 1e-13 * want, (n, d, sigma, got, want)
 
     @pytest.mark.parametrize("n,d,sigma", DEEP)
     def test_deep_tail(self, n, d, sigma):
-        self.check(n, d, sigma, tol=1e-13)
+        self.check(n, d, sigma)
 
-    @pytest.mark.parametrize("h,a", [(3.37625, 0.8775), (3.3605, 0.898), (3.39, 0.85)])
-    def test_owens_t_method_switch_band(self, h, a):
-        # scipy's owens_t is least accurate just above h = 3.36, where it
-        # changes method: up to 2.1e-13 relative there, and below the value
+    def test_grid_over_h_and_a(self):
+        # h from 0.05 to 11 (mass above 1e-30), and the band 3.3 < h < 3.45
+        # where scipy's owens_t changed method and fell up to 2.1e-13 below
+        # the value (the last three points)
+        wide = itertools.product(np.geomspace(0.05, 11.0, 15), (0.01, 0.1, 0.35, 0.6, 0.8775, 1.0))
+        band = itertools.product(np.linspace(3.3, 3.45, 13), (0.6, 0.85, 0.8775, 0.898))
         d = 9
-        theta = 2.0 * math.atan(a)
-        sigma = math.sqrt(d) / h
-        got = float(triplet_probability(d, theta, sigma))
-        want = mass_mpmath(d, theta, sigma)
-        assert abs(got - want) <= 2.5e-13 * want
+        for h, a in [*wide, *band, (3.37625, 0.8775), (3.3605, 0.898), (3.39, 0.85)]:
+            theta, sigma = 2.0 * math.atan(a), math.sqrt(d) / float(h)
+            got = float(triplet_probability(d, theta, sigma))
+            want = mass_mpmath(d, theta, sigma)
+            assert abs(got - want) <= 1e-13 * want, (h, a, got, want)
 
     def test_random_cases(self):
         rng = np.random.default_rng(20260)
@@ -414,6 +423,20 @@ class TestTripletProbabilityMpmath:
             n = int(rng.integers(3, 2001))
             d = int(rng.integers(n // 2 + 1, n))
             self.check(n, d, sigmas[case % len(sigmas)])
+
+
+class TestOwensT:
+    """The Gauss-Legendre Owen's T against 60 digits wherever T is a normal
+    float: rounding h*h in exp(-h^2/2) alone costs up to (h^2/2) 2^-53,
+    7.6e-14 at h = 37."""
+
+    def test_relative_accuracy_to_h_37(self):
+        hs = np.concatenate([np.geomspace(0.05, 37.0, 40), np.linspace(3.3, 3.45, 4)])
+        for h, a in itertools.product(hs.tolist(), (0.01, 0.3, 0.8775, 1.0)):
+            got = float(_owens_t(np.float64(h), np.float64(a)))
+            with mpmath.workdps(60):
+                want = owens_t_mp(mpmath.mpf(h), mpmath.mpf(a))
+                assert abs(got - want) <= 1e-13 * want, (h, a, got, want)
 
 
 class TestChannelPoint:
