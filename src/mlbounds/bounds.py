@@ -252,7 +252,8 @@ class _PointArrays:
         self.p_b = ch.p_b
         self.ds = spectrum.weights()  # A_d > 0
         self.a = spectrum.counts[self.ds]
-        self.q = np.atleast_1d(q_function(np.sqrt(self.ds.astype(np.float64)) / ch.sigma))
+        with np.errstate(over="ignore"):  # sqrt(d)/sigma is inf at a subnormal sigma; Q(inf) = 0
+            self.q = np.atleast_1d(q_function(np.sqrt(self.ds.astype(np.float64)) / ch.sigma))
         self.aq = self.a * self.q  # plain union term per weight
         # prefix rows n-d and n-2d; lengths <= 0 are degenerate at zero
         # successes, which is exactly row 0

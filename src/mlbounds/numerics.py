@@ -246,5 +246,6 @@ def triplet_probability(d, theta, sigma: float):
         raise ValidationError(f"theta must lie in (0, pi/2], got {theta!r}")
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValidationError(f"sigma must be positive and finite, got {sigma!r}")
-    h = np.sqrt(d.astype(np.float64)) / sigma
+    with np.errstate(over="ignore"):  # inf at a subnormal sigma, where the mass is 0
+        h = np.sqrt(d.astype(np.float64)) / sigma
     return q_function(h) + 2.0 * _owens_t(h, np.tan(0.5 * theta))

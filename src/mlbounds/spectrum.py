@@ -100,18 +100,6 @@ class LinearCode:
     def rate(self) -> float:
         return self.k / self.n
 
-    @classmethod
-    def from_matrix(cls, matrix) -> "LinearCode":
-        arr = np.asarray(matrix)
-        if arr.ndim != 2 or not np.isin(arr, (0, 1)).all():
-            raise ValidationError("generator matrix must be a 2-D array over {0, 1}")
-        k, n = arr.shape
-        rows = tuple(int(sum(1 << t for t in range(n) if arr[j, t])) for j in range(k))
-        return cls(n, k, rows)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[(row >> t) & 1 for t in range(self.n)] for row in self.rows], np.uint8)
-
     def dual(self) -> "LinearCode":
         """Generator of the [n, n-k] dual code (standard null-space basis)."""
         if self.k == self.n:

@@ -4,6 +4,10 @@ probability by quadrature, scalar per-weight bound terms, the union base
 bound for gfbt tables, the radius scan over them, the Gray-code codebook
 sweep, the per-message encoder and full-codebook ML counters.
 
+The five codes of data/codes are read from their generator files, the one
+copy of each that the commands, goldens and benchmarks read too; the
+repetition code and the 0/1 matrix form of a generator are built here.
+
 Spectra are built here from sparse {d: A_d} or {(i, d): A_{i,d}} mappings,
 cut to a radius, or sliced at one codeword weight, so tests can state counts
 sparsely while the library keeps one dense array form.
@@ -17,8 +21,10 @@ exporting a second API.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
@@ -27,7 +33,40 @@ from scipy import special
 from mlbounds.bounds import ThetaPolicy, truncated_union_bound
 from mlbounds.errors import ValidationError
 from mlbounds.numerics import ChannelPoint, angle_upper_bound, q_function
-from mlbounds.spectrum import InputOutputSpectrum, LinearCode, SpectrumKind, WeightSpectrum
+from mlbounds.spectrum import (
+    InputOutputSpectrum,
+    LinearCode,
+    SpectrumKind,
+    WeightSpectrum,
+    load_generator,
+)
+
+CODES = Path(__file__).resolve().parent.parent / "data" / "codes"
+
+
+@functools.cache
+def named_code(name: str) -> LinearCode:
+    """The code of data/codes/<name>.gen, read once per session."""
+    return load_generator(CODES / f"{name}.gen")
+
+
+def repetition_code(n: int) -> LinearCode:
+    """The [n, 1, n] repetition code."""
+    n = operator.index(n)
+    return LinearCode(n, 1, ((1 << n) - 1,))
+
+
+def code_from_matrix(matrix) -> LinearCode:
+    """The code whose generator is the 0/1 array matrix (k x n)."""
+    arr = np.asarray(matrix)
+    k, n = arr.shape
+    rows = tuple(int(sum(1 << t for t in range(n) if arr[j, t])) for j in range(k))
+    return LinearCode(n, k, rows)
+
+
+def code_matrix(code: LinearCode) -> np.ndarray:
+    """The k x n uint8 generator matrix of code."""
+    return np.array([[(row >> t) & 1 for t in range(code.n)] for row in code.rows], np.uint8)
 
 
 def spectrum_from(

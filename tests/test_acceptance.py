@@ -32,7 +32,6 @@ from mlbounds.bounds import (
     word_error_bound,
 )
 from mlbounds.cli import EXIT_VALIDATION, main
-from mlbounds.codes import bch_15_7, bch_31_21, hamming_7_4, toy_code_10_5
 from mlbounds.errors import ValidationError
 from mlbounds.numerics import (
     ChannelPoint,
@@ -48,7 +47,7 @@ from mlbounds.spectrum import (
     macwilliams_transform,
     store_spectrum,
 )
-from oracles import binomial_tail, pairwise_term, spectrum_from, triplet_term
+from oracles import binomial_tail, named_code, pairwise_term, spectrum_from, triplet_term
 
 GRID_0_10 = [0.25 * i for i in range(41)]
 GRID_0_8 = [0.25 * i for i in range(33)]
@@ -82,7 +81,7 @@ def ensembles():
 
 @pytest.fixture(scope="module")
 def toy_setup():
-    code = toy_code_10_5()
+    code = named_code("toy_10_5")
     spectrum = enumerate_spectrum(code).weight_spectrum()
     runs = {}
     started = time.perf_counter()
@@ -294,7 +293,7 @@ def test_06_region_exit_matches_binomial_tail(toy_setup):
 
 
 def test_07_simulated_wer_below_word_bound():
-    code = bch_31_21()
+    code = named_code("bch_31_21")
     spectrum = macwilliams_transform(enumerate_spectrum(code.dual()).weight_spectrum())
     failures = []
     lines = []
@@ -325,7 +324,7 @@ def test_07_simulated_wer_below_word_bound():
 def test_08_bit_bound_consistency():
     failures = []
     summaries = []
-    for code in (hamming_7_4(), bch_15_7()):
+    for code in (named_code("hamming_7_4"), named_code("bch_15_7")):
         iowe = enumerate_spectrum(code)
         marginal = iowe.weight_spectrum()
         rate = code.k / code.n
@@ -384,7 +383,7 @@ def test_09_spectrum_engine_cross_validation():
             failures.append(
                 f"code {index} [{code.n},{code.k}]: {as_int(direct)} != {as_int(transformed)}"
             )
-    hamming = enumerate_spectrum(hamming_7_4()).weight_spectrum().counts
+    hamming = enumerate_spectrum(named_code("hamming_7_4")).weight_spectrum().counts
     profile = tuple(int(hamming[d]) for d in range(8))
     if profile != (1, 0, 0, 7, 7, 0, 0, 1):
         failures.append(f"[7,4] profile {profile} != (1,0,0,7,7,0,0,1)")

@@ -39,14 +39,15 @@ from mlbounds import (
     union_bound,
     word_error_bound,
 )
-from mlbounds.codes import bch_15_7, hamming_7_4, repetition_code
 from oracles import (
     binomial_tail,
     h_prime_term,
     h_term,
     iowe_slice,
+    named_code,
     optimize_dstar,
     pairwise_term,
+    repetition_code,
     restrict,
     spectrum_from,
     streamed_prefix,
@@ -61,8 +62,8 @@ def ch(sigma):
 
 
 HAMMING = WeightSpectrum(7, 4, [1.0, 0.0, 0.0, 7.0, 7.0, 0.0, 0.0, 1.0], SpectrumKind.EXACT)
-HAMMING_IOWE = enumerate_spectrum(hamming_7_4())
-BCH15 = enumerate_spectrum(bch_15_7()).weight_spectrum()
+HAMMING_IOWE = enumerate_spectrum(named_code("hamming_7_4"))
+BCH15 = enumerate_spectrum(named_code("bch_15_7")).weight_spectrum()
 
 
 def rel_close(a, b, tol=1e-12):
@@ -75,7 +76,7 @@ def union_provider(spec):
 
 
 def test_package_reexports_every_public_name():
-    # mlbounds.codes and mlbounds.cli are used by module name; the other
+    # mlbounds.cli is used by module name; the other
     # submodules' public names all live in the package namespace
     import mlbounds
 
@@ -384,7 +385,7 @@ class TestOrderingChains:
             assert t3 <= tu * (1.0 + 1e-12)
 
     def test_bit_below_word_exact(self):
-        for iowe in (HAMMING_IOWE, enumerate_spectrum(bch_15_7())):
+        for iowe in (HAMMING_IOWE, enumerate_spectrum(named_code("bch_15_7"))):
             marginal = iowe.weight_spectrum()
             for sigma in self.SIGMAS:
                 point = ch(sigma)
@@ -574,7 +575,7 @@ class TestRadiusScanWork:
             assert calls == [heavy]
         calls.clear()
         bit_error_bound(
-            enumerate_spectrum(bch_15_7()), ch(1.0), theta_policy=ThetaPolicy.TIGHT
+            enumerate_spectrum(named_code("bch_15_7")), ch(1.0), theta_policy=ThetaPolicy.TIGHT
         )
         assert calls == [[8, 9, 10]]  # bch_15_7 weights above 15/2, below 15
 

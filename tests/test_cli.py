@@ -5,7 +5,6 @@ import functools
 import json
 import math
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -18,7 +17,6 @@ from mlbounds.bounds import (
 )
 from mlbounds import cli
 from mlbounds.cli import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, main
-from mlbounds.codes import repetition_code
 from mlbounds.errors import ValidationError
 from mlbounds.numerics import ChannelPoint, SnrConvention
 from mlbounds.spectrum import (
@@ -32,11 +30,10 @@ from mlbounds.spectrum import (
     store_generator,
     store_spectrum,
 )
-from oracles import spectrum_from, union_base
+from oracles import CODES, repetition_code, spectrum_from, union_base
 
-DATA = Path(__file__).resolve().parent.parent / "data" / "codes"
-HAMMING_GEN = str(DATA / "hamming_7_4.gen")
-TOY_GEN = str(DATA / "toy_10_5.gen")
+HAMMING_GEN = str(CODES / "hamming_7_4.gen")
+TOY_GEN = str(CODES / "toy_10_5.gen")
 
 
 def run(capsys, *argv):
@@ -315,6 +312,21 @@ class TestBoundCommand:
             )
             assert code == EXIT_VALIDATION, snr
             assert "out of range" in err and out == ""
+
+    @pytest.mark.parametrize("policy", ["closed-form", "tight"])
+    def test_subnormal_sigma_bounds_quietly_at_zero(self, capsys, policy):
+        # sqrt(d)/sigma overflows to inf, where Q and the triplet mass are 0;
+        # pyproject turns a numpy overflow warning into a failure
+        code, out, err = run(
+            capsys, "bound", "--enumerate", HAMMING_GEN, "--variant", "word",
+            "--snr-convention", "sigma", "--snr-start", "1e-310", "--snr-stop", "1e-310",
+            "--theta-policy", policy,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert f"# theta_policy={policy}\n" in out
+        assert out.endswith(
+            "snr_db,sigma,raw_value,clamped_value,d_star_opt\n1e-310,1e-310,0.0,0.0,0\n"
+        )
 
     def test_grid_above_a_million_points_is_refused(self, capsys):
         # 10 dB in steps of 1e-300 would be about 10^301 points

@@ -1,4 +1,5 @@
-"""Each demo runs to completion in a fresh interpreter, silently on stderr."""
+"""Each demo, and the README's Library example, runs to completion in a fresh
+interpreter, silently on stderr."""
 
 import os
 import subprocess
@@ -24,3 +25,17 @@ def test_demo_runs_cleanly(demo, tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
     assert out.stdout
+
+
+def test_readme_library_example_runs():
+    # the first python block under "## Library", run from the repository root
+    # as the README says
+    library = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    example = library.split("```python\n", 1)[1].split("\n```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", example], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    assert out.stdout.splitlines()[0] == "0.008525341323239512 17"

@@ -19,15 +19,19 @@ rounding either.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 import mpmath
+import numpy as np
 import pytest
+from oracles import named_code
 
 from mlbounds import (
     ChannelPoint,
     InputOutputSpectrum,
     SnrConvention,
+    SpectrumKind,
     bit_error_bound,
     ensemble_average,
     enumerate_spectrum,
@@ -35,7 +39,6 @@ from mlbounds import (
     triplet_error_bound,
     word_error_bound,
 )
-from mlbounds.codes import bch_15_7, hamming_7_4
 
 _DPS = 30
 # the library's value, relative to the oracle's, is held inside [1 - _BELOW, 1 + _ABOVE]
@@ -138,9 +141,9 @@ _SNRS = (0.0, 2.5, 5.0, 7.5, 10.0)
 
 @pytest.mark.parametrize("snr_db", _SNRS)
 @pytest.mark.parametrize("variant", list(_BOUNDS))
-@pytest.mark.parametrize("build", [hamming_7_4, bch_15_7], ids=["hamming_7_4", "bch_15_7"])
-def test_exact_code_at_every_radius(build, variant, snr_db):
-    code = build()
+@pytest.mark.parametrize("name", ["hamming_7_4", "bch_15_7"])
+def test_exact_code_at_every_radius(name, variant, snr_db):
+    code = named_code(name)
     iowe = enumerate_spectrum(code)
     spectrum = iowe if variant == "bit" else iowe.weight_spectrum()
     ch = _point(snr_db, code.rate)
@@ -170,3 +173,22 @@ def test_ensemble_word_at_winning_radius(n, k, snr_db):
     ch = _point(snr_db, k / n)
     win = word_error_bound(spectrum, ch).d_star_opt
     assert _shortfalls("word", spectrum, ch, (win,)) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the bit term has the word term's paired arm, scaled by "
+    "i/k, and a truncated IOWE with counts below 1 reaches it",
+)
+def test_fractional_iowe_bit_at_winning_radius():
+    # the [500,250] ensemble's average IOWE, A_{i,d} = C(250, i) C(500, d) / 2^500,
+    # as a truncated file may hold it; at 7.5 dB (d* = 86) bit is 0.40x the oracle
+    rows = np.array([math.comb(250, i) for i in range(251)], dtype=np.float64)
+    columns = np.array([math.comb(500, d) / 2**500 for d in range(501)])
+    counts = np.outer(rows, columns)
+    counts[0, :] = counts[:, 0] = 0.0
+    counts[0, 0] = 1.0
+    iowe = InputOutputSpectrum(500, 250, counts, SpectrumKind.TRUNCATED, 500)
+    ch = _point(7.5, 0.5)
+    win = bit_error_bound(iowe, ch).d_star_opt
+    assert _shortfalls("bit", iowe, ch, (win,)) == []

@@ -24,7 +24,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from mlbounds.codes import bch_15_7, bch_31_21, bch_31_26, hamming_7_4, toy_code_10_5
 from mlbounds.errors import ValidationError
 from mlbounds.numerics import (
     ChannelPoint,
@@ -35,7 +34,7 @@ from mlbounds.numerics import (
     q_function,
     triplet_probability,
 )
-from oracles import binomial_tail, encode, triplet_probability_quadrature
+from oracles import binomial_tail, encode, named_code, triplet_probability_quadrature
 
 
 def q_oracle(x: float) -> float:
@@ -262,11 +261,13 @@ class TestAngleUpperBound:
             angle_upper_bound(3, 9, 8)
 
     @pytest.mark.parametrize(
-        "code",
-        [hamming_7_4(), toy_code_10_5(), bch_15_7(), bch_31_21().dual(), bch_31_26().dual()],
+        "name,dual",
+        [("hamming_7_4", False), ("toy_10_5", False), ("bch_15_7", False),
+         ("bch_31_21", True), ("bch_31_26", True)],
         ids=["hamming_7_4", "toy_10_5", "bch_15_7", "dual_31_21", "dual_31_26"],
     )
-    def test_caps_every_equal_weight_codeword_pair(self, code):
+    def test_caps_every_equal_weight_codeword_pair(self, name, dual):
+        code = named_code(name).dual() if dual else named_code(name)
         # brute-force oracle for the tight theta policy: the decision
         # half-planes of weight-d codewords a, b have normals at angle
         # arccos(|a & b| / d), and the cap must cover the widest such pair

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import binomial_tail, encode, ml_counters
+from oracles import binomial_tail, encode, ml_counters, named_code, repetition_code
 
 from mlbounds import (
     LinearCode,
@@ -30,7 +30,6 @@ from mlbounds import (
     wilson_interval,
 )
 from mlbounds import simulator
-from mlbounds.codes import bch_15_7, bch_31_21, hamming_7_4, repetition_code, toy_code_10_5
 from mlbounds.simulator import (
     BLOCK,
     _blas_threads_at_most,
@@ -106,17 +105,17 @@ def fresh_peak_ratio(action: str, count: str, imports: str) -> float:
     exec; BLAS runs one thread so its per-thread workspace does not depend
     on the core count.  numpy.random loads before the baseline, as the
     action's other modules do: its 6 MB are an import, not the action's work."""
+    rows = named_code("bch_31_21").rows[:18]
     script = f"""
 import numpy.random
 {imports}
-from mlbounds.codes import bch_31_21
 from mlbounds.spectrum import LinearCode
 
 def peak_kib():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
-code = LinearCode(31, 18, bch_31_21().rows[:18])
+code = LinearCode(31, 18, {rows!r})
 before = peak_kib()
 {action}
 print((peak_kib() - before) * 1024 / ({count}))
@@ -152,7 +151,7 @@ class TestWilson:
 
 class TestSimulateEngine:
     def test_matches_trialwise_reference(self):
-        code = hamming_7_4()
+        code = named_code("hamming_7_4")
         cfg = SimConfig(code=code, sigma=1.0, d_star=2, trials=700, seed=424242)
         y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
         want = ml_counters(code, y, cfg.d_star)
@@ -160,14 +159,14 @@ class TestSimulateEngine:
         assert_counters(simulate(cfg), want)
 
     def test_bit_reproducible_and_worker_invariant(self):
-        cfg = SimConfig(code=toy_code_10_5(), sigma=0.9, d_star=3, trials=2500, seed=7)
+        cfg = SimConfig(code=named_code("toy_10_5"), sigma=0.9, d_star=3, trials=2500, seed=7)
         a = simulate(cfg)
         b = simulate(cfg)
         c = simulate(cfg, workers=3)
         assert a.to_dict() == b.to_dict() == c.to_dict()
 
     def test_trial_accounting_and_report_shape(self):
-        cfg = SimConfig(code=hamming_7_4(), sigma=1.2, d_star=3, trials=1500, seed=11)
+        cfg = SimConfig(code=named_code("hamming_7_4"), sigma=1.2, d_star=3, trials=1500, seed=11)
         report = simulate(cfg)
         assert report.trials == 1500
         assert 0 <= report.word_errors <= report.trials
@@ -179,14 +178,16 @@ class TestSimulateEngine:
         assert "word errors" in report.to_text()
 
     def test_noiseless_limit(self):
-        cfg = SimConfig(code=hamming_7_4(), sigma=0.05, d_star=3, trials=400, seed=3)
+        cfg = SimConfig(code=named_code("hamming_7_4"), sigma=0.05, d_star=3, trials=400, seed=3)
         report = simulate(cfg)
         assert report.word_errors == 0
         assert report.ties == 0
 
     def test_region_exit_matches_binomial_tail(self):
         sigma, d_star, trials = 0.8, 1, 40000
-        cfg = SimConfig(code=hamming_7_4(), sigma=sigma, d_star=d_star, trials=trials, seed=2718)
+        cfg = SimConfig(
+            code=named_code("hamming_7_4"), sigma=sigma, d_star=d_star, trials=trials, seed=2718
+        )
         report = simulate(cfg)
         p_b = float(q_function(1.0 / sigma))
         expected = binomial_tail(p_b, 7, d_star + 1, 7)
@@ -196,7 +197,7 @@ class TestSimulateEngine:
     def test_joint_counts_dominate_word_errors_in_region(self):
         # every in-region word error trips at least one per-weight event,
         # and the union over weights may double-count
-        cfg = SimConfig(code=toy_code_10_5(), sigma=1.1, d_star=4, trials=4000, seed=55)
+        cfg = SimConfig(code=named_code("toy_10_5"), sigma=1.1, d_star=4, trials=4000, seed=55)
         report = simulate(cfg)
         total_joint = sum(report.joint_errors_by_weight.values())
         assert total_joint >= report.word_errors - report.region_exits
@@ -209,14 +210,17 @@ class TestSimulateEngine:
         SimConfig(code=repetition_code(65_535), sigma=300.0, d_star=65_535, trials=200, seed=1)
         for limit in (0, -5):
             with pytest.raises(ValidationError, match="work_limit must be >= 1"):
-                SimConfig(code=hamming_7_4(), sigma=1.0, d_star=3, trials=10, seed=1, work_limit=limit)
+                SimConfig(
+                    code=named_code("hamming_7_4"), sigma=1.0, d_star=3, trials=10, seed=1,
+                    work_limit=limit,
+                )
 
     def test_guards(self):
         # the codebook of a k = 28 code alone counts 2^28 * 18 bytes, ~4.8 GB
         code = LinearCode(28, 28, tuple(1 << j for j in range(28)))
         with pytest.raises(ResourceLimitError, match="GB"):
             simulate(SimConfig(code=code, sigma=1.0, d_star=3, trials=10, seed=1))
-        code = toy_code_10_5()
+        code = named_code("toy_10_5")
         with pytest.raises(ResourceLimitError):
             simulate(SimConfig(code=code, sigma=1.0, d_star=3, trials=10**9, seed=1, work_limit=10**6))
 
@@ -244,7 +248,7 @@ class TestSimulateEngine:
             simulate(cfg, workers=workers)
 
     def test_config_validation(self):
-        code = hamming_7_4()
+        code = named_code("hamming_7_4")
         # sigma^2 underflows to 0 or overflows: the report's Eb/N0 would not be finite
         for sigma in (1e-200, 1e200):
             with pytest.raises(ValidationError, match="no finite Eb/N0"):
@@ -279,7 +283,7 @@ class TestSimulateEngine:
         # split into three parts; with 256-codeword tiles their largest
         # subclasses span many tiles
         monkeypatch.setattr(simulator, "_TILE", 256)
-        code = LinearCode(31, 18, bch_31_21().rows[:18])
+        code = LinearCode(31, 18, named_code("bch_31_21").rows[:18])
         assert _layout(code).bounds == (0, 10, 20, 31)
         sizes = np.concatenate([np.diff(offsets) for _, _, offsets in _layout(code).classes])
         assert sizes.max() > 8 * simulator._TILE
@@ -292,7 +296,8 @@ class TestSimulateEngine:
     @pytest.mark.parametrize("split", [False, True], ids=["natural", "split"])
     @pytest.mark.parametrize(
         "code",
-        [CODE_72_5, hamming_7_4(), bch_15_7(), sparse_code(100, 6, 3), sparse_code(400, 6, 4)],
+        [CODE_72_5, named_code("hamming_7_4"), named_code("bch_15_7"), sparse_code(100, 6, 3),
+         sparse_code(400, 6, 4)],
         ids=["72_5", "7_4", "15_7", "100_6", "400_6"],
     )
     def test_layout_orders_messages_by_weight_and_part_weights(self, code, split):
@@ -375,7 +380,7 @@ class TestSimulateEngine:
         monkeypatch.setattr(simulator, "_TILE", 3)
         monkeypatch.setattr(simulator, "_SCAN_CELLS", 60)
         monkeypatch.setattr(simulator, "_SUPERBLOCK", 1)
-        code = bch_15_7()
+        code = named_code("bch_15_7")
         cfg = SimConfig(code=code, sigma=1.0, d_star=7, trials=BLOCK + 500, seed=5)
         y = np.concatenate([integer_noise(5, 0, BLOCK, 15, 1.0), integer_noise(5, 1, 500, 15, 1.0)])
         want = ml_counters(code, y, cfg.d_star)
@@ -386,7 +391,7 @@ class TestSimulateEngine:
     def test_exact_ties_merge_across_subclasses(self, monkeypatch, split_layout, workers):
         # the same ties with bch_15_7 split into three parts: tied codewords
         # also sit in different subclasses of one class
-        assert len(_layout(bch_15_7()).bounds) == 4
+        assert len(_layout(named_code("bch_15_7")).bounds) == 4
         self.test_exact_ties_merge_across_tiles(monkeypatch, workers)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
@@ -411,7 +416,7 @@ class TestSimulateEngine:
         assert 0.5 <= ratio <= 1.0
 
     def test_seed_changes_counters(self):
-        base = dict(code=hamming_7_4(), sigma=1.0, d_star=2, trials=3000)
+        base = dict(code=named_code("hamming_7_4"), sigma=1.0, d_star=2, trials=3000)
         a = simulate(SimConfig(seed=1, **base))
         b = simulate(SimConfig(seed=2, **base))
         assert a.word_errors != b.word_errors or a.bit_errors != b.bit_errors
@@ -433,7 +438,7 @@ class TestBlasThreads:
         monkeypatch.setattr(simulator, "_usable_cores", lambda: 8)
         put(8)
         try:
-            cfg = SimConfig(code=hamming_7_4(), sigma=1.0, d_star=2, trials=10, seed=1)
+            cfg = SimConfig(code=named_code("hamming_7_4"), sigma=1.0, d_star=2, trials=10, seed=1)
             simulate(cfg, workers=2)
             assert seen == [4] and get() == 8
             put(3)  # a lower count is never raised
@@ -460,7 +465,7 @@ class TestBlasThreads:
         monkeypatch.setattr(simulator, "_run_superblock", recording)
         put(2)
         try:
-            cfg = SimConfig(code=hamming_7_4(), sigma=1.0, d_star=2, trials=10, seed=1)
+            cfg = SimConfig(code=named_code("hamming_7_4"), sigma=1.0, d_star=2, trials=10, seed=1)
             simulate(cfg, workers=2)
             assert seen == [1] and get() == 2
         finally:

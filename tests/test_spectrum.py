@@ -9,20 +9,22 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import encode, gray_iowe, iowe_slice, restrict, spectrum_from
-
-from mlbounds.codes import (
-    bch_15_7,
-    bch_31_21,
-    bch_31_26,
-    hamming_7_4,
+from oracles import (
+    CODES,
+    code_from_matrix,
+    code_matrix,
+    encode,
+    gray_iowe,
+    iowe_slice,
+    named_code,
     repetition_code,
-    toy_code_10_5,
+    restrict,
+    spectrum_from,
 )
+
 from mlbounds.errors import FileFormatError, ResourceLimitError, ValidationError
 from mlbounds import spectrum
 from mlbounds.spectrum import (
@@ -40,12 +42,10 @@ from mlbounds.spectrum import (
     store_spectrum,
 )
 
-DATA = Path(__file__).resolve().parent.parent / "data" / "codes"
-
 
 def brute_force_iowe(code: LinearCode) -> np.ndarray:
     """All 2^k codewords by dense mod-2 matrix multiplication."""
-    gen = code.matrix()
+    gen = code_matrix(code)
     k = code.k
     msgs = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(np.uint8)
     cws = msgs @ gen & 1
@@ -59,34 +59,20 @@ def random_full_rank_code(rng, n: int, k: int) -> LinearCode:
     while True:
         arr = rng.integers(0, 2, size=(k, n))
         try:
-            return LinearCode.from_matrix(arr)
+            return code_from_matrix(arr)
         except ValidationError:
             continue
 
 
 class TestLinearCode:
     def test_encode_matches_rows(self):
-        code = hamming_7_4()
+        code = named_code("hamming_7_4")
         assert encode(code, 0) == 0
         for j in range(code.k):
             assert encode(code, 1 << j) == code.rows[j]
         # systematic: message bits appear verbatim in the low positions
         for m in range(16):
             assert encode(code, m) & 0b1111 == m
-
-    @pytest.mark.parametrize(
-        "name,build",
-        [("hamming_7_4", hamming_7_4), ("toy_10_5", toy_code_10_5), ("bch_15_7", bch_15_7),
-         ("bch_31_21", bch_31_21), ("bch_31_26", bch_31_26)],
-    )
-    def test_generator_files_match_constructors(self, name, build):
-        # the goldens and benchmarks read the files, the unit tests build the codes
-        assert load_generator(DATA / f"{name}.gen") == build()
-
-    def test_every_generator_file_is_checked(self):
-        assert sorted(p.stem for p in DATA.glob("*.gen")) == [
-            "bch_15_7", "bch_31_21", "bch_31_26", "hamming_7_4", "toy_10_5"
-        ]
 
     def test_rank_validation(self):
         with pytest.raises(ValidationError):
@@ -108,22 +94,57 @@ class TestLinearCode:
                 for h in dual.rows:
                     assert (g & h).bit_count() % 2 == 0
 
-    def test_matrix_round_trip(self):
-        code = toy_code_10_5()
-        assert LinearCode.from_matrix(code.matrix()) == code
+
+CODE_FILES = ["bch_15_7", "bch_31_21", "bch_31_26", "hamming_7_4", "toy_10_5"]
+
+
+class TestGeneratorFiles:
+    """Facts about each file in data/codes that the file itself does not
+    supply: a systematic encoder, closure under cyclic shift for the three
+    BCH codes, and a known weight distribution.  The primal spectra of
+    hamming_7_4, toy_10_5 and bch_15_7 are pinned in TestEnumerateSpectrum;
+    for the length-31 codes the dual distributions below come from
+    MacWilliams and Sloane, The Theory of Error-Correcting Codes, ch. 15.
+    Together they fail on every single parity-bit flip in every file."""
+
+    def test_every_generator_file_is_checked(self):
+        assert sorted(p.stem for p in CODES.glob("*.gen")) == CODE_FILES
+
+    @pytest.mark.parametrize("name", CODE_FILES)
+    def test_rows_are_systematic(self, name):
+        code = named_code(name)
+        message_bits = (1 << code.k) - 1
+        assert [row & message_bits for row in code.rows] == [1 << j for j in range(code.k)]
+
+    @pytest.mark.parametrize("name", ["bch_15_7", "bch_31_21", "bch_31_26"])
+    def test_bch_codes_are_cyclic(self, name):
+        code = named_code(name)
+        word = (1 << code.n) - 1
+        for row in code.rows:
+            shifted = (row << 1 | row >> (code.n - 1)) & word
+            # a systematic code holds a word iff its message bits encode to it
+            assert encode(code, shifted & ((1 << code.k) - 1)) == shifted
+
+    @pytest.mark.parametrize(
+        "name,dual_counts",
+        [("bch_31_21", {0: 1, 12: 310, 16: 527, 20: 186}), ("bch_31_26", {0: 1, 16: 31})],
+    )
+    def test_dual_weight_distribution(self, name, dual_counts):
+        dual = enumerate_spectrum(named_code(name).dual()).weight_spectrum()
+        assert {d: c for d, c in enumerate(dual.counts.tolist()) if c} == dual_counts
 
 
 class TestEnumerateSpectrum:
     def test_hamming_weight_marginal(self):
-        iowe = enumerate_spectrum(hamming_7_4())
+        iowe = enumerate_spectrum(named_code("hamming_7_4"))
         marg = iowe.weight_spectrum()
         assert marg.counts.tolist() == [1, 0, 0, 7, 7, 0, 0, 1]
         assert marg.kind is SpectrumKind.EXACT
 
     def test_fixture_spectra(self):
-        marg = enumerate_spectrum(toy_code_10_5()).weight_spectrum()
+        marg = enumerate_spectrum(named_code("toy_10_5")).weight_spectrum()
         assert marg.counts.tolist() == [1, 0, 0, 0, 16, 0, 12, 0, 3, 0, 0]
-        bch = enumerate_spectrum(bch_15_7()).weight_spectrum()
+        bch = enumerate_spectrum(named_code("bch_15_7")).weight_spectrum()
         assert bch.counts.tolist() == [
             1, 0, 0, 0, 0, 18, 30, 15, 15, 30, 18, 0, 0, 0, 0, 1,
         ]
@@ -145,11 +166,11 @@ class TestEnumerateSpectrum:
 
     def test_enumeration_guard(self):
         with pytest.raises(ResourceLimitError):
-            enumerate_spectrum(hamming_7_4(), max_k=3)
+            enumerate_spectrum(named_code("hamming_7_4"), max_k=3)
 
     def test_negative_guard_is_invalid_input(self):
         with pytest.raises(ValidationError, match="max_k must be >= 0"):
-            enumerate_spectrum(hamming_7_4(), max_k=-1)
+            enumerate_spectrum(named_code("hamming_7_4"), max_k=-1)
 
     def test_high_table_chunks_match_gray_sweep(self):
         # k = 15 walks two chunks, the second XORed with the row of bit 14
@@ -189,7 +210,7 @@ class TestCodebookTables:
 class TestMacwilliams:
     def test_simplex_to_hamming(self):
         # the [7, 3] simplex (dual of Hamming) has spectrum 1 + 7 z^4
-        dual = hamming_7_4().dual()
+        dual = named_code("hamming_7_4").dual()
         dual_spec = enumerate_spectrum(dual).weight_spectrum()
         assert dual_spec.counts.tolist() == [1, 0, 0, 0, 7, 0, 0, 0]
         primal = macwilliams_transform(dual_spec)
@@ -211,14 +232,14 @@ class TestMacwilliams:
     def test_bch_31_26_via_dual(self):
         # the [31, 26] Hamming-type BCH code: A_3 = C(31, 2)/3 = 155
         spec = macwilliams_transform(
-            enumerate_spectrum(bch_31_26().dual()).weight_spectrum()
+            enumerate_spectrum(named_code("bch_31_26").dual()).weight_spectrum()
         )
         assert spec.counts[1] == 0 and spec.counts[2] == 0
         assert spec.counts[3] == 155.0
         assert math.isclose(sum(spec.counts.tolist()), 2.0**26, rel_tol=1e-12)
 
     def test_involution(self):
-        spec = enumerate_spectrum(bch_15_7()).weight_spectrum()
+        spec = enumerate_spectrum(named_code("bch_15_7")).weight_spectrum()
         dual_spec = macwilliams_transform(spec)  # spectrum of the dual code
         assert macwilliams_transform(dual_spec) == spec
 
@@ -335,7 +356,7 @@ class TestSpectrumTypes:
             spectrum_from(7, 4, {(0, 0): 0.5, (1, 3): 1.75}, SpectrumKind.ENSEMBLE_AVERAGE)
 
     def test_restrict(self):
-        spec = enumerate_spectrum(hamming_7_4()).weight_spectrum()
+        spec = enumerate_spectrum(named_code("hamming_7_4")).weight_spectrum()
         sub = restrict(spec, 4)
         assert sub.kind is SpectrumKind.TRUNCATED
         assert sub.truncation == 4
@@ -346,7 +367,7 @@ class TestSpectrumTypes:
         assert wide.max_known_weight == 7
 
     def test_weights_and_dmin(self):
-        spec = enumerate_spectrum(toy_code_10_5()).weight_spectrum()
+        spec = enumerate_spectrum(named_code("toy_10_5")).weight_spectrum()
         assert spec.weights().tolist() == [4, 6, 8]
 
     def test_counts_are_a_read_only_copy(self):
@@ -376,7 +397,7 @@ class TestSpectrumTypes:
                 assert iowe.weight_spectrum().counts.tolist() == want
 
     def test_iowe_marginal_and_slice(self):
-        iowe = enumerate_spectrum(hamming_7_4())
+        iowe = enumerate_spectrum(named_code("hamming_7_4"))
         assert iowe_slice(iowe, 7) == {4: 1.0}
         assert sum(iowe_slice(iowe, 3).values()) == 7.0
         assert iowe.weight_spectrum().counts[3] == 7.0
@@ -384,13 +405,13 @@ class TestSpectrumTypes:
 
 class TestFiles:
     def test_weight_round_trip(self, tmp_path):
-        spec = enumerate_spectrum(toy_code_10_5()).weight_spectrum()
+        spec = enumerate_spectrum(named_code("toy_10_5")).weight_spectrum()
         path = tmp_path / "toy.spec"
         store_spectrum(spec, path)
         assert load_spectrum(path) == spec
 
     def test_iowe_round_trip(self, tmp_path):
-        iowe = enumerate_spectrum(bch_15_7())
+        iowe = enumerate_spectrum(named_code("bch_15_7"))
         path = tmp_path / "bch.iowe"
         store_spectrum(iowe, path)
         assert load_spectrum(path) == iowe
@@ -485,7 +506,7 @@ class TestFiles:
         assert f"{path}:4:" in str(err.value)
 
     def test_generator_round_trip(self, tmp_path):
-        code = bch_31_21()
+        code = named_code("bch_31_21")
         path = tmp_path / "bch.gen"
         store_generator(code, path)
         assert load_generator(path) == code
