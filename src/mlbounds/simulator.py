@@ -19,16 +19,19 @@ its part bound <= 0.  The pruning is exact: a skipped codeword scores above
 0, the transmitted word's score, so it cannot be a winner, a tie or an
 error.  P is 3 where the sort key fits in 16 bits and the codebook fills
 its subclasses densely enough for the tighter bound to repay their tests,
-else 1, the plain weight classes (_part_bounds).  A scan looks up one small
-tile of codewords at a time in the codebook's two XOR tables and expands it
-into 0/1 floats, so neither a copy nor a score matrix of the whole codebook
-exists.
+else 1, the plain weight classes (_part_bounds).  The sort is a counting
+sort over the 16-bit key, so it needs no index array of the whole codebook:
+the layout build peaks near 6 bytes per codeword, the key and the message
+order.  A scan looks up one small tile of codewords at a time in the
+codebook's two XOR tables and expands it into 0/1 floats, so neither a copy
+nor a score matrix of the whole codebook exists.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import operator
 import os
 import threading
@@ -73,23 +76,34 @@ class SimConfig:
     work_limit: int = 400_000_000_000
 
     def __post_init__(self):
-        if not (isinstance(self.sigma, (int, float)) and math.isfinite(self.sigma) and self.sigma > 0):
+        # numpy scalars are kept as Python numbers, so that products of the
+        # fields neither round in float32 nor wrap at 64 bits
+        if isinstance(self.sigma, bool) or not isinstance(self.sigma, numbers.Real):
+            raise ValidationError(f"sigma must be a real number, got {self.sigma!r}")
+        try:
+            object.__setattr__(self, "sigma", float(self.sigma))
+        except OverflowError:  # an int beyond the float range
+            object.__setattr__(self, "sigma", math.inf)
+        for name in ("d_star", "trials", "seed", "work_limit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValidationError(f"sigma must be finite and > 0, got {self.sigma!r}")
         # the report's Eb/N0 is -10 log10 of this product
         rate = self.code.rate
         if not 0.0 < 2.0 * rate * self.sigma * self.sigma < math.inf:
             raise ValidationError(f"sigma = {self.sigma!r} gives no finite Eb/N0 at rate {rate!r}")
-        d_star = operator.index(self.d_star)
-        if not 0 <= d_star <= self.code.n:
-            raise ValidationError(f"need 0 <= d_star <= n, got {d_star}")
-        if operator.index(self.trials) < 1:
+        if not 0 <= self.d_star <= self.code.n:
+            raise ValidationError(f"need 0 <= d_star <= n, got {self.d_star}")
+        if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if operator.index(self.work_limit) < 1:
+        if self.work_limit < 1:
             raise ValidationError(f"work_limit must be >= 1, got {self.work_limit}")
         if self.code.n > 65_535:  # the codebook layout keeps its sort key as uint16
             raise ValidationError(f"simulation needs n <= 65,535, got n={self.code.n}")
-        seed = operator.index(self.seed)
-        if not 0 <= seed < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 bits")
 
 
@@ -238,8 +252,9 @@ class _ClassLayout:
     bounds splits the n positions into the P parts of _part_bounds.  msgs
     lists the message indices sorted by the key (d, d_1, ..., d_{P-1}) of
     codeword weight d and part weights d_i; within a subclass of one key
-    they stay ascending (stable sort), so a first-occurrence argmin over any
-    slice of a subclass is also the smallest-message tie-break within it.
+    they stay ascending (a counting sort, which places each chunk in turn),
+    so a first-occurrence argmin over any slice of a subclass is also the
+    smallest-message tie-break within it.
     classes holds (d, weights, offsets) of each nonempty class d >= 1:
     weights[i] lists the part-i weight of each of its subclasses, which run
     over msgs[offsets[s] : offsets[s + 1]]; with P = 1 each class is one
@@ -251,12 +266,36 @@ class _ClassLayout:
         self.low, self.high = _codebook(code)
         self.bounds, base = _part_bounds(code.n, code.k)
         key = _sort_keys(self.low, self.high, self.bounds, base)
-        self.msgs = np.argsort(key, kind="stable").astype(np.uint32)
         splits = len(self.bounds) - 2
         scale = base**splits
+        step = len(self.low)
         sizes = np.zeros((code.n + 1) * scale, dtype=np.int64)
-        for lo in range(0, key.size, len(self.low)):  # bincount copies one chunk as int64
-            sizes += np.bincount(key[lo : lo + len(self.low)], minlength=sizes.size)
+        for lo in range(0, key.size, step):  # bincount copies one chunk as int64
+            sizes += np.bincount(key[lo : lo + step], minlength=sizes.size)
+
+        # distribution counting (Knuth, TAOCP 5.2): subclass v fills
+        # msgs[cursor[v] : ...] chunk by chunk in message order, and each
+        # chunk's stable sort lists its messages of key v in ascending order
+        self.msgs = np.empty(key.size, dtype=np.uint32)
+        cursor = np.cumsum(sizes) - sizes
+        ranks, packed = np.arange(step, dtype=np.uint32), np.empty(step, dtype=np.uint32)
+        for lo in range(0, key.size, step):
+            chunk = key[lo : lo + step]
+            counts = np.bincount(chunk, minlength=sizes.size)
+            # entry i as key << 14 | i: sorting these distinct values sorts
+            # the chunk stably by key, and the low bits give back i
+            np.left_shift(chunk, _CHUNK_BITS, out=packed, dtype=np.uint32)
+            packed |= ranks
+            packed.sort()
+            packed &= step - 1
+            packed += lo
+            # sorted entry r, the (r - first[v])-th of its key v, goes to
+            # cursor[v] + r - first[v]
+            first = np.cumsum(counts) - counts
+            dest = np.repeat(cursor - first, counts)
+            dest += ranks
+            self.msgs[dest] = packed
+            cursor += counts
         del key
 
         keys = np.flatnonzero(sizes[scale:]) + scale  # d >= 1
@@ -287,29 +326,38 @@ def _tile_bits(rows: np.ndarray, n: int) -> np.ndarray:
 
 # codewords per expanded tile, noise blocks per superblock (the scan expands
 # each tile once per superblock) and the cap on the trials x codewords score
-# cells of one matmul; small tiles and score blocks stay in cache
+# cells of one matmul; small tiles and score blocks stay in cache.  At
+# [31,21] these keep a scan's buffers 5 MB below those of 16 blocks and 2^18
+# cells; a 2 dB run of 20 blocks expands its tiles in 3 superblocks, not 2,
+# and took 3-12 % longer, a 5 dB run about as long (2-core VM)
 _TILE = 1 << 11
-_SUPERBLOCK = 16
-_SCAN_CELLS = 1 << 18
+_SUPERBLOCK = 8
+_SCAN_CELLS = 1 << 17
 
 
 def _layout_bytes(code: LinearCode) -> int:
-    """Peak bytes of building _layout(code): the two XOR tables and one
-    chunk XORed from them (8 per word), plus the largest of three phases.
-    The key build holds the uint16 key (2 per codeword) and per chunk row
-    the bit counts (1 per word) and, with P = 3, the chunk masked to a part
-    (8 per word) and a part's weights (2).  The sort holds the key and the
-    stable argsort's int64 indices with its equal-size scratch buffer (18
-    per codeword).  After it come msgs (4), the key, bincount's int64 copy
-    of one chunk of keys at a time and the subclass sizes, then the
-    class list made from them: at most 11 int64 arrays over the possible
-    keys."""
+    """Peak bytes of building _layout(code): the two XOR tables (8 per
+    word) plus the largest of three phases.  The key build holds one chunk
+    XORed from the tables (8 per word), the uint16 key (2 per codeword) and
+    per chunk row the bit counts (1 per word) and, with P = 3, the chunk
+    masked to a part (8 per word) and a part's weights (2).  The counting
+    sort holds the key and msgs (6 per codeword); per chunk row the packed
+    keys, the ranks, the previous chunk's destinations and bincount's int64
+    copy of the chunk (24); and per possible key the sizes, the cursors and
+    two chunks' counts and first entries (40).  The class list holds msgs
+    (4 per codeword) and at most 11 int64 arrays over the possible keys
+    (88)."""
     (bounds, base), words = _part_bounds(code.n, code.k), (code.n + 63) // 64
     rows, codewords = 1 << min(code.k, _CHUNK_BITS), 1 << code.k
     keys = (code.n + 1) * base ** (len(bounds) - 2)
+    chunk = 8 * words * rows
     per_row = words + (8 * words + 2 if len(bounds) > 2 else 0)
-    phases = (2 * codewords + rows * per_row, 18 * codewords, 14 * codewords + 88 * keys)
-    return _codebook_bytes(code) + max(phases)
+    phases = (
+        chunk + 2 * codewords + rows * per_row,
+        6 * codewords + 24 * rows + 40 * keys,
+        4 * codewords + 88 * keys,
+    )
+    return _codebook_bytes(code) - chunk + max(phases)
 
 
 def _scan_bytes(code: LinearCode, trials: int) -> int:
@@ -530,7 +578,7 @@ def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
 
     Noise for trial t comes from the Philox stream keyed (seed, t // BLOCK),
     so a trial's noise does not depend on the worker or trial count.  Workers
-    split fixed superblocks of 16 blocks, so their count changes no matmul; a
+    split fixed superblocks of 8 blocks, so their count changes no matmul; a
     shorter final superblock changes matmul shapes, so equal counters across
     trial counts assume the BLAS rounds a score cell alike for every shape.
     OpenBLAS runs each worker's matmuls on at most its share of the usable

@@ -2,7 +2,8 @@
 binomial prefix columns streamed one column at a time, the two-half-plane
 probability by quadrature, scalar per-weight bound terms, the union base
 bound for gfbt tables, the radius scan over them, the Gray-code codebook
-sweep, the per-message encoder and full-codebook ML counters.
+sweep, the per-message encoder, the simulator layout's message order and
+full-codebook ML counters.
 
 The five codes of data/codes are read from their generator files, the one
 copy of each that the commands, goldens and benchmarks read too; the
@@ -404,6 +405,32 @@ def encode(code: LinearCode, message: int) -> int:
         if message >> j & 1:
             cw ^= row
     return cw
+
+
+def _as_words(mask: int, words: int) -> np.ndarray:
+    """A bitmask as `words` uint64 words, bit t in word t // 64."""
+    return np.array([mask >> 64 * w & (2**64 - 1) for w in range(words)], dtype=np.uint64)
+
+
+def layout_order(code: LinearCode, bounds: tuple[int, ...]) -> np.ndarray:
+    """Every message sorted stably by its codeword's weight, then by the
+    codeword's weights in parts 1, 2, ... of bounds (part i holds positions
+    bounds[i] to bounds[i + 1] - 1): the simulator layout's msgs, from one
+    global sort of a codebook built row by row."""
+    words = (code.n + 63) // 64
+    msgs = np.arange(1 << code.k)
+    codewords = np.zeros((msgs.size, words), dtype=np.uint64)
+    for j, row in enumerate(code.rows):
+        codewords[msgs >> j & 1 == 1] ^= _as_words(row, words)
+
+    def weight(lo: int, hi: int) -> np.ndarray:
+        masked = codewords & _as_words((1 << hi) - (1 << lo), words)
+        return np.bitwise_count(masked).sum(axis=1, dtype=np.int64)
+
+    key = weight(0, code.n)
+    for lo, hi in zip(bounds[1:], bounds[2:]):
+        key = key * (code.n + 1) + weight(lo, hi)
+    return np.argsort(key, kind="stable")
 
 
 def gray_iowe(code: LinearCode) -> InputOutputSpectrum:

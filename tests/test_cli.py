@@ -620,9 +620,9 @@ class TestSimulateCommand:
         assert list(report["joint_errors_by_weight"]) == ["70"]
 
     def test_resource_guards_exit_three(self, capsys, tmp_path):
-        # a [320, 28] codebook needs 2^28 * 18 bytes, ~4.8 GB, over the 3.5 GB limit
+        # a [320, 30] codebook needs 2^30 * 6 bytes, ~6.4 GB, over the 3.5 GB limit
         gen = tmp_path / "long.gen"
-        store_generator(LinearCode(320, 28, tuple(1 << j for j in range(28))), gen)
+        store_generator(LinearCode(320, 30, tuple(1 << j for j in range(30))), gen)
         code, out, err = run(
             capsys, "simulate", "--code", str(gen), "--snr", "0.8", "--snr-convention", "sigma",
             "--trials", "100", "--seed", "0",

@@ -18,7 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import binomial_tail, encode, ml_counters, named_code, repetition_code
+from oracles import (
+    binomial_tail,
+    encode,
+    layout_order,
+    ml_counters,
+    named_code,
+    repetition_code,
+)
 
 from mlbounds import (
     LinearCode,
@@ -38,6 +45,7 @@ from mlbounds.simulator import (
     _openblas_threads,
     _part_bounds,
 )
+from mlbounds.spectrum import _CHUNK_BITS
 
 # a [72, 5] code whose nonzero codewords all have bits in both 64-bit words
 CODE_72_5 = LinearCode(
@@ -215,9 +223,9 @@ class TestSimulateEngine:
                     work_limit=limit,
                 )
 
-    def test_guards(self):
-        # the codebook of a k = 28 code alone counts 2^28 * 18 bytes, ~4.8 GB
-        code = LinearCode(28, 28, tuple(1 << j for j in range(28)))
+    def test_guards_refuse_k_30_and_excess_work(self):
+        # the codebook of a k = 30 code alone counts 2^30 * 6 bytes, ~6.4 GB
+        code = LinearCode(30, 30, tuple(1 << j for j in range(30)))
         with pytest.raises(ResourceLimitError, match="GB"):
             simulate(SimConfig(code=code, sigma=1.0, d_star=3, trials=10, seed=1))
         code = named_code("toy_10_5")
@@ -225,16 +233,18 @@ class TestSimulateEngine:
             simulate(SimConfig(code=code, sigma=1.0, d_star=3, trials=10**9, seed=1, work_limit=10**6))
 
     @pytest.mark.parametrize(
-        "n,trials,workers,admitted",
-        [(27, 1000, 104, True), (27, 1000, 105, False), (10_000, 2521, 1, True),
-         (10_000, 2522, 1, False), (10_000, 1000, 2, False)],
+        "n,k,trials,workers,admitted",
+        [(28, 28, 1000, 311, True), (28, 28, 1000, 312, False), (29, 29, 1000, 45, True),
+         (29, 29, 1000, 46, False), (10_000, 29, 60, 1, True), (10_000, 29, 61, 1, False),
+         (10_000, 29, 60, 2, False)],
     )
-    def test_footprint_guard_limits_k_27(self, monkeypatch, n, trials, workers, admitted):
-        # a k = 27 codebook counts 2^27 * 18 bytes and its tables, ~2.42 GB at
-        # n = 27 and ~2.47 GB at n = 10,000; that leaves 104 workers of about
-        # 10.3 MB of scan buffers (with part sums) at n = 27, or one worker of
-        # up to 2,521 trials (one part, no part sums) at n = 10,000, within
-        # the 3.5 GB limit
+    def test_footprint_guard_limits_k_29(self, monkeypatch, n, k, trials, workers, admitted):
+        # the layout build counts 2^k * 6 bytes and the tables: ~1.61 GB for
+        # k = 28 at n = 28, ~3.22 GB for k = 29 at n = 29 and ~3.28 GB at
+        # n = 10,000.  Within the 3.5 GB limit that leaves 311 workers of
+        # about 6.1 MB of scan buffers (with part sums) at k = 28, 45 at
+        # k = 29, or at n = 10,000 (one part, tiles of 2^11 codewords
+        # expanded to 164 MB of floats) one worker of up to 60 trials
         class Built(Exception):
             pass
 
@@ -242,9 +252,9 @@ class TestSimulateEngine:
             raise Built
 
         monkeypatch.setattr(simulator, "_layout", unbuilt)
-        code = LinearCode(n, 27, tuple(1 << j for j in range(27)))
-        cfg = SimConfig(code=code, sigma=1.0, d_star=3, trials=trials, seed=1)
-        with pytest.raises(Built if admitted else ResourceLimitError):
+        code = LinearCode(n, k, tuple(1 << j for j in range(k)))
+        cfg = SimConfig(code=code, sigma=1.0, d_star=3, trials=trials, seed=1, work_limit=10**15)
+        with pytest.raises(Built) if admitted else pytest.raises(ResourceLimitError, match="GB"):
             simulate(cfg, workers=workers)
 
     def test_config_validation(self):
@@ -263,6 +273,43 @@ class TestSimulateEngine:
             SimConfig(code=code, sigma=1.0, d_star=2, trials=10, seed=2**64)
         with pytest.raises(ValidationError):
             simulate(SimConfig(code=code, sigma=1.0, d_star=2, trials=10, seed=1), workers=0)
+
+    def test_config_takes_real_numbers_and_integers(self):
+        # numpy scalars are stored as Python numbers: a float32 sigma keeps
+        # its value, an int64 one becomes a float
+        code = named_code("hamming_7_4")
+        cfg = SimConfig(
+            code=code, sigma=np.float32(0.8), d_star=np.int64(2), trials=np.int32(10),
+            seed=np.uint64(2**64 - 1), work_limit=np.int64(10**6),
+        )
+        assert cfg.sigma == float(np.float32(0.8)) and type(cfg.sigma) is float
+        assert (cfg.d_star, cfg.trials, cfg.seed) == (2, 10, 2**64 - 1)
+        assert all(type(v) is int for v in (cfg.d_star, cfg.trials, cfg.seed, cfg.work_limit))
+        cfg = SimConfig(code=code, sigma=np.int64(1), d_star=2, trials=10, seed=1)
+        assert cfg.sigma == 1.0 and type(cfg.sigma) is float
+        report = simulate(cfg)
+        assert report == simulate(SimConfig(code=code, sigma=1.0, d_star=2, trials=10, seed=1))
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("sigma", True, "sigma must be a real number"),
+         ("sigma", np.True_, "sigma must be a real number"),
+         ("sigma", "0.8", "sigma must be a real number"),
+         ("sigma", 1j, "sigma must be a real number"),
+         ("sigma", 10**400, "sigma must be finite"),
+         ("trials", 10.0, "trials must be an integer"),
+         ("trials", True, "trials must be an integer"),
+         ("d_star", np.float64(2), "d_star must be an integer"),
+         ("seed", np.True_, "seed must be an integer"),
+         ("work_limit", "1000", "work_limit must be an integer")],
+        ids=["sigma_bool", "sigma_np_bool", "sigma_str", "sigma_complex", "sigma_huge_int",
+             "trials_float", "trials_bool", "d_star_np_float", "seed_np_bool", "work_limit_str"],
+    )
+    def test_config_refuses_bools_and_non_numbers(self, field, value, message):
+        kwargs = dict(code=named_code("hamming_7_4"), sigma=1.0, d_star=2, trials=10, seed=1)
+        kwargs[field] = value
+        with pytest.raises(ValidationError, match=message):
+            SimConfig(**kwargs)
 
     def test_long_code_matches_naive_oracle(self):
         # as one part, and split into three, whose third, positions 48 to 71,
@@ -319,6 +366,24 @@ class TestSimulateEngine:
                     assert word.bit_count() == d and parts == weights[:, s].tolist()
                 seen += msgs
         assert sorted(seen) == list(range(1, 1 << code.k))
+
+    @pytest.mark.parametrize("split", [False, True], ids=["natural", "split"])
+    @pytest.mark.parametrize(
+        "code,parts",
+        [(LinearCode(31, 18, named_code("bch_31_21").rows[:18]), (3, 3)),
+         (sparse_code(72, 16, 6), (1, 3)), (sparse_code(100, 16, 7), (1, 1))],
+        ids=["31_18", "72_16", "100_16"],
+    )
+    def test_layout_order_matches_one_stable_sort(self, code, parts, split):
+        # 2^16 and more codewords fill several 2^14-codeword chunks, which
+        # the counting sort places chunk by chunk; the codewords of [72, 16]
+        # and [100, 16] span two 64-bit words
+        assert code.k > _CHUNK_BITS
+        with split_small_codes() if split else contextlib.nullcontext():
+            layout = _layout(code)
+        assert len(layout.bounds) - 1 == parts[split]
+        assert layout.msgs.dtype == np.uint32
+        np.testing.assert_array_equal(layout.msgs, layout_order(code, layout.bounds))
 
     @pytest.mark.parametrize(
         "n,k,parts",
