@@ -18,6 +18,11 @@ builds only the binomial mass it reads: union builds no table,
 truncated-union (one row throughout) and gfbt read only the length-n+2
 region-exit tail, and the refined variants also stream B(p_b, N, 0, d*-1).
 
+word and bit share one term kernel, the unified per-weight term
+min{c_d B(n-d), s_d ((A_d - 1)(Q - Q^2/2) B(n-2d) + Q)}: word takes
+c_d = A_d Q and s_d = 1, bit the bit-weighted count c_d = a'_d Q and the
+largest message-bit fraction s_d = i^/k of its weight.
+
 Numerical layout notes: per-weight terms are assembled in ascending weight
 order for every variant.  Each radius's terms are summed by one
 np.add.reduce over its own contiguous row slice before the tail is added
@@ -41,7 +46,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import MlboundsError, ProviderLookupError, ResourceLimitError, ValidationError
+from .errors import MlboundsError, ProviderLookupError, ValidationError
 from .numerics import (
     ChannelPoint,
     angle_upper_bound,
@@ -50,7 +55,7 @@ from .numerics import (
     triplet_probability,
 )
 from .spectrum import InputOutputSpectrum, SpectrumKind, WeightSpectrum, _content_lines
-from .spectrum import _MAX_CELLS, _near_int, _refuse_first
+from .spectrum import _guard_cells, _near_int, _refuse_first
 
 __all__ = [
     "BoundVariant",
@@ -151,11 +156,7 @@ class _BinomialTable:
     def __init__(self, p: float, n: int):
         if not 0.0 <= p < 1.0:
             raise ValidationError(f"table needs p in [0, 1), got {p!r}")
-        if (cells := _TABLE_ARRAYS * (n + 1)) > _MAX_CELLS:
-            raise ResourceLimitError(
-                f"a binomial table of length {n:,} works through {cells:,} cells "
-                f"({8 * cells:,} bytes), over the {_MAX_CELLS:,}-cell guard"
-            )
+        _guard_cells(_TABLE_ARRAYS * (n + 1), f"a binomial table of length {n:,} works through")
         self.p = p
         self.n = n
         self.step = max(1, _BLOCK_CELLS // (n + 1))  # radii (prefix columns) per block
@@ -264,12 +265,17 @@ class _PointArrays:
     def table(self) -> _BinomialTable:
         return _BinomialTable(self.p_b, self.n)
 
-    def masses(self, cut: int, radii: range, paired: bool = True) -> tuple[np.ndarray, ...]:
-        """B(p_b, n-d, 0, r-1) and, if paired, B(p_b, n-2d, 0, r-1) for the
-        first cut weights, one row per radius r."""
+    def arms(self, cut: int, radii: range, *coefs: np.ndarray) -> list[np.ndarray]:
+        """coefs[0] B(p_b, n-d, 0, r-1) and, given a second coefficient,
+        coefs[1] B(p_b, n-2d, 0, r-1) for the first cut weights, one row per
+        radius r; scaled in place, so a block holds two radii x cut arrays."""
         columns = self.table.prefix_columns(radii.start - 1, radii.stop - 1)
-        rows = (self.single_rows, self.paired_rows) if paired else (self.single_rows,)
-        return tuple(columns[:, r[:cut]] for r in rows)
+        arms = []
+        for rows, coef in zip((self.single_rows, self.paired_rows), coefs):
+            arm = columns[:, rows[:cut]]
+            arm *= coef[:cut]
+            arms.append(arm)
+        return arms
 
 
 def _triplet_factors(
@@ -403,8 +409,7 @@ def pairwise_error_bound(
     arrays = _PointArrays(spectrum, ch)
 
     def terms(cut: int, radii: range) -> np.ndarray:
-        (single,) = arrays.masses(cut, radii, paired=False)
-        return arrays.aq[:cut] * single
+        return arrays.arms(cut, radii, arrays.aq)[0]
 
     return _combined_bound(arrays, probe, terms, BoundVariant.PAIRWISE_IMPROVED)
 
@@ -426,19 +431,32 @@ def triplet_error_bound(
     arrays = _PointArrays(spectrum, ch)
     counts = np.round(arrays.a)
     odd = counts % 2 == 1
-    tf = _triplet_factors(arrays, ch, theta_policy)
-    odd_coef = (counts - 1.0) * tf
-    even_coef = counts * tf
+    # (A-1) tf B(n-2d) + Q B(n-d) for odd A, A tf B(n-2d) + 0 for even A
+    paired_coef = np.where(odd, counts - 1.0, counts) * _triplet_factors(arrays, ch, theta_policy)
+    single_coef = np.where(odd, arrays.q, 0.0)
 
     def terms(cut: int, radii: range) -> np.ndarray:
-        single, paired = arrays.masses(cut, radii)
-        return np.where(
-            odd[:cut],
-            odd_coef[:cut] * paired + arrays.q[:cut] * single,
-            even_coef[:cut] * paired,
-        )
+        single, paired = arrays.arms(cut, radii, single_coef, paired_coef)
+        return np.add(paired, single, out=paired)
 
     return _combined_bound(arrays, probe, terms, BoundVariant.TRIPLET_IMPROVED)
+
+
+def _unified_bound(
+    arrays: _PointArrays, probe: range, ch: ChannelPoint, theta_policy: ThetaPolicy,
+    single_coef: np.ndarray, scale: np.ndarray, variant: BoundVariant,
+) -> BoundResult:
+    """The radius scan of the unified term with c = single_coef and s = scale
+    (module docstring); a product by s = 1.0 is exact."""
+    paired_coef = (arrays.a - 1.0) * _triplet_factors(arrays, ch, theta_policy)
+
+    def terms(cut: int, radii: range) -> np.ndarray:
+        single, paired = arrays.arms(cut, radii, single_coef, paired_coef)
+        paired += arrays.q[:cut]
+        paired *= scale[:cut]
+        return np.minimum(single, paired, out=single)
+
+    return _combined_bound(arrays, probe, terms, variant)
 
 
 def word_error_bound(
@@ -454,17 +472,8 @@ def word_error_bound(
     multiplicities, ensemble averages included."""
     probe = _probe_range(spectrum, d_star, d_star_max)
     arrays = _PointArrays(spectrum, ch)
-    paired_coef = (arrays.a - 1.0) * _triplet_factors(arrays, ch, theta_policy)
-
-    def terms(cut: int, radii: range) -> np.ndarray:
-        # in place, so a block holds two radii x cut arrays at a time
-        single, paired = arrays.masses(cut, radii)
-        single *= arrays.aq[:cut]
-        paired *= paired_coef[:cut]
-        paired += arrays.q[:cut]
-        return np.minimum(single, paired, out=single)
-
-    return _combined_bound(arrays, probe, terms, BoundVariant.UNIFIED_WORD)
+    one = np.ones_like(arrays.q)
+    return _unified_bound(arrays, probe, ch, theta_policy, arrays.aq, one, BoundVariant.UNIFIED_WORD)
 
 
 def bit_error_bound(
@@ -495,18 +504,10 @@ def bit_error_bound(
     # A'_d sums (i/k) A_{i,d} in ascending i (accumulate, unlike a pairwise
     # sum, adds row by row), and i^ is the last i with A_{i,d} > 0
     a_prime = np.add.accumulate((np.arange(k + 1) / k)[:, None] * columns, axis=0)[-1]
-    single_coef = a_prime * arrays.q
     i_hat_frac = (k - np.argmax(columns[::-1] > 0.0, axis=0)) / k
-    paired_coef = (arrays.a - 1.0) * _triplet_factors(arrays, ch, theta_policy)
-
-    def terms(cut: int, radii: range) -> np.ndarray:
-        single, paired = arrays.masses(cut, radii)
-        return np.minimum(
-            single_coef[:cut] * single,
-            i_hat_frac[:cut] * (paired_coef[:cut] * paired + arrays.q[:cut]),
-        )
-
-    return _combined_bound(arrays, probe, terms, BoundVariant.UNIFIED_BIT)
+    return _unified_bound(
+        arrays, probe, ch, theta_policy, a_prime * arrays.q, i_hat_frac, BoundVariant.UNIFIED_BIT
+    )
 
 
 # --- generic combination with an external base bound ------------------------

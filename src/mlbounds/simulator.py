@@ -107,8 +107,8 @@ class SimConfig:
             raise ValidationError("seed must fit in 64 bits")
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: float, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
+    """Wilson score interval for successes out of trials, each in [0, 1]."""
     if trials <= 0:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
@@ -157,7 +157,8 @@ class SimReport:
 
     @property
     def bit_error_ci(self) -> tuple[float, float]:
-        return wilson_interval(self.bit_errors, self.trials * self.k)
+        # over trials, as bits err in bursts: X/k in [0, 1] has var <= mu (1 - mu)
+        return wilson_interval(self.bit_errors / self.k, self.trials)
 
     @property
     def region_exit_rate(self) -> float:
@@ -386,10 +387,15 @@ def _scan_bytes(code: LinearCode, trials: int) -> int:
     return m * per_trial + _TILE * (8 + 24 * words + 9 * n) + 33 * _SCAN_CELLS
 
 
-def _noise_block(seed: int, block_index: int, m: int, n: int, sigma: float) -> np.ndarray:
-    key = np.array([seed, block_index], dtype=np.uint64)
-    y = np.random.Generator(np.random.Philox(key=key)).standard_normal((m, n))
-    y *= sigma
+def _noise(cfg: SimConfig, blocks: list[tuple[int, int]]) -> np.ndarray:
+    """The received words of the blocks (index, size), stacked in order:
+    block b's rows are drawn from Philox keyed (seed, b) into their slice."""
+    stops = np.cumsum([size for _, size in blocks])
+    y = np.empty((stops[-1], cfg.code.n))
+    for (b, size), stop in zip(blocks, stops):
+        key = np.array([cfg.seed, b], dtype=np.uint64)
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=y[stop - size : stop])
+    y *= cfg.sigma
     y += 1.0  # in place, rounding exactly like 1.0 + sigma * z
     return y
 
@@ -458,8 +464,7 @@ def _run_superblock(
 ) -> Counter:
     """SimReport's four counters over the blocks, keyed by field name and
     all present, plus each nonzero joint count under its weight d."""
-    n = cfg.code.n
-    y = np.concatenate([_noise_block(cfg.seed, b, size, n, cfg.sigma) for b, size in blocks])
+    y = _noise(cfg, blocks)
     m = len(y)
 
     in_region = np.count_nonzero(y <= 0.0, axis=1) <= cfg.d_star
@@ -612,14 +617,7 @@ def simulate(cfg: SimConfig, *, workers: int = 1) -> SimReport:
 
     snr_db = -10.0 * math.log10(2.0 * code.rate * cfg.sigma * cfg.sigma)
     joint = {d: total.pop(d) for d in sorted(key for key in total if isinstance(key, int))}
-    return SimReport(
-        n=code.n,
-        k=code.k,
-        sigma=float(cfg.sigma),
-        snr_db=snr_db,
-        d_star=int(cfg.d_star),
-        trials=int(cfg.trials),
-        seed=int(cfg.seed),
-        joint_errors_by_weight=joint,
-        **total,  # the four counters left
+    return SimReport(  # SimConfig holds Python numbers; total holds the four counters left
+        n=code.n, k=code.k, sigma=cfg.sigma, snr_db=snr_db, d_star=cfg.d_star,
+        trials=cfg.trials, seed=cfg.seed, joint_errors_by_weight=joint, **total,
     )

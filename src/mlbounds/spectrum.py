@@ -128,6 +128,15 @@ def _near_int(values: np.ndarray, tol: float = 1e-6) -> np.ndarray:
 _MAX_CELLS = 2**26
 
 
+def _guard_cells(cells: int, what: str) -> None:
+    """Refuse, before it is allocated, work over more than _MAX_CELLS
+    float64 cells; what names it, as in "a 3 x 8 count array holds"."""
+    if cells > _MAX_CELLS:
+        raise ResourceLimitError(
+            f"{what} {cells:,} cells ({8 * cells:,} bytes), over the {_MAX_CELLS:,}-cell guard"
+        )
+
+
 def _count_shape(
     n: int, k: int, kind: SpectrumKind, truncation: int | None, iowe: bool
 ) -> tuple[int, ...]:
@@ -144,12 +153,7 @@ def _count_shape(
         raise ValidationError(f"{kind.value} spectra must not set a truncation")
     limit = n if truncation is None else min(n, truncation)
     shape = (k + 1, limit + 1) if iowe else (limit + 1,)
-    cells = math.prod(shape)
-    if cells > _MAX_CELLS:
-        raise ResourceLimitError(
-            f"a {' x '.join(map(str, shape))} count array holds {cells:,} cells "
-            f"({8 * cells:,} bytes), over the {_MAX_CELLS:,}-cell guard"
-        )
+    _guard_cells(math.prod(shape), f"a {' x '.join(map(str, shape))} count array holds")
     return shape
 
 
@@ -353,11 +357,7 @@ def ensemble_average(n: int, k: int) -> WeightSpectrum:
     k = operator.index(k)
     if not 1 <= k <= n:
         raise ValidationError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if (cells := 6 * (n + 1)) > _MAX_CELLS:
-        raise ResourceLimitError(
-            f"an [{n},{k}] ensemble average works through {cells:,} cells "
-            f"({8 * cells:,} bytes), over the {_MAX_CELLS:,}-cell guard"
-        )
+    _guard_cells(6 * (n + 1), f"an [{n},{k}] ensemble average works through")
     lf = log_factorials(n)
     log_binom = lf[n] - lf[1:] - lf[n - 1 :: -1]  # log C(n, d) for d in [1, n]
     log_ratio = (k - n) * _LN2 + math.log1p(-(2.0**-k)) - math.log1p(-(2.0**-n))

@@ -21,6 +21,7 @@ from mlbounds import (
     BoundVariant,
     ChannelPoint,
     FileBoundProvider,
+    InputOutputSpectrum,
     ProviderLookupError,
     ResourceLimitError,
     SnrConvention,
@@ -518,6 +519,30 @@ class TestVariantEdges:
             assert bit_error_bound(iowe, point).value == word_error_bound(
                 marginal, point
             ).value
+
+    @pytest.mark.parametrize("policy", list(ThetaPolicy), ids=lambda p: p.value)
+    @pytest.mark.parametrize("source", ["hamming_7_4", "bch_15_7", "bch_31_21", "ensemble_500_250"])
+    def test_bit_is_word_when_every_codeword_carries_all_k_bits(self, source, policy):
+        # A_{0,0} = 1 and A_{k,d} = A_d give a'_d = A_d and i^/k = 1, so the
+        # bit kernel must reproduce word on the marginal bit for bit
+        if source.startswith("ensemble"):
+            spec, kind, truncation = ensemble_average(500, 250), SpectrumKind.TRUNCATED, 500
+        else:
+            spec = enumerate_spectrum(named_code(source)).weight_spectrum()
+            kind, truncation = SpectrumKind.EXACT, None
+        table = np.zeros((spec.k + 1, spec.counts.size))
+        table[0, 0] = 1.0
+        table[spec.k, 1:] = spec.counts[1:]
+        iowe = InputOutputSpectrum(spec.n, spec.k, table, kind, truncation)
+        marginal = iowe.weight_spectrum()
+        np.testing.assert_array_equal(marginal.counts, spec.counts)
+        for snr in np.arange(41) * 0.25:
+            point = ChannelPoint.from_snr_db(snr, rate=spec.k / spec.n)
+            bit = bit_error_bound(iowe, point, theta_policy=policy)
+            word = word_error_bound(marginal, point, theta_policy=policy)
+            assert (bit.value, bit.d_star_opt, bit.tail_term, bit.per_d_terms) == (
+                word.value, word.d_star_opt, word.tail_term, word.per_d_terms
+            ), snr
 
     def test_word_degenerate_spectrum_is_zero_at_full_radius(self):
         spec = spectrum_from(6, 0, {0: 1.0}, SpectrumKind.EXACT)

@@ -28,6 +28,7 @@ from oracles import (
 )
 
 from mlbounds import (
+    ChannelPoint,
     LinearCode,
     ResourceLimitError,
     SimConfig,
@@ -41,7 +42,7 @@ from mlbounds.simulator import (
     BLOCK,
     _blas_threads_at_most,
     _layout,
-    _noise_block,
+    _noise,
     _openblas_threads,
     _part_bounds,
 )
@@ -156,15 +157,43 @@ class TestWilson:
         with pytest.raises(ValidationError):
             wilson_interval(7, 5)
 
+    def test_bit_interval_covers_the_pooled_rate_over_seeds(self):
+        # bit errors come in bursts, one word error flipping several bits, so
+        # an interval over trials * k independent bits is too narrow: over
+        # 60 seeds of bch_15_7 at 1 dB it misses the pooled BER 17 times;
+        # the interval over per-trial bit fractions misses it in none
+        code = named_code("bch_15_7")
+        sigma = ChannelPoint.from_snr_db(1.0, rate=code.k / code.n).sigma
+        reports = [
+            simulate(SimConfig(code=code, sigma=sigma, d_star=code.n, trials=4096, seed=seed))
+            for seed in range(60)
+        ]
+        pooled = sum(r.bit_errors for r in reports) / (60 * 4096 * code.k)
+        per_bit = [wilson_interval(r.bit_errors, r.trials * r.k) for r in reports]
+        assert sum(not lo <= pooled <= hi for lo, hi in per_bit) == 17
+        assert all(lo <= pooled <= hi for lo, hi in (r.bit_error_ci for r in reports))
+        assert all(r.bit_error_ci == wilson_interval(r.bit_errors / 7, 4096) for r in reports)
+
 
 class TestSimulateEngine:
     def test_matches_trialwise_reference(self):
         code = named_code("hamming_7_4")
         cfg = SimConfig(code=code, sigma=1.0, d_star=2, trials=700, seed=424242)
-        y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
+        y = _noise(cfg, [(0, cfg.trials)])
         want = ml_counters(code, y, cfg.d_star)
         assert want["word_errors"] and want["region_exits"] and want["joint"]
         assert_counters(simulate(cfg), want)
+
+    def test_noise_fills_each_block_as_its_own_draw(self):
+        # a full block and a partial one, filled in place, hold the draws of
+        # their own Philox keys times sigma plus 1
+        cfg = SimConfig(code=named_code("toy_10_5"), sigma=0.7, d_star=3, trials=10, seed=31)
+        want = [
+            1.0 + 0.7 * np.random.Generator(np.random.Philox(key=np.array([31, b], np.uint64)))
+            .standard_normal((size, 10))
+            for b, size in ((4, BLOCK), (9, 37))
+        ]
+        np.testing.assert_array_equal(_noise(cfg, [(4, BLOCK), (9, 37)]), np.concatenate(want))
 
     def test_bit_reproducible_and_worker_invariant(self):
         cfg = SimConfig(code=named_code("toy_10_5"), sigma=0.9, d_star=3, trials=2500, seed=7)
@@ -316,7 +345,7 @@ class TestSimulateEngine:
         # crosses the 64-bit word boundary
         code = CODE_72_5
         cfg = SimConfig(code=code, sigma=2.6, d_star=28, trials=300, seed=99)
-        y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
+        y = _noise(cfg, [(0, cfg.trials)])
         want = ml_counters(code, y, cfg.d_star)
         assert want["word_errors"] and want["region_exits"] and want["joint"]
         assert _layout(code).bounds == (0, 72)
@@ -335,7 +364,7 @@ class TestSimulateEngine:
         sizes = np.concatenate([np.diff(offsets) for _, _, offsets in _layout(code).classes])
         assert sizes.max() > 8 * simulator._TILE
         cfg = SimConfig(code=code, sigma=1.0, d_star=9, trials=300, seed=17)
-        y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
+        y = _noise(cfg, [(0, cfg.trials)])
         want = ml_counters(code, y, cfg.d_star)
         assert want["word_errors"] and want["region_exits"] and len(want["joint"]) > 3
         assert_counters(simulate(cfg), want)
@@ -411,7 +440,7 @@ class TestSimulateEngine:
         monkeypatch.setattr(simulator, "_TILE", 5)
         monkeypatch.setattr(simulator, "_SCAN_CELLS", 50)
         cfg = SimConfig(code=code, sigma=sigma, d_star=code.n // 4, trials=400, seed=23)
-        y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
+        y = _noise(cfg, [(0, cfg.trials)])
         want = ml_counters(code, y, cfg.d_star)
         assert want["word_errors"] and want["joint"]
         with context:
@@ -424,7 +453,7 @@ class TestSimulateEngine:
         # three parts forced on every code; tiny tiles and test chunks split
         # every subclass and every class test
         cfg = SimConfig(code=code, sigma=sigma, d_star=code.n // 2, trials=200, seed=seed)
-        y = _noise_block(cfg.seed, 0, cfg.trials, code.n, cfg.sigma)
+        y = _noise(cfg, [(0, cfg.trials)])
         with split_small_codes(), pytest.MonkeyPatch.context() as mp:
             assert len(_layout(code).bounds) == 4
             mp.setattr(simulator, "_TILE", 3)
@@ -437,17 +466,19 @@ class TestSimulateEngine:
         # integer-valued received vectors make exact score ties common;
         # three-codeword tiles, 20-row score blocks and one-block superblocks
         # put the tied codewords in different tiles and classes
-        def integer_noise(seed, block_index, m, n, sigma):
-            rng = np.random.default_rng([seed, block_index])
-            return rng.integers(-2, 4, size=(m, n)).astype(np.float64)
+        def integer_noise(cfg, blocks):
+            return np.concatenate([
+                np.random.default_rng([cfg.seed, b]).integers(-2, 4, size=(size, cfg.code.n))
+                for b, size in blocks
+            ]).astype(np.float64)
 
-        monkeypatch.setattr(simulator, "_noise_block", integer_noise)
+        monkeypatch.setattr(simulator, "_noise", integer_noise)
         monkeypatch.setattr(simulator, "_TILE", 3)
         monkeypatch.setattr(simulator, "_SCAN_CELLS", 60)
         monkeypatch.setattr(simulator, "_SUPERBLOCK", 1)
         code = named_code("bch_15_7")
         cfg = SimConfig(code=code, sigma=1.0, d_star=7, trials=BLOCK + 500, seed=5)
-        y = np.concatenate([integer_noise(5, 0, BLOCK, 15, 1.0), integer_noise(5, 1, 500, 15, 1.0)])
+        y = integer_noise(cfg, [(0, BLOCK), (1, 500)])
         want = ml_counters(code, y, cfg.d_star)
         assert want["ties"] > 100 and want["word_errors"] > 100 and want["joint"]
         assert_counters(simulate(cfg, workers=workers), want)
