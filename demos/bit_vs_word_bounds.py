@@ -49,7 +49,7 @@ def main():
             )
             assert bit.value <= word.value
             # the bound caps the expectation; allow the estimate its noise
-            lo, hi = wilson_interval(rep.bit_errors, rep.trials * code.k, z=1.0)
+            lo, hi = wilson_interval(rep.bit_errors / code.k, rep.trials, z=1.0)
             assert rep.bit_error_rate <= bit.value + 3.0 * 0.5 * (hi - lo)
     print(
         "\nbit bound <= word bound at every point; each measured rate is"

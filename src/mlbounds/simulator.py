@@ -19,10 +19,11 @@ its part bound <= 0.  The pruning is exact: a skipped codeword scores above
 0, the transmitted word's score, so it cannot be a winner, a tie or an
 error.  P is 3 where the sort key fits in 16 bits and the codebook fills
 its subclasses densely enough for the tighter bound to repay their tests,
-else 1, the plain weight classes (_part_bounds).  The sort is a counting
-sort over the 16-bit key, so it needs no index array of the whole codebook:
-the layout build peaks near 6 bytes per codeword, the key and the message
-order.  A scan looks up one small tile of codewords at a time in the
+else 1, the plain weight classes (_part_bounds).  The keys come from the
+chunk sweep that enumeration uses (spectrum._sweep), and the sort is a
+counting sort over the 16-bit key, so it needs no index array of the whole
+codebook: the layout build peaks near 6 bytes per codeword, the key and the
+message order.  A scan looks up one small tile of codewords at a time in the
 codebook's two XOR tables and expands it into 0/1 floats, so neither a copy
 nor a score matrix of the whole codebook exists.
 """
@@ -45,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .spectrum import _CHUNK_BITS, LinearCode, _as_words, _codebook, _codebook_bytes
+from .spectrum import _CHUNK_BITS, LinearCode, _codebook, _codebook_bytes, _sweep
 
 __all__ = [
     "BLOCK",
@@ -222,30 +223,6 @@ def _part_bounds(n: int, k: int) -> tuple[tuple[int, ...], int]:
     return tuple(i * n // 3 for i in range(4)), base
 
 
-def _sort_keys(low: np.ndarray, high: np.ndarray, bounds: tuple[int, ...], base: int) -> np.ndarray:
-    """The uint16 key (d * B + d_1) * B + d_2 ... of every codeword of the
-    XOR tables, built chunk by chunk in place; d_i is its weight in part i
-    of bounds."""
-    masks = [  # positions of parts 1..P-1
-        _as_words((1 << hi) - (1 << lo), low.shape[1]) for lo, hi in zip(bounds[1:], bounds[2:])
-    ]
-    step = len(low)
-    key = np.empty(step * len(high), dtype=np.uint16)
-    chunk, ones = np.empty_like(low), np.empty(low.shape, dtype=np.uint8)
-    if masks:
-        masked, part = np.empty_like(low), np.empty(step, dtype=np.uint16)
-    for t, row in enumerate(high):
-        out = key[t * step : (t + 1) * step]
-        np.bitwise_xor(low, row, out=chunk)
-        np.add.reduce(np.bitwise_count(chunk, out=ones), axis=1, out=out)
-        for mask in masks:
-            out *= base
-            np.bitwise_and(chunk, mask, out=masked)
-            np.add.reduce(np.bitwise_count(masked, out=ones), axis=1, out=part)
-            out += part
-    return key
-
-
 class _ClassLayout:
     """The codebook's two XOR tables, ordered by weight and part weights.
 
@@ -255,7 +232,10 @@ class _ClassLayout:
     codeword weight d and part weights d_i; within a subclass of one key
     they stay ascending (a counting sort, which places each chunk in turn),
     so a first-occurrence argmin over any slice of a subclass is also the
-    smallest-message tie-break within it.
+    smallest-message tie-break within it.  The build reads the keys twice:
+    spectrum._sweep yields each key chunk, which is stored and counted into
+    the subclass sizes in one pass, and the sort then reads each stored
+    chunk once.
     classes holds (d, weights, offsets) of each nonempty class d >= 1:
     weights[i] lists the part-i weight of each of its subclasses, which run
     over msgs[offsets[s] : offsets[s + 1]]; with P = 1 each class is one
@@ -266,13 +246,13 @@ class _ClassLayout:
     def __init__(self, code: LinearCode):
         self.low, self.high = _codebook(code)
         self.bounds, base = _part_bounds(code.n, code.k)
-        key = _sort_keys(self.low, self.high, self.bounds, base)
         splits = len(self.bounds) - 2
-        scale = base**splits
         step = len(self.low)
-        sizes = np.zeros((code.n + 1) * scale, dtype=np.int64)
-        for lo in range(0, key.size, step):  # bincount copies one chunk as int64
-            sizes += np.bincount(key[lo : lo + step], minlength=sizes.size)
+        key = np.empty(step * len(self.high), dtype=np.uint16)
+        sizes = np.zeros((code.n + 1) * base**splits, dtype=np.int64)
+        for t, chunk in enumerate(_sweep(code.n, self.low, self.high, self.bounds, base)):
+            key[t * step : (t + 1) * step] = chunk
+            sizes += np.bincount(chunk, minlength=sizes.size)  # copies the chunk as int64
 
         # distribution counting (Knuth, TAOCP 5.2): subclass v fills
         # msgs[cursor[v] : ...] chunk by chunk in message order, and each
@@ -299,13 +279,10 @@ class _ClassLayout:
             cursor += counts
         del key
 
-        keys = np.flatnonzero(sizes[scale:]) + scale  # d >= 1
+        keys = np.flatnonzero(sizes)[1:]  # key 0 holds the zero codeword alone
         stops = np.cumsum(sizes)[keys]
         starts = stops - sizes[keys]
-        d, digits = keys, []
-        for _ in range(splits):
-            d, digit = np.divmod(d, base)
-            digits.insert(0, digit)
+        d, *digits = np.unravel_index(keys, (code.n + 1, *[base] * splits))
         weights = np.array([d - sum(digits), *digits])
         firsts = np.flatnonzero(np.diff(d, prepend=0)).tolist()  # d ascends from 1
         self.classes = [
@@ -337,28 +314,27 @@ _SCAN_CELLS = 1 << 17
 
 
 def _layout_bytes(code: LinearCode) -> int:
-    """Peak bytes of building _layout(code): the two XOR tables (8 per
-    word) plus the largest of three phases.  The key build holds one chunk
-    XORed from the tables (8 per word), the uint16 key (2 per codeword) and
-    per chunk row the bit counts (1 per word) and, with P = 3, the chunk
-    masked to a part (8 per word) and a part's weights (2).  The counting
-    sort holds the key and msgs (6 per codeword); per chunk row the packed
-    keys, the ranks, the previous chunk's destinations and bincount's int64
-    copy of the chunk (24); and per possible key the sizes, the cursors and
+    """Peak bytes of building _layout(code): the two XOR tables plus the
+    largest of three phases.  The sweep holds its own buffers
+    (_codebook_bytes), the uint16 key (2 per codeword), per chunk row
+    bincount's int64 copy of the chunk (8) and per possible key the sizes
+    and a chunk's counts (16).  The counting sort, which reads each key
+    chunk a second time, holds the key and msgs (6 per codeword); per chunk
+    row the packed keys, the ranks, the previous chunk's destinations and
+    bincount's copy (24); and per possible key the sizes, the cursors and
     two chunks' counts and first entries (40).  The class list holds msgs
     (4 per codeword) and at most 11 int64 arrays over the possible keys
     (88)."""
-    (bounds, base), words = _part_bounds(code.n, code.k), (code.n + 63) // 64
+    bounds, base = _part_bounds(code.n, code.k)
     rows, codewords = 1 << min(code.k, _CHUNK_BITS), 1 << code.k
     keys = (code.n + 1) * base ** (len(bounds) - 2)
-    chunk = 8 * words * rows
-    per_row = words + (8 * words + 2 if len(bounds) > 2 else 0)
+    tables, sweep = _codebook_bytes(code, bounds, base)
     phases = (
-        chunk + 2 * codewords + rows * per_row,
+        sweep + 2 * codewords + 8 * rows + 16 * keys,
         6 * codewords + 24 * rows + 40 * keys,
         4 * codewords + 88 * keys,
     )
-    return _codebook_bytes(code) - chunk + max(phases)
+    return tables + max(phases)
 
 
 def _scan_bytes(code: LinearCode, trials: int) -> int:

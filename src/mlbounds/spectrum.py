@@ -2,7 +2,10 @@
 
 A code is a full-rank k x n generator matrix over GF(2); rows live as
 integer bitmasks (bit t of a mask is column t) so encoding and enumeration
-are single XORs.  Weight spectra come in three kinds: exact multiplicities,
+are single XORs.  One sweep (_sweep) yields each codeword's weight, or the
+simulator layout's key, chunk by chunk: enumeration histograms the weights,
+and the layout stores and counts each key chunk, then reads it once more
+before its sort.  Weight spectra come in three kinds: exact multiplicities,
 ensemble averages (real-valued), and truncated prefixes where only weights
 up to some d_max are known.
 
@@ -35,9 +38,7 @@ __all__ = [
     "ensemble_average",
     "load_spectrum",
     "format_spectrum",
-    "store_spectrum",
     "load_generator",
-    "store_generator",
 ]
 
 _LN2 = math.log(2.0)
@@ -259,15 +260,45 @@ def _codebook(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     return tables[0], tables[1]
 
 
-def _codebook_bytes(code: LinearCode) -> int:
-    """Bytes of the two tables of _codebook(code) and one chunk of them."""
-    split = min(code.k, _CHUNK_BITS)
-    return 8 * ((code.n + 63) // 64) * ((2 << split) + (1 << (code.k - split)))
+def _key_type(n: int, bounds: tuple[int, ...] = (), base: int = 1) -> type:
+    """The dtype of _sweep's keys: uint16 where every key, below
+    (n+1) base^(P-1), fits in 16 bits, else uint32."""
+    return np.uint16 if (n + 1) * base ** len(bounds[2:]) <= 1 << 16 else np.uint32
 
 
-def _weights(chunk: np.ndarray) -> np.ndarray:
-    """Hamming weight of each codeword row of a chunk."""
-    return np.bitwise_count(chunk).sum(axis=1, dtype=np.int64)
+def _sweep(n: int, low: np.ndarray, high: np.ndarray, bounds: tuple[int, ...] = (), base: int = 1):
+    """Yield the key of every codeword of chunk low ^ high[t] of
+    _codebook's tables, for t = 0, 1, ...: its weight d or, given the
+    bounds of P contiguous parts, (d * base + d_1) * base + d_2 ..., where
+    d_i is its weight in part i >= 1.  Each chunk is XORed and counted into
+    buffers reused from chunk to chunk, so a key array holds only until the
+    next one is yielded."""
+    words = low.shape[1]
+    masks = [_as_words((1 << hi) - (1 << lo), words) for lo, hi in zip(bounds[1:], bounds[2:])]
+    chunk, ones = np.empty_like(low), np.empty(low.shape, dtype=np.uint8)
+    key = np.empty(len(low), dtype=_key_type(n, bounds, base))
+    if masks:
+        masked, part = np.empty_like(low), np.empty_like(key)
+    for row in high:
+        np.bitwise_xor(low, row, out=chunk)
+        np.add.reduce(np.bitwise_count(chunk, out=ones), axis=1, out=key)
+        for mask in masks:
+            key *= base
+            np.bitwise_and(chunk, mask, out=masked)
+            np.add.reduce(np.bitwise_count(masked, out=ones), axis=1, out=part)
+            key += part
+        yield key
+
+
+def _codebook_bytes(code: LinearCode, bounds: tuple[int, ...] = (), base: int = 1) -> tuple[int, int]:
+    """Bytes of the two tables of _codebook(code), and of the buffers of a
+    _sweep over them with these bounds and base: per chunk row the chunk
+    (8 per word), its bit counts (1 per word) and its keys, and with P > 1
+    the chunk masked to a part (8 per word) and a part's weights."""
+    split, words = min(code.k, _CHUNK_BITS), (code.n + 63) // 64
+    key = np.dtype(_key_type(code.n, bounds, base)).itemsize
+    per_row = 9 * words + key + (8 * words + key if bounds[2:] else 0)
+    return 8 * words * ((1 << split) + (1 << (code.k - split))), per_row << split
 
 
 def enumerate_spectrum(code: LinearCode, *, max_k: int = 28) -> InputOutputSpectrum:
@@ -287,10 +318,9 @@ def enumerate_spectrum(code: LinearCode, *, max_k: int = 28) -> InputOutputSpect
     # (n+1) times the message weight of each message within a chunk
     low_cells = np.bitwise_count(np.arange(len(low))).astype(np.int64) * (n + 1)
     table = np.zeros((k + 1) * (n + 1), dtype=np.int64)
-    for t, row in enumerate(high):
+    for t, weights in enumerate(_sweep(n, low, high)):
         # cell (message weight, codeword weight) of every message in chunk t
-        cells = _weights(low ^ row)
-        cells += low_cells
+        cells = low_cells + weights
         cells += t.bit_count() * (n + 1)
         table += np.bincount(cells, minlength=table.size)
     return InputOutputSpectrum(n, k, table.reshape(k + 1, n + 1), SpectrumKind.EXACT)
@@ -382,7 +412,7 @@ def ensemble_average(n: int, k: int) -> WeightSpectrum:
 #
 # kind is exact|ensemble|truncated; truncated headers carry dmax=<int>.
 # '#' lines and blank lines are ignored.  Counts print via repr() so a
-# store/load round trip is an identity.  Records are written in ascending
+# format/load round trip is an identity.  Records are written in ascending
 # order: an exact weight spectrum and every IOWE list their nonzero counts
 # only, while an ensemble or truncated weight spectrum lists every weight in
 # [0, max_known_weight], zeros included.  The reader takes records in any
@@ -501,11 +531,6 @@ def format_spectrum(spectrum: WeightSpectrum | InputOutputSpectrum) -> str:
     return "\n".join([header, *(f"{key} {count!r}" for key, count in zip(records, values))]) + "\n"
 
 
-def store_spectrum(spectrum: WeightSpectrum | InputOutputSpectrum, path) -> None:
-    with open(Path(path), "w", encoding="utf-8") as handle:
-        handle.write(format_spectrum(spectrum))
-
-
 def load_generator(path) -> LinearCode:
     """Read a generator matrix file ("n k" header, k rows of n 0/1 chars)."""
     path = Path(path)
@@ -535,10 +560,3 @@ def load_generator(path) -> LinearCode:
     except ValidationError as exc:
         raise FileFormatError(f"{path}: {exc}") from None
 
-
-def store_generator(code: LinearCode, path) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"{code.n} {code.k}\n")
-        for row in code.rows:
-            handle.write("".join("1" if (row >> t) & 1 else "0" for t in range(code.n)) + "\n")

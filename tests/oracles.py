@@ -7,7 +7,8 @@ full-codebook ML counters.
 
 The five codes of data/codes are read from their generator files, the one
 copy of each that the commands, goldens and benchmarks read too; the
-repetition code and the 0/1 matrix form of a generator are built here.
+repetition code, the 0/1 matrix form of a generator and the text of a
+generator file are built here.
 
 Spectra are built here from sparse {d: A_d} or {(i, d): A_{i,d}} mappings,
 cut to a radius, or sliced at one codeword weight, so tests can state counts
@@ -68,6 +69,12 @@ def code_from_matrix(matrix) -> LinearCode:
 def code_matrix(code: LinearCode) -> np.ndarray:
     """The k x n uint8 generator matrix of code."""
     return np.array([[(row >> t) & 1 for t in range(code.n)] for row in code.rows], np.uint8)
+
+
+def format_generator(code: LinearCode) -> str:
+    """code in the generator file format that load_generator reads."""
+    rows = ("".join("1" if (row >> t) & 1 else "0" for t in range(code.n)) for row in code.rows)
+    return "\n".join([f"{code.n} {code.k}", *rows]) + "\n"
 
 
 def spectrum_from(

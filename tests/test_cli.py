@@ -25,12 +25,11 @@ from mlbounds.spectrum import (
     SpectrumKind,
     WeightSpectrum,
     enumerate_spectrum,
+    format_spectrum,
     load_generator,
     load_spectrum,
-    store_generator,
-    store_spectrum,
 )
-from oracles import CODES, repetition_code, spectrum_from, union_base
+from oracles import CODES, format_generator, repetition_code, spectrum_from, union_base
 
 HAMMING_GEN = str(CODES / "hamming_7_4.gen")
 TOY_GEN = str(CODES / "toy_10_5.gen")
@@ -81,8 +80,8 @@ class TestSpectrumCommand:
 
     def test_macwilliams_of_hamming_gives_simplex_dual(self, capsys, tmp_path):
         primal = tmp_path / "hamming.spec"
-        store_spectrum(
-            WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT), primal
+        primal.write_text(
+            format_spectrum(WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT))
         )
         out_path = tmp_path / "dual.spec"
         code, out, err = run(
@@ -205,9 +204,8 @@ class TestBoundCommand:
 
     def test_bit_variant_needs_iowe_source(self, capsys, tmp_path):
         weights_only = tmp_path / "w.spec"
-        store_spectrum(
-            WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT),
-            weights_only,
+        weights_only.write_text(
+            format_spectrum(WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT))
         )
         code, out, err = run(
             capsys, "bound", "--spectrum", str(weights_only), "--variant", "bit"
@@ -222,7 +220,7 @@ class TestBoundCommand:
 
     def test_bit_variant_refuses_zero_message_bits(self, capsys, tmp_path):
         path = tmp_path / "k0.iowe"
-        store_spectrum(spectrum_from(7, 0, {(0, 0): 1.0}, SpectrumKind.EXACT), path)
+        path.write_text(format_spectrum(spectrum_from(7, 0, {(0, 0): 1.0}, SpectrumKind.EXACT)))
         code, out, err = run(
             capsys, "bound", "--spectrum", str(path), "--variant", "bit",
             "--snr-convention", "esn0",
@@ -383,7 +381,9 @@ class TestUnreadFlagsAreRefused:
     )
     def test_refused_before_any_output(self, capsys, tmp_path, argv, flag):
         spec = tmp_path / "w.spec"
-        store_spectrum(WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT), spec)
+        spec.write_text(
+            format_spectrum(WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT))
+        )
         out_file = tmp_path / "out"
         argv = [token.replace("{spec}", str(spec)) for token in argv]
         code, out, err = run(capsys, *argv, "-o", str(out_file))
@@ -513,7 +513,7 @@ class TestTruncatedSpectrumWorkflow:
             truncation=20,
         )
         path = tmp_path / "trunc.spec"
-        store_spectrum(spec, path)
+        path.write_text(format_spectrum(spec))
         return str(path)
 
     def test_probe_stays_within_half_truncation(self, capsys, spec_file):
@@ -607,7 +607,7 @@ class TestSimulateCommand:
 
     def test_code_longer_than_64_simulates(self, capsys, tmp_path):
         gen = tmp_path / "rep70.gen"
-        store_generator(repetition_code(70), gen)
+        gen.write_text(format_generator(repetition_code(70)))
         code, out, err = run(
             capsys, "simulate", "--code", str(gen), "--snr", "-3", "--trials", "2000",
             "--seed", "1", "--dstar", "30",
@@ -622,7 +622,7 @@ class TestSimulateCommand:
     def test_resource_guards_exit_three(self, capsys, tmp_path):
         # a [320, 30] codebook needs 2^30 * 6 bytes, ~6.4 GB, over the 3.5 GB limit
         gen = tmp_path / "long.gen"
-        store_generator(LinearCode(320, 30, tuple(1 << j for j in range(30))), gen)
+        gen.write_text(format_generator(LinearCode(320, 30, tuple(1 << j for j in range(30)))))
         code, out, err = run(
             capsys, "simulate", "--code", str(gen), "--snr", "0.8", "--snr-convention", "sigma",
             "--trials", "100", "--seed", "0",

@@ -63,8 +63,8 @@ from mlbounds.spectrum import (
     WeightSpectrum,
     ensemble_average,
     enumerate_spectrum,
+    format_spectrum,
     load_generator,
-    store_spectrum,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -276,7 +276,9 @@ def test_no_command_needs_scipy(tmp_path):
     gfbt and the tight theta-policy included) run, and each curve matches
     its golden."""
     primal = tmp_path / "hamming.spec"
-    store_spectrum(WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT), primal)
+    primal.write_text(
+        format_spectrum(WeightSpectrum(7, 4, [1, 0, 0, 7, 7, 0, 0, 1], SpectrumKind.EXACT))
+    )
     gen = str(ROOT / "data" / "codes" / "hamming_7_4.gen")
     commands = [
         ["spectrum", "--enumerate", gen, "-o", os.devnull],

@@ -40,13 +40,14 @@ from mlbounds import (
 from mlbounds import simulator
 from mlbounds.simulator import (
     BLOCK,
+    _ClassLayout,
     _blas_threads_at_most,
     _layout,
     _noise,
     _openblas_threads,
     _part_bounds,
 )
-from mlbounds.spectrum import _CHUNK_BITS
+from mlbounds.spectrum import _CHUNK_BITS, enumerate_spectrum
 
 # a [72, 5] code whose nonzero codewords all have bits in both 64-bit words
 CODE_72_5 = LinearCode(
@@ -395,6 +396,24 @@ class TestSimulateEngine:
                     assert word.bit_count() == d and parts == weights[:, s].tolist()
                 seen += msgs
         assert sorted(seen) == list(range(1, 1 << code.k))
+
+    @pytest.mark.parametrize(
+        "name,parts",
+        [("hamming_7_4", 1), ("toy_10_5", 1), ("bch_15_7", 1), ("bch_31_21", 3),
+         ("bch_31_26", 3)],
+    )
+    def test_subclass_sizes_sum_to_the_enumerated_spectrum(self, name, parts):
+        # the layout's keys and enumeration's weights come from one sweep:
+        # per weight d, the layout's subclass sizes add up to A_d.  Built
+        # uncached, so bch_31_26's 400 MB layout goes when the test ends
+        code = named_code(name)
+        layout = _ClassLayout(code)
+        assert len(layout.bounds) - 1 == parts
+        sizes = np.zeros(code.n + 1)
+        sizes[0] = 1  # the zero codeword, which no class lists
+        for d, _, offsets in layout.classes:
+            sizes[d] = np.diff(offsets).sum()
+        assert sizes.tolist() == enumerate_spectrum(code).weight_spectrum().counts.tolist()
 
     @pytest.mark.parametrize("split", [False, True], ids=["natural", "split"])
     @pytest.mark.parametrize(

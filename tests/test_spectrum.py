@@ -17,6 +17,7 @@ from oracles import (
     code_from_matrix,
     code_matrix,
     encode,
+    format_generator,
     gray_iowe,
     iowe_slice,
     named_code,
@@ -38,8 +39,6 @@ from mlbounds.spectrum import (
     load_generator,
     load_spectrum,
     macwilliams_transform,
-    store_generator,
-    store_spectrum,
 )
 
 
@@ -158,6 +157,17 @@ class TestEnumerateSpectrum:
             got = enumerate_spectrum(code)
             want = brute_force_iowe(code)
             assert np.array_equal(got.counts, want)
+
+    def test_weights_past_16_bits_stay_exact(self):
+        # a 16-bit sweep would read the weights 69,997 and 70,000 as 4,461
+        # and 4,464, their values modulo 2^16
+        n = 70_000
+        iowe = enumerate_spectrum(LinearCode(n, 2, ((1 << n) - 1, 0b111)))
+        assert np.argwhere(iowe.counts).tolist() == [[0, 0], [1, 3], [1, n], [2, n - 3]]
+        marg = iowe.weight_spectrum()
+        assert {d: c for d, c in enumerate(marg.counts.tolist()) if c} == {
+            0: 1, 3: 1, 69_997: 1, 70_000: 1
+        }
 
     def test_repetition(self):
         iowe = enumerate_spectrum(repetition_code(9))
@@ -407,22 +417,22 @@ class TestFiles:
     def test_weight_round_trip(self, tmp_path):
         spec = enumerate_spectrum(named_code("toy_10_5")).weight_spectrum()
         path = tmp_path / "toy.spec"
-        store_spectrum(spec, path)
+        path.write_text(format_spectrum(spec))
         assert load_spectrum(path) == spec
 
     def test_iowe_round_trip(self, tmp_path):
         iowe = enumerate_spectrum(named_code("bch_15_7"))
         path = tmp_path / "bch.iowe"
-        store_spectrum(iowe, path)
+        path.write_text(format_spectrum(iowe))
         assert load_spectrum(path) == iowe
 
     def test_ensemble_and_truncated_round_trip(self, tmp_path):
         ens = ensemble_average(100, 95)
         path = tmp_path / "ens.spec"
-        store_spectrum(ens, path)
+        path.write_text(format_spectrum(ens))
         assert load_spectrum(path) == ens
         trunc = restrict(ens, 20)
-        store_spectrum(trunc, path)
+        path.write_text(format_spectrum(trunc))
         assert load_spectrum(path) == trunc
 
     def test_non_canonical_records_are_normalized(self, tmp_path):
@@ -508,7 +518,7 @@ class TestFiles:
     def test_generator_round_trip(self, tmp_path):
         code = named_code("bch_31_21")
         path = tmp_path / "bch.gen"
-        store_generator(code, path)
+        path.write_text(format_generator(code))
         assert load_generator(path) == code
 
     @pytest.mark.parametrize(
