@@ -30,13 +30,22 @@ Each simulate golden is the sha256 of the JSON that ``mlbounds simulate``
 writes for one code at a fixed seed, list radius and SNR pair, run with 1 and
 with 3 workers; both worker counts share one digest.
 
+Each compare golden is the sha256 of the exit code, stdout and stderr of one
+``mlbounds compare`` run over bound curves and simulation reports of
+hamming_7_4 on a 7-row grid (Eb/N0 0-3 dB, step 0.5), with and without
+--assert-dominance.  The inputs carry fixed file names, since compare labels
+its columns and violations by file stem.
+
 A change that moves a digest changes an output byte.  Re-record only for a
 deliberate output change, and say why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -72,6 +81,7 @@ GOLDEN = ROOT / "tests" / "golden" / "bound_curves.sha256"
 RESULT_GOLDEN = ROOT / "tests" / "golden" / "bound_results.sha256"
 SIM_GOLDEN = ROOT / "tests" / "golden" / "simulate.sha256"
 SPECTRUM_GOLDEN = ROOT / "tests" / "golden" / "spectrum.sha256"
+COMPARE_GOLDEN = ROOT / "tests" / "golden" / "compare.sha256"
 GRID = (0.0, 10.0, 0.25)
 
 _IOWE_VARIANTS = tuple(BoundVariant)
@@ -237,11 +247,75 @@ def spectrum_digest(name, out_dir) -> str:
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+COMPARE_GRID = ["--snr-start", "0", "--snr-stop", "3", "--snr-step", "0.5"]
+COMPARE_CURVES = ("union", "truncated-union", "word", "bit")
+# golden name -> compare arguments, over the files compare_inputs writes
+COMPARE_CASES = {
+    "one-curve": ["--curve", "union.csv"],
+    "union-word": ["--curve", "union.csv", "--curve", "word.csv", "--assert-dominance"],
+    "word-union": ["--curve", "word.csv", "--curve", "union.csv", "--assert-dominance"],
+    "three-curves-one-report": [
+        "--curve", "union.csv", "--curve", "truncated-union.csv", "--curve", "word.csv",
+        "--sim", "sim.json", "--assert-dominance",
+    ],
+    # bit before word: every row also breaks the curve order
+    "bit-word-two-reports": [
+        "--curve", "bit.csv", "--curve", "word.csv", "--sim", "fake.json", "--sim", "sim.json",
+        "--assert-dominance",
+    ],
+    "one-report-twice": [
+        "--curve", "word.csv", "--sim", "fake.json", "--sim", "fake.json", "--assert-dominance",
+    ],
+}
+
+
+def compare_inputs(out_dir) -> Path:
+    """The curves of COMPARE_CURVES, a simulate report at 1 and 2.5 dB, and
+    a fabricated report whose rates exceed the word bound at 1 dB and the
+    bit bound at 1 and 2 dB, written once into out_dir."""
+    out_dir = Path(out_dir)
+    if (out_dir / "fake.json").exists():
+        return out_dir
+    gen = str(ROOT / "data" / "codes" / "hamming_7_4.gen")
+    for variant in COMPARE_CURVES:
+        argv = ["bound", "--enumerate", gen, "--variant", variant, *COMPARE_GRID]
+        assert main([*argv, "-o", str(out_dir / f"{variant}.csv")]) == 0
+    assert main([
+        "simulate", "--code", gen, "--snr", "1", "2.5", "--trials", "3000", "--seed", "21",
+        "-o", str(out_dir / "sim.json"),
+    ]) == 0
+    sigmas = {}
+    for line in (out_dir / "word.csv").read_text().splitlines()[-7:]:
+        snr_db, sigma = map(float, line.split(",")[:2])
+        sigmas[snr_db] = sigma
+    fake = [
+        {"snr_db": 0.0, "sigma": sigmas[0.0], "word_error_rate": 0.05,
+         "word_error_ci": [0.04, 0.06]},
+        {"snr_db": 1.0, "sigma": sigmas[1.0], "word_error_rate": 0.999,
+         "word_error_ci": [0.99, 1.0], "bit_error_rate": 0.5, "bit_error_ci": [0.45, 0.55]},
+        {"snr_db": 2.0, "sigma": sigmas[2.0], "word_error_rate": 0.02,
+         "word_error_ci": [0.01, 0.03], "bit_error_rate": 0.9, "bit_error_ci": [0.89, 0.91]},
+    ]
+    (out_dir / "fake.json").write_text(json.dumps(fake))
+    return out_dir
+
+
+def compare_digest(name, out_dir) -> str:
+    inputs = compare_inputs(out_dir)
+    argv = [str(inputs / arg) if arg.endswith((".csv", ".json")) else arg
+            for arg in COMPARE_CASES[name]]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["compare", *argv])
+    return hashlib.sha256(json.dumps([rc, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+
+
 def test_goldens_cover_every_case():
     assert sorted(_load_goldens()) == sorted(name for name, *_ in CASES)
     assert sorted(_load_goldens(RESULT_GOLDEN)) == sorted(RESULT_CASES)
     assert sorted(_load_goldens(SIM_GOLDEN)) == sorted(SIM_CASES)
     assert sorted(_load_goldens(SPECTRUM_GOLDEN)) == sorted(SPECTRUM_CASES)
+    assert sorted(_load_goldens(COMPARE_GOLDEN)) == sorted(COMPARE_CASES)
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +342,16 @@ def test_simulate_bytes_match_golden(code, workers, tmp_path):
 @pytest.mark.parametrize("name", sorted(SPECTRUM_CASES))
 def test_spectrum_bytes_match_golden(name, tmp_path):
     assert spectrum_digest(name, tmp_path) == _load_goldens(SPECTRUM_GOLDEN)[name]
+
+
+@pytest.fixture(scope="module")
+def compare_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("compare_inputs")
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_CASES))
+def test_compare_bytes_match_golden(name, compare_dir):
+    assert compare_digest(name, compare_dir) == _load_goldens(COMPARE_GOLDEN)[name]
 
 
 def test_no_command_needs_scipy(tmp_path):
@@ -360,12 +444,16 @@ if __name__ == "__main__":
                 sys.exit(f"{code}: worker counts disagree, nothing written")
             sim_lines.append(f"{digests.pop()}  {code}")
         spectrum_lines = [f"{spectrum_digest(name, scratch)}  {name}" for name in SPECTRUM_CASES]
+        compare_dir = Path(scratch) / "compare"
+        compare_dir.mkdir()
+        compare_lines = [f"{compare_digest(name, compare_dir)}  {name}" for name in COMPARE_CASES]
     GOLDEN.parent.mkdir(exist_ok=True)
     for path, rows in (
         (GOLDEN, lines),
         (RESULT_GOLDEN, result_lines),
         (SIM_GOLDEN, sim_lines),
         (SPECTRUM_GOLDEN, spectrum_lines),
+        (COMPARE_GOLDEN, compare_lines),
     ):
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         print(f"wrote {len(rows)} digests to {path}", file=sys.stderr)
