@@ -365,8 +365,9 @@ def _is_real(value) -> bool:
 
 def _load_sim_points(path) -> list[dict]:
     """Simulation report points with every field compare reads checked:
-    finite numbers for snr_db, sigma and the rates, [lo, hi] pairs for the
-    intervals, and the bit rate and interval present together or not at all."""
+    finite numbers for snr_db and sigma, rates in [0, 1], intervals [lo, hi]
+    with 0 <= lo <= hi <= 1, and the bit rate and interval present together
+    or not at all."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -382,62 +383,57 @@ def _load_sim_points(path) -> list[dict]:
                 raise ValidationError(f"{path}: report missing field {field!r}")
         if ("bit_error_rate" in point) != ("bit_error_ci" in point):
             raise ValidationError(f"{path}: bit_error_rate and bit_error_ci must come together")
-        for field in ("snr_db", "sigma", "word_error_rate", "bit_error_rate"):
-            if field in point and not _is_real(point[field]):
+        for field in ("snr_db", "sigma"):
+            if not _is_real(point[field]):
                 raise ValidationError(
                     f"{path}: {field} must be a finite number, got {point[field]!r}"
                 )
-        for field in ("word_error_ci", "bit_error_ci"):
-            ci = point.get(field)
-            if field in point and not (
-                isinstance(ci, list) and len(ci) == 2 and all(map(_is_real, ci))
-            ):
+        for level in ("word", "bit") if "bit_error_rate" in point else ("word",):
+            rate, ci = point[f"{level}_error_rate"], point[f"{level}_error_ci"]
+            if not (_is_real(rate) and 0.0 <= rate <= 1.0):
                 raise ValidationError(
-                    f"{path}: {field} must be a [lo, hi] pair of finite numbers, got {ci!r}"
+                    f"{path}: {level}_error_rate must be a number in [0, 1], got {rate!r}"
+                )
+            if not (isinstance(ci, list) and len(ci) == 2 and all(map(_is_real, ci))
+                    and 0.0 <= ci[0] <= ci[1] <= 1.0):
+                raise ValidationError(
+                    f"{path}: {level}_error_ci must be a [lo, hi] pair with 0 <= lo <= hi <= 1, "
+                    f"got {ci!r}"
                 )
     return payload
 
 
+def _sim_rows(path, grid) -> dict[int, dict]:
+    """The points of one report keyed by their row of grid, a (snr_db, sigma)
+    list.  sigma is the channel parameter proper; the report's snr_db is an
+    Eb/N0 annotation that need not match non-Eb/N0 curve grids."""
+    by_row: dict[int, dict] = {}
+    for point in _load_sim_points(path):
+        i = next((i for i, (_, sigma) in enumerate(grid)
+                  if math.isclose(sigma, point["sigma"], rel_tol=1e-9, abs_tol=0.0)), None)
+        if i is None:
+            raise ValidationError(
+                f"{path}: simulation point sigma={point['sigma']!r} does not lie on the curve grid"
+            )
+        if i in by_row:
+            raise ValidationError(
+                f"{path}: two simulation points at sigma={point['sigma']!r} fall on one grid row"
+            )
+        by_row[i] = point
+    return by_row
+
+
 def cmd_compare(args) -> int:
     curves = [_read_curve(path) for path in args.curve]
-    labels = _unique_labels(args.curve)
-    reference = curves[0]
-    for path, curve in zip(args.curve[1:], curves[1:]):
-        same = len(curve.rows) == len(reference.rows) and all(
-            a.snr_db == b.snr_db and a.sigma == b.sigma
-            for a, b in zip(curve.rows, reference.rows)
-        )
-        if not same:
+    grids = [[(row.snr_db, row.sigma) for row in curve.rows] for curve in curves]
+    for path, grid in zip(args.curve[1:], grids[1:]):
+        if grid != grids[0]:
             raise ValidationError(
                 f"{path}: grid misaligned with {args.curve[0]} "
                 "(snr_db/sigma sequences must match exactly)"
             )
-
-    sim_labels = _unique_labels(args.sim) if args.sim else []
-    sim_columns: list[dict[int, dict]] = []
-    for path in args.sim or []:
-        by_row: dict[int, dict] = {}
-        for point in _load_sim_points(path):
-            # sigma is the channel parameter proper; the report's snr_db is an
-            # Eb/N0 annotation that need not match non-Eb/N0 curve grids.
-            i = next(
-                (i for i, row in enumerate(reference.rows)
-                 if math.isclose(row.sigma, point["sigma"], rel_tol=1e-9, abs_tol=0.0)),
-                None,
-            )
-            if i is None:
-                raise ValidationError(
-                    f"{path}: simulation point sigma={point['sigma']!r} "
-                    "does not lie on the curve grid"
-                )
-            if i in by_row:
-                raise ValidationError(
-                    f"{path}: two simulation points at sigma={point['sigma']!r} "
-                    "fall on one grid row"
-                )
-            by_row[i] = point
-        sim_columns.append(by_row)
-
+    sims = [_sim_rows(path, grids[0]) for path in args.sim or []]
+    labels, sim_labels = _unique_labels(args.curve), _unique_labels(args.sim or [])
     # a bit-level curve bounds the bit-error rate, everything else the
     # word-error rate; curves without variant metadata count as word-level
     levels = [
@@ -445,39 +441,6 @@ def cmd_compare(args) -> int:
         else "word"
         for curve in curves
     ]
-
-    violations = []
-    if args.assert_dominance:
-        for i, row in enumerate(reference.rows):
-            values = [curve.rows[i].raw_value for curve in curves]
-            for left, right, l_label, r_label in zip(
-                values, values[1:], labels, labels[1:]
-            ):
-                if right > left:
-                    violations.append(
-                        f"snr_db={row.snr_db!r}: {r_label}={right!r} exceeds {l_label}={left!r}"
-                    )
-            tightest = {}
-            for level, value in zip(levels, values):
-                tightest[level] = min(value, tightest.get(level, math.inf))
-            for label, column in zip(sim_labels, sim_columns):
-                point = column.get(i)
-                if point is None:
-                    continue
-                checks = []
-                if "word" in tightest:
-                    checks.append(("word", point["word_error_rate"], point["word_error_ci"][0]))
-                if "bit" in tightest and "bit_error_ci" in point:
-                    checks.append(("bit", point["bit_error_rate"], point["bit_error_ci"][0]))
-                for level, rate, ci_lo in checks:
-                    # flag only when even the interval's low end clears the
-                    # bound; a tight bound plus sampling noise is not a bug
-                    if ci_lo > tightest[level]:
-                        violations.append(
-                            f"snr_db={row.snr_db!r}: simulated {level}-error rate "
-                            f"{rate!r} ({label}) exceeds the tightest {level} bound "
-                            f"{tightest[level]!r} beyond its confidence interval"
-                        )
 
     lines = [f"# tool=mlbounds {__version__}"]
     for label, curve in zip(labels, curves):
@@ -488,25 +451,45 @@ def cmd_compare(args) -> int:
     for label in sim_labels:
         header += [f"{label}_wer", f"{label}_wer_lo", f"{label}_wer_hi"]
     lines.append(",".join(header))
-    for i, row in enumerate(reference.rows):
-        cells = [repr(row.snr_db), repr(row.sigma)]
-        for curve in curves:
-            cells += [repr(curve.rows[i].raw_value), repr(curve.rows[i].clamped_value)]
-        for column in sim_columns:
-            point = column.get(i)
-            if point is None:
-                cells += ["", "", ""]
-            else:
-                lo, hi = point["word_error_ci"]
-                cells += [repr(point["word_error_rate"]), repr(lo), repr(hi)]
+    violations = []
+    for i, (snr_db, sigma) in enumerate(grids[0]):
+        rows = [curve.rows[i] for curve in curves]
+        points = [column.get(i) for column in sims]
+        cells = [repr(snr_db), repr(sigma)]
+        for row in rows:
+            cells += [repr(row.raw_value), repr(row.clamped_value)]
+        for point in points:
+            cells += ["", "", ""] if point is None else [
+                repr(point["word_error_rate"]), *map(repr, point["word_error_ci"])
+            ]
         lines.append(",".join(cells))
+        if not args.assert_dominance:
+            continue
+        for left, right, l_label, r_label in zip(rows, rows[1:], labels, labels[1:]):
+            if right.raw_value > left.raw_value:
+                violations.append(
+                    f"snr_db={snr_db!r}: {r_label}={right.raw_value!r} "
+                    f"exceeds {l_label}={left.raw_value!r}"
+                )
+        tightest = {}
+        for level, row in zip(levels, rows):
+            tightest[level] = min(row.raw_value, tightest.get(level, math.inf))
+        for label, point in zip(sim_labels, points):
+            for level in ("word", "bit"):
+                ci = point and point.get(f"{level}_error_ci")
+                # flag only when even the interval's low end clears the
+                # bound; a tight bound plus sampling noise is not a bug
+                if ci and ci[0] > tightest.get(level, math.inf):
+                    violations.append(
+                        f"snr_db={snr_db!r}: simulated {level}-error rate "
+                        f"{point[f'{level}_error_rate']!r} ({label}) exceeds the tightest "
+                        f"{level} bound {tightest[level]!r} beyond its confidence interval"
+                    )
     _emit(args, "".join(line + "\n" for line in lines))
 
-    if violations:
-        for line in violations:
-            print(f"dominance violation: {line}", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    for line in violations:
+        print(f"dominance violation: {line}", file=sys.stderr)
+    return EXIT_VALIDATION if violations else EXIT_OK
 
 
 # --- parser ------------------------------------------------------------------

@@ -900,11 +900,20 @@ class TestCompareCommand:
             {"bit_error_ci": [0.001, 0.002]},
             {"sigma": True},
             {"snr_db": float("nan")},
+            # an interval around [0, 1] would hide any rate from the check
+            {"word_error_ci": [-1.0, 2.0], "word_error_rate": 0.999},
+            {"word_error_rate": 7.0, "word_error_ci": [0.9, 0.1]},
+            {"word_error_rate": -0.01},
+            {"word_error_ci": [0.03, 0.01]},
+            {"bit_error_rate": 1.5, "bit_error_ci": [0.1, 0.2]},
+            {"bit_error_ci": [0.2, 1.01], "bit_error_rate": 0.3},
         ],
         ids=["short-ci", "string-rate", "string-ci", "bit-ci-without-rate", "bool-sigma",
-             "nan-snr"],
+             "nan-snr", "ci-around-unit", "rate-above-1", "negative-rate", "ci-reversed",
+             "bit-rate-above-1", "bit-ci-above-1"],
     )
-    def test_malformed_sim_field_exits_2(self, capsys, curves, tmp_path, edit):
+    @pytest.mark.parametrize("flags", [[], ["--assert-dominance"]], ids=["table", "assert"])
+    def test_malformed_sim_field_exits_2(self, capsys, curves, tmp_path, edit, flags):
         union, _ = curves
         grid_row = parse_csv(union.read_text())[2][1]
         point = {
@@ -916,12 +925,25 @@ class TestCompareCommand:
         }
         sim = tmp_path / "edited.json"
         sim.write_text(json.dumps([point]))
-        code, out, err = run(
-            capsys, "compare", "--curve", str(union), "--sim", str(sim),
-            "--assert-dominance",
-        )
-        assert code == EXIT_VALIDATION
+        code, out, err = run(capsys, "compare", "--curve", str(union), "--sim", str(sim), *flags)
+        assert code == EXIT_VALIDATION and out == ""
         assert f"{sim}: " in err and next(iter(edit)) in err
+
+    def test_report_without_errors_passes(self, capsys, curves, tmp_path):
+        # a Wilson interval at 0 errors starts at exactly 0.0, the refused
+        # range's edge
+        union, _ = curves
+        sim = tmp_path / "clean.json"
+        assert main([
+            "simulate", "--code", HAMMING_GEN, "--snr", "3", "--trials", "20", "--seed", "1",
+            "-o", str(sim),
+        ]) == EXIT_OK
+        report = json.loads(sim.read_text())[0]
+        assert report["word_errors"] == 0 and report["word_error_ci"][0] == 0.0
+        code, out, err = run(
+            capsys, "compare", "--curve", str(union), "--sim", str(sim), "--assert-dominance"
+        )
+        assert code == EXIT_OK, err
 
     def test_sim_file_that_is_not_json_exits_2(self, capsys, curves, tmp_path):
         union, _ = curves

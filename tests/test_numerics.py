@@ -140,6 +140,19 @@ class TestQAccuracy:
         for got in (q_function(x), q_function(np.array([x]))[0]):
             assert got == want or (math.isnan(want) and math.isnan(got))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="q_function computes Q(x) as erfc(x/sqrt(2)), so rounding x/sqrt(2) costs "
+        "up to about x^2 * 2^-53 relative (ROADMAP Known limits)",
+    )
+    @pytest.mark.parametrize("x", [20.0, 30.0, 35.0])
+    def test_large_x_within_1e14_of_q_of_the_float_x(self, x):
+        # the checks above take erfc of the rounded x/sqrt(2); this one takes
+        # Q of x itself, from a 60-digit mpmath erfc
+        with mpmath.workdps(60):
+            want = mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2
+        assert abs(mpmath.mpf(float(q_function(x))) - want) <= 1e-14 * want
+
     @given(st.floats(allow_nan=False))
     def test_scalar_and_array_bits_agree(self, x):
         scalar = q_function(x)
