@@ -930,8 +930,8 @@ class TestCompareCommand:
         assert f"{sim}: " in err and next(iter(edit)) in err
 
     def test_report_without_errors_passes(self, capsys, curves, tmp_path):
-        # a Wilson interval at 0 errors starts at exactly 0.0, the refused
-        # range's edge
+        # at 20 trials and 0 errors the Wilson interval starts at exactly
+        # 0.0, the edge of the accepted range
         union, _ = curves
         sim = tmp_path / "clean.json"
         assert main([

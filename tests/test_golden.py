@@ -65,7 +65,7 @@ from mlbounds.bounds import (
     truncated_union_bound,
     word_error_bound,
 )
-from mlbounds.cli import _format_curve, _snr_grid, compute_curve, main
+from mlbounds.cli import _format_curve, _read_curve, _snr_grid, compute_curve, main
 from mlbounds.numerics import ChannelPoint
 from mlbounds.spectrum import (
     SpectrumKind,
@@ -270,12 +270,10 @@ COMPARE_CASES = {
 
 
 def compare_inputs(out_dir) -> Path:
-    """The curves of COMPARE_CURVES, a simulate report at 1 and 2.5 dB, and
-    a fabricated report whose rates exceed the word bound at 1 dB and the
-    bit bound at 1 and 2 dB, written once into out_dir."""
+    """Write the curves of COMPARE_CURVES, a simulate report at 1 and 2.5 dB,
+    and a fabricated report whose rates exceed the word bound at 1 dB and the
+    bit bound at 1 and 2 dB into out_dir, and return it."""
     out_dir = Path(out_dir)
-    if (out_dir / "fake.json").exists():
-        return out_dir
     gen = str(ROOT / "data" / "codes" / "hamming_7_4.gen")
     for variant in COMPARE_CURVES:
         argv = ["bound", "--enumerate", gen, "--variant", variant, *COMPARE_GRID]
@@ -284,10 +282,7 @@ def compare_inputs(out_dir) -> Path:
         "simulate", "--code", gen, "--snr", "1", "2.5", "--trials", "3000", "--seed", "21",
         "-o", str(out_dir / "sim.json"),
     ]) == 0
-    sigmas = {}
-    for line in (out_dir / "word.csv").read_text().splitlines()[-7:]:
-        snr_db, sigma = map(float, line.split(",")[:2])
-        sigmas[snr_db] = sigma
+    sigmas = {row.snr_db: row.sigma for row in _read_curve(out_dir / "word.csv").rows}
     fake = [
         {"snr_db": 0.0, "sigma": sigmas[0.0], "word_error_rate": 0.05,
          "word_error_ci": [0.04, 0.06]},
@@ -300,8 +295,7 @@ def compare_inputs(out_dir) -> Path:
     return out_dir
 
 
-def compare_digest(name, out_dir) -> str:
-    inputs = compare_inputs(out_dir)
+def compare_digest(name, inputs) -> str:
     argv = [str(inputs / arg) if arg.endswith((".csv", ".json")) else arg
             for arg in COMPARE_CASES[name]]
     out, err = io.StringIO(), io.StringIO()
@@ -346,7 +340,7 @@ def test_spectrum_bytes_match_golden(name, tmp_path):
 
 @pytest.fixture(scope="module")
 def compare_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("compare_inputs")
+    return compare_inputs(tmp_path_factory.mktemp("compare_inputs"))
 
 
 @pytest.mark.parametrize("name", sorted(COMPARE_CASES))
@@ -444,8 +438,7 @@ if __name__ == "__main__":
                 sys.exit(f"{code}: worker counts disagree, nothing written")
             sim_lines.append(f"{digests.pop()}  {code}")
         spectrum_lines = [f"{spectrum_digest(name, scratch)}  {name}" for name in SPECTRUM_CASES]
-        compare_dir = Path(scratch) / "compare"
-        compare_dir.mkdir()
+        compare_dir = compare_inputs(scratch)
         compare_lines = [f"{compare_digest(name, compare_dir)}  {name}" for name in COMPARE_CASES]
     GOLDEN.parent.mkdir(exist_ok=True)
     for path, rows in (
