@@ -7,15 +7,16 @@ leaving that region.  The radius is scanned exhaustively and the smallest
 objective wins, so d* = n recovers the plain union bound and d* = 0 leaves
 only the region-exit mass, which is always below 1.
 
-Cost per channel point: everything that does not depend on the radius (the
-Q values, the per-weight coefficient products and, under the tight
-theta-policy, the Owen's-T factors of all weights above n/2 in one array
-call) is computed once.  The scan then forms the binomial masses and terms
-of a block of _BLOCK_CELLS / (n+1) ascending radii per numpy pass, so
-memory stays O(n); once the prefix masses freeze past every mode, one term
-row serves all later radii, summed once per distinct cut.  Each variant
-builds only the binomial mass it reads: union builds no table,
-truncated-union (one row throughout) and gfbt read only the length-n+2
+Cost per channel point: _PointArrays, the one per-point state of every
+variant, holds what does not depend on the radius: the radii to scan, the Q
+values, the per-weight coefficient products and, built on first use, the
+binomial table and the triplet factors (under the tight theta-policy, Owen's
+T of all weights above n/2 in one array call).  The scan then forms the
+binomial masses and terms of a block of _BLOCK_CELLS / (n+1) ascending radii
+per numpy pass, so memory stays O(n); once the prefix masses freeze past
+every mode, one term row serves all later radii, summed once per distinct
+cut.  Each variant builds only the binomial mass it reads: union builds no
+table, truncated-union (one row throughout) and gfbt read only the length-n+2
 region-exit tail, and the refined variants also stream B(p_b, N, 0, d*-1).
 
 word and bit share one term kernel, the unified per-weight term
@@ -245,12 +246,16 @@ def _probe_range(
 
 
 class _PointArrays:
-    """Radius-independent per-weight arrays at one channel point, in
-    ascending weight order, shared by every variant."""
+    """The per-point state of every bound variant (module docstring)."""
 
-    def __init__(self, spectrum: WeightSpectrum, ch: ChannelPoint):
+    def __init__(
+        self, spectrum: WeightSpectrum, ch: ChannelPoint, d_star: int | None = None,
+        d_star_max: int | None = None, theta_policy: ThetaPolicy = ThetaPolicy.CLOSED_FORM,
+    ):
+        self.probe = _probe_range(spectrum, d_star, d_star_max)
         self.n = spectrum.n
-        self.p_b = ch.p_b
+        self.ch = ch
+        self.theta_policy = theta_policy
         self.ds = spectrum.weights()  # A_d > 0
         self.a = spectrum.counts[self.ds]
         with np.errstate(over="ignore"):  # sqrt(d)/sigma is inf at a subnormal sigma; Q(inf) = 0
@@ -263,7 +268,23 @@ class _PointArrays:
 
     @cached_property
     def table(self) -> _BinomialTable:
-        return _BinomialTable(self.p_b, self.n)
+        return _BinomialTable(self.ch.p_b, self.n)
+
+    @cached_property
+    def triplet_factors(self) -> np.ndarray:
+        """Half the two-half-plane probability per weight: Q - Q^2/2 at the
+        closed-form angle, or (Q + 2 T(h, tan(theta/2)))/2 at the capped angle
+        theta for the weights where the tight policy improves on pi/2, all of
+        them in one triplet_probability call."""
+        factors = self.q - 0.5 * self.q * self.q
+        if self.theta_policy is ThetaPolicy.TIGHT:
+            # theta == 0 only at d == n where at most one codeword exists and the
+            # factor is multiplied by zero anyway; keep the closed form there.
+            theta = angle_upper_bound(self.ds, self.ds, self.n)
+            capped = (theta > 0.0) & (theta < 0.5 * math.pi)
+            ds, theta = self.ds[capped], theta[capped]
+            factors[capped] = 0.5 * triplet_probability(ds, theta, self.ch.sigma)
+        return factors
 
     def arms(self, cut: int, radii: range, *coefs: np.ndarray) -> list[np.ndarray]:
         """coefs[0] B(p_b, n-d, 0, r-1) and, given a second coefficient,
@@ -276,24 +297,6 @@ class _PointArrays:
             arm *= coef[:cut]
             arms.append(arm)
         return arms
-
-
-def _triplet_factors(
-    arrays: _PointArrays, ch: ChannelPoint, theta_policy: ThetaPolicy
-) -> np.ndarray:
-    """Half the two-half-plane probability per weight: Q - Q^2/2 at the
-    closed-form angle, or (Q + 2 T(h, tan(theta/2)))/2 at the capped angle
-    theta for the weights where the tight policy improves on pi/2, all of
-    them in one triplet_probability call."""
-    q = arrays.q
-    factors = q - 0.5 * q * q
-    if theta_policy is ThetaPolicy.TIGHT:
-        # theta == 0 only at d == n where at most one codeword exists and the
-        # factor is multiplied by zero anyway; keep the closed form there.
-        theta = angle_upper_bound(arrays.ds, arrays.ds, arrays.n)
-        capped = (theta > 0.0) & (theta < 0.5 * math.pi)
-        factors[capped] = 0.5 * triplet_probability(arrays.ds[capped], theta[capped], ch.sigma)
-    return factors
 
 
 def _minimize(values: np.ndarray, probe: range) -> int:
@@ -311,12 +314,11 @@ def _minimize(values: np.ndarray, probe: range) -> int:
 
 def _combined_bound(
     arrays: _PointArrays,
-    probe: range,
     terms: Callable[[int, range], np.ndarray],
     variant: BoundVariant,
     fixed: bool = False,
 ) -> BoundResult:
-    """The radius scan shared by every term-wise variant.
+    """The radius scan over arrays.probe shared by every term-wise variant.
 
     terms(cut, radii) gives one row per radius of a block of ascending
     radii, holding the terms of the first cut weights.  A radius's objective
@@ -325,6 +327,7 @@ def _combined_bound(
     the table's freeze on, or throughout if fixed, rows do not depend on the
     radius, so the rest of the scan reads one row.
     """
+    probe = arrays.probe
     tails = arrays.table.suffix[probe.start + 1 : probe.stop + 1]  # d* <= n
     cuts = np.searchsorted(arrays.ds, 2 * np.arange(probe.start, probe.stop), side="right")
     values = np.empty(len(probe))
@@ -387,13 +390,12 @@ def truncated_union_bound(
     and the d* = 0 objective 1 - (1 - p_b)^n keeps the minimum below 1 even
     where the union bound diverges.
     """
-    probe = _probe_range(spectrum, d_star, d_star_max)
-    arrays = _PointArrays(spectrum, ch)
+    arrays = _PointArrays(spectrum, ch, d_star, d_star_max)
 
     def terms(cut: int, radii: range) -> np.ndarray:
         return np.broadcast_to(arrays.aq[:cut], (len(radii), cut))
 
-    return _combined_bound(arrays, probe, terms, BoundVariant.TRUNCATED_UNION, fixed=True)
+    return _combined_bound(arrays, terms, BoundVariant.TRUNCATED_UNION, fixed=True)
 
 
 def pairwise_error_bound(
@@ -405,13 +407,12 @@ def pairwise_error_bound(
 ) -> BoundResult:
     """Combined bound with each union term refined by the conditional
     binomial factor B(p_b, n-d, 0, d*-1)."""
-    probe = _probe_range(spectrum, d_star, d_star_max)
-    arrays = _PointArrays(spectrum, ch)
+    arrays = _PointArrays(spectrum, ch, d_star, d_star_max)
 
     def terms(cut: int, radii: range) -> np.ndarray:
         return arrays.arms(cut, radii, arrays.aq)[0]
 
-    return _combined_bound(arrays, probe, terms, BoundVariant.PAIRWISE_IMPROVED)
+    return _combined_bound(arrays, terms, BoundVariant.PAIRWISE_IMPROVED)
 
 
 def triplet_error_bound(
@@ -427,28 +428,26 @@ def triplet_error_bound(
     fractional = ~_near_int(spectrum.counts)
     fractional[0] = False  # A_0 is no competitor
     _refuse_first(spectrum.counts, fractional, "must be an integer to pair codewords")
-    probe = _probe_range(spectrum, d_star, d_star_max)
-    arrays = _PointArrays(spectrum, ch)
+    arrays = _PointArrays(spectrum, ch, d_star, d_star_max, theta_policy)
     counts = np.round(arrays.a)
     odd = counts % 2 == 1
     # (A-1) tf B(n-2d) + Q B(n-d) for odd A, A tf B(n-2d) + 0 for even A
-    paired_coef = np.where(odd, counts - 1.0, counts) * _triplet_factors(arrays, ch, theta_policy)
+    paired_coef = np.where(odd, counts - 1.0, counts) * arrays.triplet_factors
     single_coef = np.where(odd, arrays.q, 0.0)
 
     def terms(cut: int, radii: range) -> np.ndarray:
         single, paired = arrays.arms(cut, radii, single_coef, paired_coef)
         return np.add(paired, single, out=paired)
 
-    return _combined_bound(arrays, probe, terms, BoundVariant.TRIPLET_IMPROVED)
+    return _combined_bound(arrays, terms, BoundVariant.TRIPLET_IMPROVED)
 
 
 def _unified_bound(
-    arrays: _PointArrays, probe: range, ch: ChannelPoint, theta_policy: ThetaPolicy,
-    single_coef: np.ndarray, scale: np.ndarray, variant: BoundVariant,
+    arrays: _PointArrays, single_coef: np.ndarray, scale: np.ndarray, variant: BoundVariant
 ) -> BoundResult:
     """The radius scan of the unified term with c = single_coef and s = scale
     (module docstring); a product by s = 1.0 is exact."""
-    paired_coef = (arrays.a - 1.0) * _triplet_factors(arrays, ch, theta_policy)
+    paired_coef = (arrays.a - 1.0) * arrays.triplet_factors
 
     def terms(cut: int, radii: range) -> np.ndarray:
         single, paired = arrays.arms(cut, radii, single_coef, paired_coef)
@@ -456,7 +455,7 @@ def _unified_bound(
         paired *= scale[:cut]
         return np.minimum(single, paired, out=single)
 
-    return _combined_bound(arrays, probe, terms, variant)
+    return _combined_bound(arrays, terms, variant)
 
 
 def word_error_bound(
@@ -470,10 +469,9 @@ def word_error_bound(
     """Combined word-error bound built from the unified per-weight term
     min{A_d Q B(n-d), (A_d - 1)(Q - Q^2/2) B(n-2d) + Q}; works for any real
     multiplicities, ensemble averages included."""
-    probe = _probe_range(spectrum, d_star, d_star_max)
-    arrays = _PointArrays(spectrum, ch)
+    arrays = _PointArrays(spectrum, ch, d_star, d_star_max, theta_policy)
     one = np.ones_like(arrays.q)
-    return _unified_bound(arrays, probe, ch, theta_policy, arrays.aq, one, BoundVariant.UNIFIED_WORD)
+    return _unified_bound(arrays, arrays.aq, one, BoundVariant.UNIFIED_WORD)
 
 
 def bit_error_bound(
@@ -497,17 +495,13 @@ def bit_error_bound(
     k = iowe.k
     if k == 0:
         raise ValidationError("bit bound needs k >= 1 message bits, got k=0")
-    marginal = iowe.weight_spectrum()
-    probe = _probe_range(marginal, d_star, d_star_max)
-    arrays = _PointArrays(marginal, ch)
+    arrays = _PointArrays(iowe.weight_spectrum(), ch, d_star, d_star_max, theta_policy)
     columns = iowe.counts[:, arrays.ds]
     # A'_d sums (i/k) A_{i,d} in ascending i (accumulate, unlike a pairwise
     # sum, adds row by row), and i^ is the last i with A_{i,d} > 0
     a_prime = np.add.accumulate((np.arange(k + 1) / k)[:, None] * columns, axis=0)[-1]
     i_hat_frac = (k - np.argmax(columns[::-1] > 0.0, axis=0)) / k
-    return _unified_bound(
-        arrays, probe, ch, theta_policy, a_prime * arrays.q, i_hat_frac, BoundVariant.UNIFIED_BIT
-    )
+    return _unified_bound(arrays, a_prime * arrays.q, i_hat_frac, BoundVariant.UNIFIED_BIT)
 
 
 # --- generic combination with an external base bound ------------------------
@@ -580,9 +574,10 @@ def gfbt_combine(
     lightest positive weight the base is 0, since a subcode with only the
     transmitted word cannot produce an error inside the region.
     """
-    probe = _probe_range(spectrum, d_star, d_star_max)
-    table = _BinomialTable(ch.p_b, spectrum.n)
-    lightest = min(spectrum.weights(), default=math.inf)
+    arrays = _PointArrays(spectrum, ch, d_star, d_star_max)
+    probe = arrays.probe
+    tails = arrays.table.suffix[probe.start + 1 : probe.stop + 1]
+    lightest = min(arrays.ds, default=math.inf)
     bases = np.zeros(len(probe))
     with np.errstate(over="ignore"):
         for i, radius in enumerate(probe):
@@ -596,7 +591,6 @@ def gfbt_combine(
                 raise ValidationError(
                     f"provider returned {base!r} at d_star={radius}, need finite >= 0 or inf"
                 )
-    tails = table.suffix[probe.start + 1 : probe.stop + 1]
     i = _minimize(bases + tails, probe)
     return BoundResult(
         float(bases[i] + tails[i]), probe[i], {}, float(tails[i]), BoundVariant.GFBT_COMBINED,

@@ -306,7 +306,7 @@ def cmd_spectrum(args) -> int:
     result = _load_source(args)
     if args.spectrum is not None:
         if not isinstance(result, WeightSpectrum):
-            raise ValidationError("macwilliams transform expects a weight spectrum file")
+            raise ValidationError(f"{args.spectrum}: macwilliams needs a weight spectrum file")
         result = macwilliams_transform(result)
     _emit(args, format_spectrum(result))
     return EXIT_OK
@@ -366,8 +366,8 @@ def _is_real(value) -> bool:
 def _load_sim_points(path) -> list[dict]:
     """Simulation report points with every field compare reads checked:
     finite numbers for snr_db and sigma, rates in [0, 1], intervals [lo, hi]
-    with 0 <= lo <= hi <= 1, and the bit rate and interval present together
-    or not at all."""
+    with 0 <= lo <= hi <= 1 around their own rate, and the bit rate and
+    interval present together or not at all."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -399,6 +399,10 @@ def _load_sim_points(path) -> list[dict]:
                 raise ValidationError(
                     f"{path}: {level}_error_ci must be a [lo, hi] pair with 0 <= lo <= hi <= 1, "
                     f"got {ci!r}"
+                )
+            if not ci[0] <= rate <= ci[1]:
+                raise ValidationError(
+                    f"{path}: {level}_error_rate {rate!r} lies outside its {level}_error_ci {ci!r}"
                 )
     return payload
 

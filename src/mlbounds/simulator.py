@@ -109,7 +109,8 @@ class SimConfig:
 
 
 def wilson_interval(successes: float, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for successes out of trials, each in [0, 1]."""
+    """Wilson score interval for successes out of trials, each in [0, 1], clamped
+    to lo <= successes/trials <= hi, so it ends at exactly 0 or 1 where the rate does."""
     if trials <= 0:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if not 0 <= successes <= trials:
@@ -118,7 +119,7 @@ def wilson_interval(successes: float, trials: int, z: float = _WILSON_Z) -> tupl
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / trials + z * z / (4 * trials * trials))
-    return (max(0.0, center - half), min(1.0, center + half))
+    return (max(0.0, min(p_hat, center - half)), min(1.0, max(p_hat, center + half)))
 
 
 @dataclass(frozen=True)

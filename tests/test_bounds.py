@@ -7,6 +7,7 @@ composition of those kernels at forced radii, and the ordering claims
 asserted as plain float comparisons with no tolerance.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -625,6 +626,27 @@ class TestRadiusScanWork:
         with pytest.raises(AssertionError, match="prefix mass read"):
             word_error_bound(self.ENS, self.POINT)
 
+    def test_only_triplet_terms_build_the_triplet_factors(self, monkeypatch):
+        # the per-point state builds its triplet factors on first read, and
+        # only the triplet, word and bit variants read them, once a point
+        built = []
+        factors = bounds._PointArrays.triplet_factors.func
+
+        def counting(arrays):
+            built.append(arrays.theta_policy)
+            return factors(arrays)
+
+        spy = functools.cached_property(counting)
+        spy.__set_name__(bounds._PointArrays, "triplet_factors")
+        monkeypatch.setattr(bounds._PointArrays, "triplet_factors", spy)
+        union_bound(self.ENS, self.POINT)
+        truncated_union_bound(self.ENS, self.POINT)
+        pairwise_error_bound(self.ENS, self.POINT)
+        gfbt_combine(lambda d_star, point: 0.0, self.ENS, self.POINT)
+        assert built == []
+        word_error_bound(self.ENS, self.POINT, theta_policy=ThetaPolicy.TIGHT)
+        assert built == [ThetaPolicy.TIGHT]
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_long_code_point_memory_is_linear_in_n(self):
         # a [4096, 2048] word point streams its prefix columns; a 2-D table
@@ -948,6 +970,9 @@ class TestFileProvider:
             FileBoundProvider(path)
         path.write_text("1.0 -2 0.5\n", encoding="utf-8")
         with pytest.raises(ProviderLookupError, match="d_star >= 0"):
+            FileBoundProvider(path)
+        path.write_text("# snr_db d_star value\n0.0 1 0.25\n1.0 two 0.5\n", encoding="utf-8")
+        with pytest.raises(ProviderLookupError, match="bad.txt:3: invalid literal for int"):
             FileBoundProvider(path)
 
     def test_duplicate_record_rejected(self, tmp_path):

@@ -19,6 +19,7 @@ from mlbounds import cli
 from mlbounds.cli import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, main
 from mlbounds.errors import ValidationError
 from mlbounds.numerics import ChannelPoint, SnrConvention
+from mlbounds.simulator import SimReport
 from mlbounds.spectrum import (
     InputOutputSpectrum,
     LinearCode,
@@ -91,6 +92,18 @@ class TestSpectrumCommand:
         dual = load_spectrum(out_path)
         assert (dual.n, dual.k) == (7, 3)
         assert dual.counts[4] == 7.0
+
+    def test_macwilliams_of_an_iowe_file_exits_2(self, capsys, tmp_path):
+        iowe = tmp_path / "hamming.iowe"
+        assert main(["spectrum", "--enumerate", HAMMING_GEN, "-o", str(iowe)]) == EXIT_OK
+        code, out, err = run(capsys, "spectrum", "--macwilliams", str(iowe))
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"{iowe}: macwilliams needs a weight spectrum file" in err
+
+    def test_ensemble_with_k_above_n_exits_2(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--ensemble", "10", "11")
+        assert code == EXIT_VALIDATION and out == ""
+        assert "need 1 <= k <= n, got k=11, n=10" in err
 
     def test_missing_input_file_is_a_validation_error(self, capsys, tmp_path):
         code, out, err = run(
@@ -907,10 +920,14 @@ class TestCompareCommand:
             {"word_error_ci": [0.03, 0.01]},
             {"bit_error_rate": 1.5, "bit_error_ci": [0.1, 0.2]},
             {"bit_error_ci": [0.2, 1.01], "bit_error_rate": 0.3},
+            # a rate outside its own interval: the verdict reads only the
+            # interval, so such a point once passed with exit 0
+            {"word_error_rate": 0.999},
+            {"bit_error_rate": 0.5, "bit_error_ci": [0.1, 0.2]},
         ],
         ids=["short-ci", "string-rate", "string-ci", "bit-ci-without-rate", "bool-sigma",
              "nan-snr", "ci-around-unit", "rate-above-1", "negative-rate", "ci-reversed",
-             "bit-rate-above-1", "bit-ci-above-1"],
+             "bit-rate-above-1", "bit-ci-above-1", "rate-outside-ci", "bit-rate-outside-ci"],
     )
     @pytest.mark.parametrize("flags", [[], ["--assert-dominance"]], ids=["table", "assert"])
     def test_malformed_sim_field_exits_2(self, capsys, curves, tmp_path, edit, flags):
@@ -944,6 +961,120 @@ class TestCompareCommand:
             capsys, "compare", "--curve", str(union), "--sim", str(sim), "--assert-dominance"
         )
         assert code == EXIT_OK, err
+
+    def test_zero_error_run_below_a_tiny_bound_passes(self, capsys, tmp_path):
+        # 0 errors in 11 trials at 14 dB, against a word bound of 5.9e-20:
+        # the interval's low end is exactly 0, not the 2.8e-17 rounding
+        # once left there, so the run is no violation
+        word, sim = tmp_path / "word.csv", tmp_path / "sim.json"
+        assert main([
+            "bound", "--enumerate", HAMMING_GEN, "--variant", "word",
+            "--snr-start", "14", "--snr-stop", "14", "-o", str(word),
+        ]) == EXIT_OK
+        assert main([
+            "simulate", "--code", HAMMING_GEN, "--snr", "14", "--trials", "11", "--seed", "1",
+            "-o", str(sim),
+        ]) == EXIT_OK
+        (report,) = json.loads(sim.read_text())
+        assert report["word_errors"] == 0 and report["word_error_ci"][0] == 0.0
+        code, out, err = run(
+            capsys, "compare", "--curve", str(word), "--sim", str(sim), "--assert-dominance"
+        )
+        assert code == EXIT_OK, err
+
+    def test_reports_simulate_writes_hold_their_rates(self, tmp_path):
+        # every rate simulate writes lies in its own interval, at 0 and at
+        # all errors too, and at the bit level, where the rate divides by
+        # trials * k but the interval centres on (bit_errors / k) / trials
+        points = []
+        for gen in (HAMMING_GEN, TOY_GEN):
+            for trials in ("1", "2", "11", "300"):
+                sim = tmp_path / "sim.json"
+                assert main([
+                    "simulate", "--code", gen, "--snr", "-30", "-10", "0", "3", "14",
+                    "--trials", trials, "--seed", "5", "-o", str(sim),
+                ]) == EXIT_OK
+                points += cli._load_sim_points(sim)
+        assert any(p["word_errors"] == p["trials"] for p in points)
+        assert any(p["word_errors"] == 0 for p in points)
+        # every bit-error count of short runs, through the payload simulate writes
+        reports = [
+            SimReport(31, k, 1.0, 0.0, 31, trials, 0, min(trials, bit_errors), bit_errors, 0, 0, {})
+            for k in (1, 4, 7, 21)
+            for trials in range(1, 21)
+            for bit_errors in range(trials * k + 1)
+        ]
+        sim = tmp_path / "synthetic.json"
+        sim.write_text(json.dumps([report.to_dict() for report in reports]))
+        assert len(cli._load_sim_points(sim)) == len(reports)
+
+    @pytest.mark.parametrize("payload", ["5", '"report"', "[1, 2]", "null"])
+    def test_sim_payload_of_another_type_exits_2(self, capsys, curves, tmp_path, payload):
+        union, _ = curves
+        sim = tmp_path / "odd.json"
+        sim.write_text(payload)
+        code, out, err = run(capsys, "compare", "--curve", str(union), "--sim", str(sim))
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"{sim}: expected a simulation report object or array" in err
+
+    def test_sim_point_missing_a_field_exits_2(self, capsys, curves, tmp_path):
+        union, _ = curves
+        sim = tmp_path / "short.json"
+        sim.write_text(json.dumps([{"snr_db": 2.0, "sigma": 0.74, "word_error_rate": 0.02}]))
+        code, out, err = run(capsys, "compare", "--curve", str(union), "--sim", str(sim))
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"{sim}: report missing field 'word_error_ci'" in err
+
+    def test_bare_report_object_is_one_point(self, capsys, curves, tmp_path):
+        union, _ = curves
+        array = tmp_path / "array" / "sim.json"
+        array.parent.mkdir()
+        assert main([
+            "simulate", "--code", HAMMING_GEN, "--snr", "2", "--trials", "50", "--seed", "3",
+            "-o", str(array),
+        ]) == EXIT_OK
+        bare = tmp_path / "bare" / "sim.json"
+        bare.parent.mkdir()
+        (report,) = json.loads(array.read_text())
+        bare.write_text(json.dumps(report))
+        outputs = []
+        for sim in (array, bare):
+            code, out, err = run(capsys, "compare", "--curve", str(union), "--sim", str(sim))
+            assert code == EXIT_OK, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert sum(bool(row["sim_wer"]) for row in parse_csv(outputs[1])[2]) == 1
+
+    @pytest.mark.parametrize(
+        "body,where,fragment",
+        [
+            ("# variant=word\nsnr,sigma\n", ":2: ", "expected header"),
+            (f"{cli._CSV_HEADER}\n1.0,0.8,0.1,0.1\n", ":2: ", "expected 5 columns"),
+            (f"{cli._CSV_HEADER}\n1.0,0.8,abc,0.1,7\n", ":2: ", "could not convert"),
+            (f"{cli._CSV_HEADER}\n1.0,0.8,0.1,0.1,7.5\n", ":2: ", "invalid literal"),
+            (f"# variant=word\n{cli._CSV_HEADER}\n", ": ", "no curve rows found"),
+            ("# variant=word\n\n", ": ", "no curve rows found"),
+        ],
+        ids=["header", "four-columns", "bad-float", "bad-int", "header-only", "no-header"],
+    )
+    def test_malformed_curve_file_exits_2(self, capsys, tmp_path, body, where, fragment):
+        curve = tmp_path / "bad.csv"
+        curve.write_text(body)
+        code, out, err = run(capsys, "compare", "--curve", str(curve))
+        assert code == EXIT_VALIDATION and out == ""
+        assert f"{curve}{where}{fragment}" in err
+
+    def test_blank_lines_in_a_curve_are_skipped(self, capsys, curves, tmp_path):
+        union, _ = curves
+        spaced = tmp_path / "spaced" / union.name
+        spaced.parent.mkdir()
+        spaced.write_text("\n  \n".join(union.read_text().splitlines()) + "\n\n")
+        outputs = []
+        for curve in (union, spaced):
+            code, out, err = run(capsys, "compare", "--curve", str(curve))
+            assert code == EXIT_OK, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_sim_file_that_is_not_json_exits_2(self, capsys, curves, tmp_path):
         union, _ = curves

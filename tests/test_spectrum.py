@@ -477,6 +477,9 @@ class TestFiles:
             ("weight n=7 k=4 kind=exact\n0 1\n3 7\n3 7\n", "duplicate"),
             ("weight n=7 k=4 kind=exact\n0 1\n3 -7\n", ">= 0"),
             ("iowe n=7 k=4 kind=exact\n0 0 1\n1 3 7\n9 3 1\n", "outside"),
+            ("# c\nspectrum n=7 k=4 kind=exact\n", "bad.spec:2: expected 'weight' or 'iowe'"),
+            ("weight n=7 k=4 kind=exact dmax\n", "bad.spec:1: bad header token 'dmax'"),
+            ("weight n=7 k=4 kind=truncated dmax=3.5\n", "bad.spec:1: dmax must be an integer"),
         ],
     )
     def test_rejects_malformed_spectrum(self, tmp_path, body, fragment):
@@ -530,6 +533,8 @@ class TestFiles:
             ("7 4\n101\n", "must be 7 characters"),
             ("7 4\n1010121\n1100110\n0000111\n1111111\n", "0/1"),
             ("4 2\n0011\n0011\n", "rank"),
+            ("7 four\n", "bad.gen:1: expected integer 'n k' header"),
+            ("# [7,1]\n7 1\n1111111\n1010101\n", "bad.gen:4: more than 1 generator rows"),
         ],
     )
     def test_rejects_malformed_generator(self, tmp_path, body, fragment):
