@@ -8,8 +8,8 @@ objective wins, so d* = n recovers the plain union bound and d* = 0 leaves
 only the region-exit mass, which is always below 1.
 
 Cost per channel point: _PointArrays, the one per-point state of every
-variant, holds what does not depend on the radius: the radii to scan, the Q
-values, the per-weight coefficient products and, built on first use, the
+variant, holds what does not depend on the radius: the radii to scan and,
+built on first use, the Q values, the per-weight coefficient products, the
 binomial table and the triplet factors (under the tight theta-policy, Owen's
 T of all weights above n/2 in one array call).  The scan then forms the
 binomial masses and terms of a block of _BLOCK_CELLS / (n+1) ascending radii
@@ -252,19 +252,27 @@ class _PointArrays:
         self, spectrum: WeightSpectrum, ch: ChannelPoint, d_star: int | None = None,
         d_star_max: int | None = None, theta_policy: ThetaPolicy = ThetaPolicy.CLOSED_FORM,
     ):
+        if not isinstance(theta_policy, ThetaPolicy):
+            raise ValidationError(f"theta_policy {theta_policy!r} is not one of {[*ThetaPolicy]}")
         self.probe = _probe_range(spectrum, d_star, d_star_max)
         self.n = spectrum.n
         self.ch = ch
         self.theta_policy = theta_policy
         self.ds = spectrum.weights()  # A_d > 0
         self.a = spectrum.counts[self.ds]
-        with np.errstate(over="ignore"):  # sqrt(d)/sigma is inf at a subnormal sigma; Q(inf) = 0
-            self.q = np.atleast_1d(q_function(np.sqrt(self.ds.astype(np.float64)) / ch.sigma))
-        self.aq = self.a * self.q  # plain union term per weight
         # prefix rows n-d and n-2d; lengths <= 0 are degenerate at zero
         # successes, which is exactly row 0
         self.single_rows = np.clip(self.n - self.ds, 0, None)
         self.paired_rows = np.clip(self.n - 2 * self.ds, 0, None)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        with np.errstate(over="ignore"):  # sqrt(d)/sigma is inf at a subnormal sigma; Q(inf) = 0
+            return np.atleast_1d(q_function(np.sqrt(self.ds.astype(np.float64)) / self.ch.sigma))
+
+    @cached_property
+    def aq(self) -> np.ndarray:
+        return self.a * self.q  # plain union term per weight
 
     @cached_property
     def table(self) -> _BinomialTable:
@@ -331,7 +339,7 @@ def _combined_bound(
     tails = arrays.table.suffix[probe.start + 1 : probe.stop + 1]  # d* <= n
     cuts = np.searchsorted(arrays.ds, 2 * np.arange(probe.start, probe.stop), side="right")
     values = np.empty(len(probe))
-    best: tuple[float, np.ndarray] = (math.inf, arrays.aq[:0])  # the row _minimize picks
+    best: tuple[float, np.ndarray] = (math.inf, arrays.q[:0])  # the row _minimize picks
     lo = 0
     with np.errstate(over="ignore"):
         while lo < len(probe):
@@ -496,12 +504,13 @@ def bit_error_bound(
     if k == 0:
         raise ValidationError("bit bound needs k >= 1 message bits, got k=0")
     arrays = _PointArrays(iowe.weight_spectrum(), ch, d_star, d_star_max, theta_policy)
-    columns = iowe.counts[:, arrays.ds]
-    # A'_d sums (i/k) A_{i,d} in ascending i (accumulate, unlike a pairwise
-    # sum, adds row by row), and i^ is the last i with A_{i,d} > 0
-    a_prime = np.add.accumulate((np.arange(k + 1) / k)[:, None] * columns, axis=0)[-1]
-    i_hat_frac = (k - np.argmax(columns[::-1] > 0.0, axis=0)) / k
-    return _unified_bound(arrays, a_prime * arrays.q, i_hat_frac, BoundVariant.UNIFIED_BIT)
+    # A'_d sums (i/k) A_{i,d} in ascending i, and i^ is the last i with
+    # A_{i,d} > 0: one pass over the rows, so no IOWE-sized array is formed
+    a_prime, i_hat = np.zeros(arrays.ds.size), np.zeros(arrays.ds.size)
+    for i, column in enumerate(row[arrays.ds] for row in iowe.counts):
+        a_prime += (i / k) * column
+        i_hat[column > 0.0] = i
+    return _unified_bound(arrays, a_prime * arrays.q, i_hat / k, BoundVariant.UNIFIED_BIT)
 
 
 # --- generic combination with an external base bound ------------------------

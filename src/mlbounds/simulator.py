@@ -19,13 +19,14 @@ its part bound <= 0.  The pruning is exact: a skipped codeword scores above
 0, the transmitted word's score, so it cannot be a winner, a tie or an
 error.  P is 3 where the sort key fits in 16 bits and the codebook fills
 its subclasses densely enough for the tighter bound to repay their tests,
-else 1, the plain weight classes (_part_bounds).  The keys come from the
-chunk sweep that enumeration uses (spectrum._sweep), and the sort is a
-counting sort over the 16-bit key, so it needs no index array of the whole
-codebook: the layout build peaks near 6 bytes per codeword, the key and the
-message order.  A scan looks up one small tile of codewords at a time in the
-codebook's two XOR tables and expands it into 0/1 floats, so neither a copy
-nor a score matrix of the whole codebook exists.
+else 1, the plain weight classes (_part_bounds).  The keys, flat indices
+into the shape of the part bounds (spectrum._key_shape), come from the chunk
+sweep that enumeration uses (spectrum._sweep); the sort is a counting sort
+over the 16-bit key, so it needs no index array of the whole codebook: the
+layout build peaks near 6 bytes per codeword, the key and the message order.
+A scan looks up one small tile of codewords at a time in the codebook's two
+XOR tables and expands it into 0/1 floats, so neither a copy nor a score
+matrix of the whole codebook exists.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .spectrum import _CHUNK_BITS, LinearCode, _codebook, _codebook_bytes, _sweep
+from .spectrum import _CHUNK_BITS, LinearCode, _codebook, _codebook_bytes, _key_shape, _key_type
+from .spectrum import _sweep
 
 __all__ = [
     "BLOCK",
@@ -102,7 +104,7 @@ class SimConfig:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
         if self.work_limit < 1:
             raise ValidationError(f"work_limit must be >= 1, got {self.work_limit}")
-        if self.code.n > 65_535:  # the codebook layout keeps its sort key as uint16
+        if self.code.n > 65_535:  # the layout's counting sort packs 16-bit keys (_key_type)
             raise ValidationError(f"simulation needs n <= 65,535, got n={self.code.n}")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 bits")
@@ -207,36 +209,30 @@ class SimReport:
 _CODEWORDS_PER_KEY = 48
 
 
-def _part_bounds(n: int, k: int) -> tuple[tuple[int, ...], int]:
+def _part_bounds(n: int, k: int) -> tuple[int, ...]:
     """The start of each of the P contiguous parts of the n positions, then
-    n; and the base B = ceil(n/P) + 1 of the layout's sort key.
-
-    A codeword's weight d and its weights in parts 1..P-1, as digits of base
-    B, make a key below (n+1) B^(P-1).  P is 3 where that key fits in 16
-    bits (n <= 81) and the 2^k codewords fill at least _CODEWORDS_PER_KEY
-    per possible key; otherwise P is 1 and the key is the weight alone.
-    Part sizes differ by at most 1.
-    """
-    base = -(-n // 3) + 1
-    keys = (n + 1) * base * base
+    n; part sizes differ by at most 1.  P is 3 where the layout's sort key
+    (spectrum._key_shape) fits in 16 bits (n <= 81) and the 2^k codewords
+    fill at least _CODEWORDS_PER_KEY per possible key; otherwise P is 1 and
+    the key is the weight alone."""
+    bounds = tuple(i * n // 3 for i in range(4))
+    keys = math.prod(_key_shape(bounds))
     if keys > 1 << 16 or keys * _CODEWORDS_PER_KEY > 1 << k:
-        return (0, n), n + 1
-    return tuple(i * n // 3 for i in range(4)), base
+        return (0, n)
+    return bounds
 
 
 class _ClassLayout:
     """The codebook's two XOR tables, ordered by weight and part weights.
 
     low and high are spectrum._codebook's tables of ceil(n/64) uint64 words.
-    bounds splits the n positions into the P parts of _part_bounds.  msgs
-    lists the message indices sorted by the key (d, d_1, ..., d_{P-1}) of
-    codeword weight d and part weights d_i; within a subclass of one key
-    they stay ascending (a counting sort, which places each chunk in turn),
-    so a first-occurrence argmin over any slice of a subclass is also the
-    smallest-message tie-break within it.  The build reads the keys twice:
-    spectrum._sweep yields each key chunk, which is stored and counted into
-    the subclass sizes in one pass, and the sort then reads each stored
-    chunk once.
+    bounds holds the P parts of _part_bounds, and msgs the message indices
+    sorted by their keys; within a subclass of one key they stay ascending (a
+    counting sort, which places each chunk in turn), so a first-occurrence
+    argmin over any slice of a subclass is also the smallest-message tie-break
+    within it.  The build reads the keys twice: spectrum._sweep yields each key
+    chunk, which is stored and counted into the subclass sizes in one pass, and
+    the sort then reads each stored chunk once.
     classes holds (d, weights, offsets) of each nonempty class d >= 1:
     weights[i] lists the part-i weight of each of its subclasses, which run
     over msgs[offsets[s] : offsets[s + 1]]; with P = 1 each class is one
@@ -246,12 +242,12 @@ class _ClassLayout:
 
     def __init__(self, code: LinearCode):
         self.low, self.high = _codebook(code)
-        self.bounds, base = _part_bounds(code.n, code.k)
-        splits = len(self.bounds) - 2
+        self.bounds = _part_bounds(code.n, code.k)
+        shape = _key_shape(self.bounds)
         step = len(self.low)
-        key = np.empty(step * len(self.high), dtype=np.uint16)
-        sizes = np.zeros((code.n + 1) * base**splits, dtype=np.int64)
-        for t, chunk in enumerate(_sweep(code.n, self.low, self.high, self.bounds, base)):
+        key = np.empty(step * len(self.high), dtype=_key_type(self.bounds))
+        sizes = np.zeros(math.prod(shape), dtype=np.int64)
+        for t, chunk in enumerate(_sweep(self.low, self.high, self.bounds)):
             key[t * step : (t + 1) * step] = chunk
             sizes += np.bincount(chunk, minlength=sizes.size)  # copies the chunk as int64
 
@@ -283,7 +279,7 @@ class _ClassLayout:
         keys = np.flatnonzero(sizes)[1:]  # key 0 holds the zero codeword alone
         stops = np.cumsum(sizes)[keys]
         starts = stops - sizes[keys]
-        d, *digits = np.unravel_index(keys, (code.n + 1, *[base] * splits))
+        d, *digits = np.unravel_index(keys, shape)
         weights = np.array([d - sum(digits), *digits])
         firsts = np.flatnonzero(np.diff(d, prepend=0)).tolist()  # d ascends from 1
         self.classes = [
@@ -326,10 +322,10 @@ def _layout_bytes(code: LinearCode) -> int:
     two chunks' counts and first entries (40).  The class list holds msgs
     (4 per codeword) and at most 11 int64 arrays over the possible keys
     (88)."""
-    bounds, base = _part_bounds(code.n, code.k)
+    bounds = _part_bounds(code.n, code.k)
     rows, codewords = 1 << min(code.k, _CHUNK_BITS), 1 << code.k
-    keys = (code.n + 1) * base ** (len(bounds) - 2)
-    tables, sweep = _codebook_bytes(code, bounds, base)
+    keys = math.prod(_key_shape(bounds))
+    tables, sweep = _codebook_bytes(code, bounds)
     phases = (
         sweep + 2 * codewords + 8 * rows + 16 * keys,
         6 * codewords + 24 * rows + 40 * keys,
@@ -354,7 +350,7 @@ def _scan_bytes(code: LinearCode, trials: int) -> int:
     terms (16 per cell).  glibc's malloc may keep up to twice the largest
     freed block mapped, the noise or a score block: 16 more each."""
     n, words = code.n, (code.n + 63) // 64
-    bounds, _ = _part_bounds(n, code.k)
+    bounds = _part_bounds(n, code.k)
     per_trial = 33 * n
     if len(bounds) > 2:
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]

@@ -1,13 +1,13 @@
 """Binary linear block codes and their weight spectra.
 
-A code is a full-rank k x n generator matrix over GF(2); rows live as
-integer bitmasks (bit t of a mask is column t) so encoding and enumeration
-are single XORs.  One sweep (_sweep) yields each codeword's weight, or the
-simulator layout's key, chunk by chunk: enumeration histograms the weights,
-and the layout stores and counts each key chunk, then reads it once more
-before its sort.  Weight spectra come in three kinds: exact multiplicities,
-ensemble averages (real-valued), and truncated prefixes where only weights
-up to some d_max are known.
+A code is a full-rank k x n generator matrix over GF(2); rows live as integer
+bitmasks (bit t of a mask is column t) so encoding and enumeration are single
+XORs.  One sweep (_sweep) yields each codeword's key, a flat index into the
+shape its part bounds fix (_key_shape), chunk by chunk: enumeration
+histograms one part's keys, the weights, and the layout stores and counts
+each key chunk, then reads it once more before its sort.  Weight spectra come
+in three kinds: exact multiplicities, ensemble averages (real-valued), and
+truncated prefixes where only weights up to some d_max are known.
 
 Counts have one form from file to bound kernel: a read-only float64 array,
 A_d at [d] or, in an input-output spectrum, A_{i,d} at [i, d], for every
@@ -260,23 +260,29 @@ def _codebook(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     return tables[0], tables[1]
 
 
-def _key_type(n: int, bounds: tuple[int, ...] = (), base: int = 1) -> type:
-    """The dtype of _sweep's keys: uint16 where every key, below
-    (n+1) base^(P-1), fits in 16 bits, else uint32."""
-    return np.uint16 if (n + 1) * base ** len(bounds[2:]) <= 1 << 16 else np.uint32
+def _key_shape(bounds: tuple[int, ...]) -> tuple[int, ...]:
+    """The shape (n+1, B, ..., B) that _sweep's keys index flat: B, one more
+    than the largest of the P parts of bounds, once per part i >= 1."""
+    base = max(hi - lo for lo, hi in zip(bounds, bounds[1:])) + 1
+    return (bounds[-1] + 1, *[base] * len(bounds[2:]))
 
 
-def _sweep(n: int, low: np.ndarray, high: np.ndarray, bounds: tuple[int, ...] = (), base: int = 1):
+def _key_type(bounds: tuple[int, ...]) -> type:
+    """_sweep's key dtype: uint16 where _key_shape(bounds) has <= 2^16 cells, else uint32."""
+    return np.uint16 if math.prod(_key_shape(bounds)) <= 1 << 16 else np.uint32
+
+
+def _sweep(low: np.ndarray, high: np.ndarray, bounds: tuple[int, ...]):
     """Yield the key of every codeword of chunk low ^ high[t] of
-    _codebook's tables, for t = 0, 1, ...: its weight d or, given the
-    bounds of P contiguous parts, (d * base + d_1) * base + d_2 ..., where
-    d_i is its weight in part i >= 1.  Each chunk is XORed and counted into
-    buffers reused from chunk to chunk, so a key array holds only until the
-    next one is yielded."""
+    _codebook's tables, t = 0, 1, ...: its flat index (d * B + d_1) * B + ...
+    into _key_shape(bounds), for weight d and weight d_i in part i >= 1.
+    Each chunk is XORed and counted into buffers reused from chunk to chunk,
+    so a key array holds only until the next one is yielded."""
     words = low.shape[1]
+    base = _key_shape(bounds)[-1]
     masks = [_as_words((1 << hi) - (1 << lo), words) for lo, hi in zip(bounds[1:], bounds[2:])]
     chunk, ones = np.empty_like(low), np.empty(low.shape, dtype=np.uint8)
-    key = np.empty(len(low), dtype=_key_type(n, bounds, base))
+    key = np.empty(len(low), dtype=_key_type(bounds))
     if masks:
         masked, part = np.empty_like(low), np.empty_like(key)
     for row in high:
@@ -290,13 +296,13 @@ def _sweep(n: int, low: np.ndarray, high: np.ndarray, bounds: tuple[int, ...] = 
         yield key
 
 
-def _codebook_bytes(code: LinearCode, bounds: tuple[int, ...] = (), base: int = 1) -> tuple[int, int]:
+def _codebook_bytes(code: LinearCode, bounds: tuple[int, ...]) -> tuple[int, int]:
     """Bytes of the two tables of _codebook(code), and of the buffers of a
-    _sweep over them with these bounds and base: per chunk row the chunk
-    (8 per word), its bit counts (1 per word) and its keys, and with P > 1
-    the chunk masked to a part (8 per word) and a part's weights."""
+    _sweep over them with these bounds: per chunk row the chunk (8 per
+    word), its bit counts (1 per word) and its keys, and with P > 1 the
+    chunk masked to a part (8 per word) and a part's weights."""
     split, words = min(code.k, _CHUNK_BITS), (code.n + 63) // 64
-    key = np.dtype(_key_type(code.n, bounds, base)).itemsize
+    key = np.dtype(_key_type(bounds)).itemsize
     per_row = 9 * words + key + (8 * words + key if bounds[2:] else 0)
     return 8 * words * ((1 << split) + (1 << (code.k - split))), per_row << split
 
@@ -318,7 +324,7 @@ def enumerate_spectrum(code: LinearCode, *, max_k: int = 28) -> InputOutputSpect
     # (n+1) times the message weight of each message within a chunk
     low_cells = np.bitwise_count(np.arange(len(low))).astype(np.int64) * (n + 1)
     table = np.zeros((k + 1) * (n + 1), dtype=np.int64)
-    for t, weights in enumerate(_sweep(n, low, high)):
+    for t, weights in enumerate(_sweep(low, high, (0, n))):
         # cell (message weight, codeword weight) of every message in chunk t
         cells = low_cells + weights
         cells += t.bit_count() * (n + 1)

@@ -545,6 +545,35 @@ class TestVariantEdges:
                 word.value, word.d_star_opt, word.tail_term, word.per_d_terms
             ), snr
 
+    @pytest.mark.parametrize("policy", ["tight", None, 1], ids=repr)
+    @pytest.mark.parametrize(
+        "bound,source",
+        [(triplet_error_bound, HAMMING), (word_error_bound, HAMMING),
+         (bit_error_bound, HAMMING_IOWE)],
+        ids=["triplet", "word", "bit"],
+    )
+    def test_theta_policy_that_is_no_member_is_refused(self, bound, source, policy):
+        # the string "tight" was read as closed-form; the refusal names the members
+        with pytest.raises(ValidationError, match=r"is not one of \[<ThetaPolicy.CLOSED_FORM"):
+            bound(source, ch(1.0), theta_policy=policy)
+
+    def test_bit_point_holds_no_iowe_sized_array(self):
+        # a dense [2000, 1000] IOWE is 16 MB; its gathered columns, their
+        # (i/k)-scaled copy and their running sums peaked at 48 MB in one point,
+        # while one row at a time stays under 1 MB
+        n, k = 2000, 1000
+        counts = np.ones((k + 1, n + 1))
+        counts[0, 1:] = 0.0
+        iowe = InputOutputSpectrum(n, k, counts, SpectrumKind.TRUNCATED, n)
+        point = ChannelPoint.from_snr_db(2.0, rate=0.5)
+        tracemalloc.start()
+        try:
+            bit_error_bound(iowe, point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
     def test_word_degenerate_spectrum_is_zero_at_full_radius(self):
         spec = spectrum_from(6, 0, {0: 1.0}, SpectrumKind.EXACT)
         res = word_error_bound(spec, ch(1.0))
@@ -646,6 +675,28 @@ class TestRadiusScanWork:
         assert built == []
         word_error_bound(self.ENS, self.POINT, theta_policy=ThetaPolicy.TIGHT)
         assert built == [ThetaPolicy.TIGHT]
+
+    def test_only_q_readers_build_q(self, monkeypatch):
+        # the per-point state builds Q and A_d Q on first read: gfbt reads
+        # only the radii, the table and the weights, so it builds neither,
+        # and every other variant builds Q once a point
+        built = []
+        q = bounds._PointArrays.q.func
+
+        def counting(arrays):
+            built.append(arrays.n)
+            return q(arrays)
+
+        spy = functools.cached_property(counting)
+        spy.__set_name__(bounds._PointArrays, "q")
+        monkeypatch.setattr(bounds._PointArrays, "q", spy)
+        gfbt_combine(lambda d_star, point: 0.0, self.ENS, self.POINT)
+        assert built == []
+        for bound in (union_bound, truncated_union_bound, pairwise_error_bound,
+                      word_error_bound):
+            built.clear()
+            bound(self.ENS, self.POINT)
+            assert built == [100], bound.__name__
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_long_code_point_memory_is_linear_in_n(self):

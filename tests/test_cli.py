@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output determinism, argument files,
 and the compare subcommand's alignment and dominance rules."""
 
+import ast
 import functools
 import json
 import math
@@ -15,7 +16,7 @@ from mlbounds.bounds import (
     gfbt_combine,
     truncated_union_bound,
 )
-from mlbounds import cli
+from mlbounds import bounds, cli
 from mlbounds.cli import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, main
 from mlbounds.errors import ValidationError
 from mlbounds.numerics import ChannelPoint, SnrConvention
@@ -33,6 +34,7 @@ from mlbounds.spectrum import (
 from oracles import CODES, format_generator, repetition_code, spectrum_from, union_base
 
 HAMMING_GEN = str(CODES / "hamming_7_4.gen")
+PERFBENCH_CHILD = CODES.parent.parent / "perfbench" / "child.py"
 TOY_GEN = str(CODES / "toy_10_5.gen")
 
 
@@ -507,6 +509,25 @@ class TestComputeCurveOptions:
     def test_unknown_option_is_refused(self, iowe, variant):
         with pytest.raises(ValidationError, match="unknown curve option 'dstar'"):
             cli.compute_curve(variant, iowe, 1.0, 1.0, 1.0, dstar=1)
+
+    @pytest.mark.parametrize("policy", ["tight", None, 1], ids=repr)
+    def test_theta_policy_that_is_no_member_is_refused_before_any_row(
+        self, iowe, monkeypatch, policy
+    ):
+        # the string "tight" computed every row as closed-form, then failed
+        # on the metadata; now the bound of the first grid point refuses it
+        rows = []
+        real = cli.word_error_bound
+
+        @functools.wraps(real)
+        def counted(*args, **kwargs):
+            rows.append(real(*args, **kwargs))
+            return rows[-1]
+
+        monkeypatch.setattr(cli, "word_error_bound", counted)
+        with pytest.raises(ValidationError, match="is not one of"):
+            cli.compute_curve(BoundVariant.UNIFIED_WORD, iowe, 0.0, 1.0, 1.0, theta_policy=policy)
+        assert rows == []
 
     def test_given_options_pass_straight_to_the_bound(self, iowe):
         # an explicit default gives the curve that leaving it out gives
@@ -1213,3 +1234,23 @@ class TestFileBoundProviderCli:
         replayed = gfbt_combine(FileBoundProvider(table), spec, point)
         assert replayed.value == direct.value
         assert replayed.d_star_opt == direct.d_star_opt
+
+
+class TestPerfbenchTracedNames:
+    def test_every_traced_name_resolves(self):
+        # perfbench/child.py wraps these module attributes by name under
+        # --trace 1, where a renamed one crashes every child; its TRACED table
+        # is read from the source, so nothing there runs or changes
+        tree = ast.parse(PERFBENCH_CHILD.read_text(encoding="utf-8"))
+        traced = next(
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(target, "id", None) for target in node.targets] == ["TRACED"]
+        )
+        modules = {"cli": cli, "bounds": bounds}
+        assert set(traced) == set(modules)
+        for prefix, names in traced.items():
+            assert names
+            for name in names:
+                assert callable(getattr(modules[prefix], name, None)), f"{prefix}.{name}"

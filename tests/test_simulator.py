@@ -47,7 +47,7 @@ from mlbounds.simulator import (
     _openblas_threads,
     _part_bounds,
 )
-from mlbounds.spectrum import _CHUNK_BITS, enumerate_spectrum
+from mlbounds.spectrum import _CHUNK_BITS, _key_shape, enumerate_spectrum
 
 # a [72, 5] code whose nonzero codewords all have bits in both 64-bit words
 CODE_72_5 = LinearCode(
@@ -452,9 +452,10 @@ class TestSimulateEngine:
     )
     def test_part_count_follows_n_and_k(self, n, k, parts):
         # 3 parts where (n+1) B^2 fits in 16 bits and 2^k fills it 48 times
-        bounds, base = _part_bounds(n, k)
+        bounds = _part_bounds(n, k)
         assert len(bounds) - 1 == parts and bounds[0] == 0 and bounds[-1] == n
-        assert base == (-(-n // 3) + 1 if parts == 3 else n + 1)
+        base = -(-n // 3) + 1
+        assert _key_shape(bounds) == ((n + 1, base, base) if parts == 3 else (n + 1,))
         assert max(hi - lo for lo, hi in zip(bounds, bounds[1:])) == -(-n // parts)
 
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ The enumeration oracle multiplies every message by the generator matrix mod
 2 with numpy, sharing nothing with the chunked codebook engine under test.
 """
 
+import contextlib
 import math
 import sys
 import tracemalloc
@@ -12,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     CODES,
     code_from_matrix,
@@ -61,6 +64,25 @@ def random_full_rank_code(rng, n: int, k: int) -> LinearCode:
             return code_from_matrix(arr)
         except ValidationError:
             continue
+
+
+@st.composite
+def keyed_codebooks(draw):
+    """A random full-rank [n, k] code, n <= 130 (one to three words a
+    codeword) and k <= 10, often holding the all-ones word, which fills
+    every part; the bounds of P = 1, 2 or 3 contiguous parts of its
+    positions, empty parts included; and the message bits of the low XOR
+    table, so that the codebook spans one to 2^9 chunks."""
+    n = draw(st.one_of(st.integers(1, 64), st.integers(65, 128), st.integers(129, 130)))
+    k = draw(st.integers(1, min(n, 10)))
+    code = random_full_rank_code(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, k)
+    if draw(st.booleans()):
+        rows = ((1 << n) - 1, *code.rows[1:])
+        with contextlib.suppress(ValidationError):  # the all-ones word was in the others' span
+            code = LinearCode(n, k, rows)
+    parts = draw(st.integers(1, 3))
+    cuts = draw(st.lists(st.integers(0, n), min_size=parts - 1, max_size=parts - 1))
+    return code, (0, *sorted(cuts), n), draw(st.integers(1, 10))
 
 
 class TestLinearCode:
@@ -215,6 +237,25 @@ class TestCodebookTables:
         t, m = np.divmod(messages, len(low))
         got = codeword_ints(low[m] ^ high[t])
         assert got == [encode(code, int(x)) for x in messages]
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(case=keyed_codebooks())
+    def test_sweep_keys_unravel_to_weight_and_part_weights(self, case):
+        # every key, unravelled by the shape the bounds alone fix, gives the
+        # codeword's weight and its weight in each part i >= 1, message by
+        # message in the order of the chunks
+        code, bounds, chunk_bits = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectrum, "_CHUNK_BITS", chunk_bits)
+            low, high = spectrum._codebook(code)
+        keys = np.concatenate([key.copy() for key in spectrum._sweep(low, high, bounds)])
+        assert keys.dtype == spectrum._key_type(bounds)
+        digits = np.unravel_index(keys, spectrum._key_shape(bounds))
+        words = [encode(code, m) for m in range(1 << code.k)]
+        want = [[word.bit_count() for word in words]]
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            want.append([(word >> lo & (1 << hi - lo) - 1).bit_count() for word in words])
+        assert [digit.tolist() for digit in digits] == want
 
 
 class TestMacwilliams:
